@@ -2,30 +2,27 @@
 
 High-order polynomial collocation loses its accuracy on functions with a
 jump discontinuity. When the discontinuity's location and derivative jumps
-are known, adding a jump-built correction to each nodal datum restores the
-smooth machinery's accuracy: one interpolant covers the whole interval, its
-derivative matrices and quadrature weights apply unchanged, and a moving
-discontinuity costs only a reevaluation of the correction weights per step.
+are known, the jump series turns the nodal data into the smooth extension
+on each side of it, and the plain interpolant, derivative matrices and
+quadrature weights apply unchanged to those pieces; a moving discontinuity
+costs only a reevaluation of the jump series per step.
 """
 
 from .diffmat import DerivMatrix, apply, derivative_matrix, fd_weights, negative_sum_trick
 from .grid import Grid, GridFamily, chebyshev_gauss_lobatto, custom, equidistant
 from .jumps import (
-    CorrectionWeights,
     JumpData,
     XiOnNodeError,
     corrected_derivative,
     corrected_integrate,
     corrected_interpolate,
     correction_matrix,
-    correction_terms,
-    correction_weights,
     jump_weights,
     one_sided_derivatives_at_node,
     reconstruct_pieces,
 )
-from .lagrange import BarycentricWeights, barycentric_weights, basis_eval, basis_matrix, interpolate
-from .mol import AdvectionProblem, EvolutionResult, evolve, jump_at, rhs, rk4_step
+from .lagrange import BarycentricWeights, barycentric_weights, basis_matrix, interpolate
+from .mol import AdvectionProblem, EvolutionResult, evolve, rk4_step
 from .quadrature import QuadRule, basis_integrals, integrate, quad_weights
 from .refproblems import (
     LegendreProblem,
@@ -46,7 +43,6 @@ __all__ = [
     "custom",
     "BarycentricWeights",
     "barycentric_weights",
-    "basis_eval",
     "basis_matrix",
     "interpolate",
     "DerivMatrix",
@@ -60,11 +56,8 @@ __all__ = [
     "basis_integrals",
     "JumpData",
     "XiOnNodeError",
-    "CorrectionWeights",
     "jump_weights",
-    "correction_terms",
     "correction_matrix",
-    "correction_weights",
     "reconstruct_pieces",
     "corrected_interpolate",
     "corrected_derivative",
@@ -78,8 +71,6 @@ __all__ = [
     "legendre_Q_derivative",
     "AdvectionProblem",
     "EvolutionResult",
-    "jump_at",
-    "rhs",
     "rk4_step",
     "evolve",
 ]

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .mol import AdvectionProblem, evolve
 from .quadrature import integrate, quad_weights
 from .refproblems import LegendreProblem, SyntheticPiecewise
 
-__all__ = ["main", "ConvergenceReport", "probe_points", "fit_orders"]
+__all__ = ["main", "probe_points", "fit_orders"]
 
 _FAMILY_ALIASES = {
     "equidistant": "equidistant",
@@ -42,26 +41,6 @@ _FAMILY_ALIASES = {
     "chebyshev_gauss_lobatto": "chebyshev_gauss_lobatto",
     "custom": "custom",
 }
-
-
-@dataclass
-class ConvergenceReport:
-    """Per-(N, M) max-norm errors of a study, with fitted convergence orders."""
-
-    problem: str
-    family: str
-    probes: int
-    rows: list = field(default_factory=list)  # (N, M, linf_error)
-    fits: list = field(default_factory=list)  # one dict per M
-
-    def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "family": self.family,
-            "probes": self.probes,
-            "rows": [{"N": n, "M": m, "linf_error": e} for n, m, e in self.rows],
-            "fits": self.fits,
-        }
 
 
 def _fmt(v) -> str:
@@ -285,8 +264,7 @@ def run_converge(cfg: dict, outdir: str) -> dict:
         errs = list(pool.map(lambda c: _converge_cell(problem, family, a, b, *c, pts), cells))
     errors = dict(zip(cells, errs))
 
-    report = ConvergenceReport(cfg["problem"].get("type", "?"), family, probes)
-    report.rows = [(N, M, errors[(N, M)]) for N, M in sorted(errors)]
+    rows = [(N, M, errors[(N, M)]) for N, M in sorted(errors)]
     fits = {}
     for M in M_list:
         Ns = [N for N in sorted(N_list) if M <= N]
@@ -294,14 +272,17 @@ def run_converge(cfg: dict, outdir: str) -> dict:
             fit = fit_orders(Ns, [errors[(N, M)] for N in Ns])
             fit["M"] = M
             fits[_jump_label(M)] = fit
-    report.fits = sorted(fits.values(), key=lambda d: d["M"])
 
-    write_csv(os.path.join(outdir, "result.csv"), ["N", "M", "linf_error"], report.rows)
+    write_csv(os.path.join(outdir, "result.csv"), ["N", "M", "linf_error"], rows)
     metrics = {"fits": fits, "errors": errors}
     return {
         "command": "converge",
         "config": cfg,
-        **report.to_dict(),
+        "problem": cfg["problem"].get("type", "?"),
+        "family": family,
+        "probes": probes,
+        "rows": [{"N": n, "M": m, "linf_error": e} for n, m, e in rows],
+        "fits": sorted(fits.values(), key=lambda d: d["M"]),
         "checks": _run_checks(cfg, metrics),
     }
 

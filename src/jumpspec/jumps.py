@@ -1,22 +1,32 @@
 """Jump-corrected interpolation, differentiation and integration.
 
-A sampled function with a discontinuity of known location and known
-derivative jumps can be represented by a single degree-N interpolant whose
-coefficients jump across the discontinuity. Operationally, each nodal datum
-receives a correction built from the jump data before the smooth machinery
-(barycentric evaluation, derivative matrices, quadrature weights) is
-applied. Corrections vanish identically when the jump data is empty, so the
-smooth results are recovered unchanged in that case.
+On each side of a discontinuity at xi with known derivative jumps J_m, the
+sampled function is the restriction of a smooth function. The truncated
+jump series
 
-Conventions: the Heaviside factor used throughout is 1 for positive
-argument, 0 for negative and 1/2 at zero; the discontinuity must lie
-strictly between nodes. A discontinuity sitting exactly on a node is served
-only by one_sided_derivatives_at_node, because the stored nodal value is
-otherwise ambiguous (left limit, right limit or average).
+    g_j = sum_m J_m / m! * (x_j - xi)^m
+
+is the gap between the two smooth extensions at node j. Adding it to the
+data at the nodes left of xi gives the nodal data of the right extension
+(plus); subtracting it at the nodes right of xi gives the left extension
+(minus). reconstruct_pieces builds these pieces, one per region between
+discontinuities, and every corrected operation is the plain one applied to
+them: a probe evaluates the plain interpolant of its region's piece, node i
+applies row i of the plain derivative matrix to its own region's piece, and
+the integral sums the plain quadrature of each piece over its region. With
+no jumps enforced the only piece is the data itself, so the plain results
+come back unchanged.
+
+Conventions: a probe exactly at a discontinuity averages the two adjacent
+pieces, and a discontinuity must lie strictly between nodes. A
+discontinuity sitting exactly on a node is served only by
+one_sided_derivatives_at_node, because the stored nodal value is otherwise
+ambiguous (left limit, right limit or average).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,17 +34,14 @@ import numpy as np
 
 from .diffmat import DerivMatrix, apply, fd_weights
 from .grid import Grid
-from .lagrange import BarycentricWeights, _check_data, _interpolate_rows, interpolate
+from .lagrange import BarycentricWeights, _barycentric, _check_data, interpolate
 from .quadrature import QuadRule, basis_integrals, integrate
 
 __all__ = [
     "JumpData",
     "XiOnNodeError",
-    "CorrectionWeights",
     "jump_weights",
-    "correction_terms",
     "correction_matrix",
-    "correction_weights",
     "reconstruct_pieces",
     "corrected_interpolate",
     "corrected_derivative",
@@ -86,171 +93,183 @@ class JumpData:
         return cls(float(d["xi"]), np.asarray(d["J"], dtype=float))
 
 
-@dataclass(frozen=True)
-class CorrectionWeights:
-    """Precomputed correction data of one discontinuity on one grid.
-
-    node_weights[j] is the truncated jump series at node j; at_nodes[i, j]
-    is the correction applied to datum j when the interpolant is evaluated
-    at node i (zero whenever i and j lie on the same side, in particular on
-    the diagonal).
-    """
-
-    grid: Grid
-    jump: JumpData
-    node_weights: np.ndarray
-    at_nodes: np.ndarray
-
-
 def _require_interior(jump: JumpData, grid: Grid) -> None:
     if not grid.a < jump.xi < grid.b:
         raise ValueError(
             f"discontinuity at {jump.xi} lies outside the open interval ({grid.a}, {grid.b})"
         )
-    if np.any(grid.nodes == jump.xi):
+    if (grid.nodes == jump.xi).any():
         raise XiOnNodeError(f"discontinuity at {jump.xi} coincides with a grid node")
 
 
 def _as_jump_tuple(jump, grid: Grid) -> tuple[JumpData, ...]:
-    """Normalize a JumpData or sequence thereof; drop entries with no jumps."""
+    """Normalize a JumpData or sequence thereof to the entries with jumps, sorted by location.
+
+    Entries without jumps are validated here; the others are validated by
+    jump_weights, which every corrected operation calls on them.
+    """
+    if isinstance(jump, JumpData) and jump.order >= 0:
+        return (jump,)
     jumps = (jump,) if isinstance(jump, JumpData) else tuple(jump)
     for jd in jumps:
-        _require_interior(jd, grid)
-    active = tuple(jd for jd in jumps if jd.order >= 0)
-    xis = [jd.xi for jd in active]
-    if len(set(xis)) != len(xis):
+        if jd.order < 0:
+            _require_interior(jd, grid)
+    active = tuple(sorted((jd for jd in jumps if jd.order >= 0), key=lambda jd: jd.xi))
+    if any(a.xi == b.xi for a, b in zip(active, active[1:])):
         raise ValueError("discontinuity locations must be pairwise distinct")
     return active
 
 
+@functools.lru_cache(maxsize=None)
+def _factorials(count: int) -> np.ndarray:
+    """0!, 1!, ..., (count - 1)! as floats; built once per length and shared read-only."""
+    out = np.array([math.factorial(m) for m in range(count)], dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def jump_weights(jump: JumpData, grid: Grid) -> np.ndarray:
-    """Per-node correction weights: the truncated jump series at each node.
+    """Per-node jump series g_j: the gap between the two smooth extensions.
 
     Node j receives sum_m jumps[m] / m! * (x_j - xi)^m, evaluated by Horner
-    for stability at higher orders. This is the amount by which the two
-    smooth extensions of the data differ at that node, as implied by the
-    enforced jumps; with no jumps enforced it is identically zero.
+    for stability at higher orders. This is the amount by which the right
+    extension of the data exceeds the left one at that node, as implied by
+    the enforced jumps; with no jumps enforced it is identically zero.
     """
     _require_interior(jump, grid)
     if jump.order < 0:
         return np.zeros(grid.N + 1)
     d = grid.nodes - jump.xi
-    coeff = jump.jumps / np.array([math.factorial(m) for m in range(jump.order + 1)])
+    coeff = jump.jumps / _factorials(jump.order + 1)
     g = np.full(grid.N + 1, coeff[-1])
     for c in coeff[-2::-1]:
         g = g * d + c
     return g
 
 
-def correction_terms(jump: JumpData, grid: Grid, x: float) -> np.ndarray:
-    """Correction added to each nodal datum when evaluating at probe x.
+def _right_of(x, jumps: tuple[JumpData, ...], side: str = "left") -> np.ndarray:
+    """right[k, p]: whether point p lies right of the k-th (sorted) cut.
 
-    The term for node j vanishes when x and x_j lie on the same side of the
-    discontinuity and equals +-(jump weight) otherwise, with sign chosen so
-    data on the far side is pulled onto the probe's branch. At x equal to
-    xi the two branches are averaged.
+    A point exactly on a cut counts as left of it for side="left" and right
+    of it for side="right". This is the only place that decides on which
+    side of a discontinuity a node or probe lies. Cuts are sorted, so each
+    column is a run of True over a run of False; its count of True is the
+    region of the point, numbered 0..K from the left.
     """
-    g = jump_weights(jump, grid)
-    th_x = np.heaviside(x - jump.xi, 0.5)
-    th_n = np.heaviside(grid.nodes - jump.xi, 0.5)
-    return (th_x * (1.0 - th_n) - (1.0 - th_x) * th_n) * g
+    cuts = np.array([[jd.xi] for jd in jumps])
+    return x > cuts if side == "left" else x >= cuts
 
 
-def correction_matrix(jump: JumpData, grid: Grid) -> np.ndarray:
+def _pieces(f, jumps: tuple[JumpData, ...], grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Piece data (row r for region r) and the nodes' side table from _right_of.
+
+    Piece r is f plus the correction c_r, which adds the jump series g_k of
+    every cut k separating a node from region r: +g_k when the node lies
+    left of the cut and the region right of it, -g_k for the mirrored case,
+    and a signed zero otherwise, so a node's own region keeps its datum.
+    f = -0.0, the exact additive identity, returns the corrections bit for
+    bit.
+    """
+    right = _right_of(grid.nodes, jumps)
+    regions = np.arange(len(jumps) + 1)[:, None]
+    corrections = functools.reduce(np.add, [
+        np.subtract(regions > k, right[k], dtype=float) * jump_weights(jd, grid)
+        for k, jd in enumerate(jumps)
+    ])
+    return f + corrections, right
+
+
+def reconstruct_pieces(f, jump, grid: Grid) -> tuple[np.ndarray, ...]:
+    """Nodal data of the smooth extensions of f, one per region between cuts.
+
+    For a single discontinuity this is (minus, plus): interpolating either
+    array with the plain machinery gives the degree-N polynomial valid on
+    that side, and the derivative difference plus - minus at xi reproduces
+    the enforced jumps and vanishes for orders above the enforced set
+    through degree N. K discontinuities (a sequence of JumpData with
+    pairwise-distinct locations) give K + 1 arrays ordered left to right;
+    entries without jumps are ignored. Every corrected operation is the
+    plain one applied to these arrays.
+    """
+    jumps = _as_jump_tuple(jump, grid)
+    return tuple(_pieces(_check_data(f, grid), jumps, grid)[0])
+
+
+def correction_matrix(jump, grid: Grid) -> np.ndarray:
     """Nodal correction table S[i, j], the correction to datum j at node i.
 
-    Antisymmetric side pattern: +g_j when node i is right of the
-    discontinuity and node j left of it, -g_j for the mirrored pair, zero
-    otherwise (including the whole diagonal, which preserves collocation).
+    Row i is the piece correction of node i's region, i.e. the piece of
+    zero data there: +g_j when node i is right of the discontinuity and
+    node j left of it, -g_j for the mirrored pair, zero otherwise
+    (including the whole diagonal, which preserves collocation).
     """
-    g = jump_weights(jump, grid)
-    th = np.heaviside(grid.nodes - jump.xi, 0.5)
-    return (th[:, None] - th[None, :]) * g[None, :]
-
-
-def correction_weights(jump: JumpData, grid: Grid) -> CorrectionWeights:
-    """Bundle per-node weights and the nodal correction table."""
-    return CorrectionWeights(grid, jump, jump_weights(jump, grid), correction_matrix(jump, grid))
-
-
-def reconstruct_pieces(f, jump: JumpData, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal data (minus, plus) of the smooth left/right extensions of f.
-
-    Interpolating either array with the plain machinery gives the degree-N
-    polynomial valid on that side of the discontinuity; the derivative
-    difference plus - minus at xi reproduces the enforced jumps and vanishes
-    for orders above the enforced set through degree N.
-    """
-    f = _check_data(f, grid)
-    g = jump_weights(jump, grid)
-    left_of = grid.nodes < jump.xi
-    plus = f + np.where(left_of, g, 0.0)
-    minus = f - np.where(left_of, 0.0, g)
-    return minus, plus
+    jumps = _as_jump_tuple(jump, grid)
+    if not jumps:
+        return np.zeros((grid.N + 1, grid.N + 1))
+    corrections, right = _pieces(-0.0, jumps, grid)
+    return corrections[right.sum(axis=0)]
 
 
 def corrected_interpolate(w: BarycentricWeights, f, jump, x):
     """Evaluate the jump-corrected interpolant of data f at x (scalar or array).
 
-    jump may be a single JumpData or a sequence with pairwise-distinct
-    locations, whose corrections add. The result collocates f at every node
-    exactly and carries the enforced derivative jumps across each
-    discontinuity; with empty jump data it is exactly lagrange.interpolate.
+    Each probe evaluates the plain interpolant of its region's piece; a
+    probe exactly at a discontinuity averages the two adjacent pieces. jump
+    may be a single JumpData or a sequence with pairwise-distinct
+    locations. The result collocates f at every node exactly and carries
+    the enforced derivative jumps across each discontinuity; with empty
+    jump data it is exactly lagrange.interpolate.
     """
     jumps = _as_jump_tuple(jump, w.grid)
     if not jumps:
         return interpolate(w, f, x)
-    f = _check_data(f, w.grid)
+    pieces = _pieces(_check_data(f, w.grid), jumps, w.grid)[0]
     xs = np.asarray(x, dtype=float)
     pts = np.atleast_1d(xs)
-    data = np.broadcast_to(f, (pts.size, f.size)).copy()
-    for jd in jumps:
-        g = jump_weights(jd, w.grid)
-        th_n = np.heaviside(w.grid.nodes - jd.xi, 0.5)
-        th_p = np.heaviside(pts - jd.xi, 0.5)
-        data += th_p[:, None] * ((1.0 - th_n) * g)[None, :]
-        data -= (1.0 - th_p)[:, None] * (th_n * g)[None, :]
-    vals = _interpolate_rows(w, data, pts)
+    region = _right_of(pts, jumps, "left").sum(axis=0)
+    vals = _barycentric(w, pts, pieces, region)
+    on = _right_of(pts, jumps, "right").sum(axis=0) != region
+    if on.any():
+        vals[on] = 0.5 * (vals[on] + _barycentric(w, pts[on], pieces, region[on] + 1))
     return float(vals[0]) if xs.ndim == 0 else vals
 
 
 def corrected_derivative(D: DerivMatrix, f, jump) -> np.ndarray:
     """Apply a derivative matrix to jump-corrected data.
 
-    Equivalent to differentiating the corrected interpolant at every node.
-    For banded composite matrices only rows whose stencil straddles a
-    discontinuity pick up corrections; all other rows return the plain
+    Row i is the plain matrix row applied to the piece of node i's region,
+    which equals differentiating the corrected interpolant at every node.
+    For banded composite matrices a row whose stencil stays on one side of
+    every discontinuity meets only unchanged data and returns the plain
     matrix-vector product bit for bit.
     """
     jumps = _as_jump_tuple(jump, D.grid)
-    out = apply(D, f)
-    for jd in jumps:
-        g = jump_weights(jd, D.grid)
-        th = np.heaviside(D.grid.nodes - jd.xi, 0.5)
-        # combine the two matvecs before adding: stencils on one side of the
-        # discontinuity then receive exactly zero and keep the plain result
-        out = out + (th * (D.entries @ g) - D.entries @ (th * g))
+    if not jumps:
+        return apply(D, f)
+    pieces, right = _pieces(_check_data(f, D.grid), jumps, D.grid)
+    out = D.entries @ pieces[0]
+    for k, rows in enumerate(right):
+        out = np.where(rows, D.entries @ pieces[k + 1], out)
     return out
 
 
 def corrected_integrate(rule: QuadRule, w: BarycentricWeights, f, jump) -> float:
     """Integrate jump-corrected data over the rule's interval.
 
-    Augments the plain weighted sum with one correction per datum, built
-    from basis integrals split at the discontinuity: nodes left of it
-    contribute their jump weight times the basis integral over the right
-    part, nodes right of it minus the weight times the left part.
+    The corrected interpolant is piece k on region k, so its integral is the
+    plain rule applied to the rightmost piece minus, for every cut, the
+    basis integrals from a to the cut applied to that cut's jump series
+    (adjacent pieces differ by exactly that series).
     """
     if not np.array_equal(rule.grid.nodes, w.grid.nodes):
         raise ValueError("quadrature rule and barycentric weights belong to different grids")
     jumps = _as_jump_tuple(jump, rule.grid)
-    total = integrate(rule, f)
+    if not jumps:
+        return integrate(rule, f)
+    pieces = _pieces(_check_data(f, rule.grid), jumps, rule.grid)[0]
+    total = integrate(rule, pieces[-1])
     for jd in jumps:
-        g = jump_weights(jd, rule.grid)
-        upper = basis_integrals(w, jd.xi, rule.grid.b)
-        lower = basis_integrals(w, rule.grid.a, jd.xi)
-        q = np.where(rule.grid.nodes < jd.xi, g * upper, -g * lower)
-        total += float(q.sum())
+        total -= float(basis_integrals(w, rule.grid.a, jd.xi) @ jump_weights(jd, rule.grid))
     return total
 
 

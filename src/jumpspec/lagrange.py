@@ -11,7 +11,6 @@ from .grid import Grid
 __all__ = [
     "BarycentricWeights",
     "barycentric_weights",
-    "basis_eval",
     "basis_matrix",
     "interpolate",
 ]
@@ -76,13 +75,6 @@ def basis_matrix(w: BarycentricWeights, pts) -> np.ndarray:
     return B
 
 
-def basis_eval(w: BarycentricWeights, j: int, x: float) -> float:
-    """Value of the j-th Lagrange basis polynomial at x; exactly delta_ij at nodes."""
-    if not 0 <= j <= w.grid.N:
-        raise IndexError(f"basis index {j} out of range 0..{w.grid.N}")
-    return float(basis_matrix(w, [x])[0, j])
-
-
 def _check_data(f, grid: Grid) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.N + 1,):
@@ -90,13 +82,21 @@ def _check_data(f, grid: Grid) -> np.ndarray:
     return f
 
 
-def _interpolate_rows(w: BarycentricWeights, data: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Barycentric evaluation with an independent data vector per probe row."""
+def _barycentric(w: BarycentricWeights, pts: np.ndarray, pieces, region: np.ndarray) -> np.ndarray:
+    """Barycentric value at pts[p] of the interpolant of the data pieces[region[p]].
+
+    Every data vector is evaluated at every probe, one matrix-vector product
+    each, and each probe keeps its own piece's value; probes coinciding with
+    a node get that piece's datum exactly.
+    """
     r, hit = _ratio_matrix(w, pts)
+    num = r @ pieces[0]
+    for k in range(1, len(pieces)):
+        num = np.where(region == k, r @ pieces[k], num)
     with np.errstate(invalid="ignore"):
-        vals = (r * data).sum(axis=1) / r.sum(axis=1)
+        vals = num / r.sum(axis=1)
     prow, pcol = np.nonzero(hit)
-    vals[prow] = data[prow, pcol]
+    vals[prow] = np.asarray(pieces)[region[prow], pcol]
     return vals
 
 
@@ -110,5 +110,5 @@ def interpolate(w: BarycentricWeights, f, x):
     f = _check_data(f, w.grid)
     xs = np.asarray(x, dtype=float)
     pts = np.atleast_1d(xs)
-    vals = _interpolate_rows(w, np.broadcast_to(f, (pts.size, f.size)), pts)
+    vals = _barycentric(w, pts, (f,), np.zeros(pts.size, dtype=int))
     return float(vals[0]) if xs.ndim == 0 else vals

@@ -3,9 +3,9 @@
 Space is discretized with a (possibly jump-corrected) derivative matrix and
 time with classical fourth-order Runge-Kutta. The discontinuity travels at
 the advection speed with its derivative jumps frozen, so its node-crossing
-times are known exactly in advance; the stepper lands on each crossing and
-restarts just after it, which keeps the right-hand side smooth in time
-within every step.
+times are known exactly in advance; the stepper lands on each crossing,
+moves the crossed node to the branch of its new side, and restarts just
+after it, which keeps the right-hand side smooth in time within every step.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .diffmat import DerivMatrix, apply
 from .grid import Grid
 from .jumps import JumpData, corrected_derivative
 
-__all__ = ["AdvectionProblem", "EvolutionResult", "jump_at", "rhs", "rk4_step", "evolve"]
+__all__ = ["AdvectionProblem", "EvolutionResult", "rk4_step", "evolve"]
 
 
 @dataclass(frozen=True)
@@ -74,29 +74,6 @@ class EvolutionResult:
     error_linf: np.ndarray | None
 
 
-def jump_at(problem: AdvectionProblem, t: float) -> JumpData | None:
-    """Jump data translated to time t; None when corrections are disabled."""
-    jd = problem.jump0
-    if jd is None or jd.order < 0:
-        return None
-    return JumpData(jd.xi + problem.speed * t, jd.jumps)
-
-
-def rhs(state, t: float, problem: AdvectionProblem, D: DerivMatrix) -> np.ndarray:
-    """Semi-discrete right-hand side, -c times the (corrected) space derivative.
-
-    Correction weights are rebuilt for the instantaneous discontinuity
-    location, a handful of arithmetic operations per node. Raises
-    XiOnNodeError when that location sits exactly on a node; evolve splits
-    steps at crossing times so this does not happen inside a run.
-    """
-    state = np.asarray(state, dtype=float)
-    jd = jump_at(problem, t)
-    if jd is None:
-        return -problem.speed * apply(D, state)
-    return -problem.speed * corrected_derivative(D, state, jd)
-
-
 def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, float]:
     """Node-free open interval containing the discontinuity path over one step.
 
@@ -129,8 +106,8 @@ def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatr
 
     The discontinuity may touch a node only at the step endpoints; stage
     locations that land exactly on a bracketing node are nudged one ulp into
-    the open interval, which resolves the Heaviside side consistently with
-    the direction of motion.
+    the open interval, which puts every node on a definite side consistently
+    with the direction of motion.
     """
     state = np.asarray(state, dtype=float)
     jd0 = problem.jump0
@@ -153,14 +130,14 @@ def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatr
     return state + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _crossing_times(problem: AdvectionProblem) -> list[float]:
+def _crossings(problem: AdvectionProblem) -> list[tuple[float, int]]:
+    """(time, node index) of every node the discontinuity crosses, in time order."""
     jd = problem.jump0
     if jd is None or jd.order < 0 or problem.speed == 0.0:
         return []
-    nodes = problem.grid.nodes
-    times = (nodes - jd.xi) / problem.speed
-    inside = (times > 0.0) & (times < problem.t_final)
-    return sorted(times[inside].tolist())
+    times = (problem.grid.nodes - jd.xi) / problem.speed
+    inside = np.flatnonzero((times > 0.0) & (times < problem.t_final))
+    return sorted(zip(times[inside].tolist(), inside.tolist()))
 
 
 def _inflow_value(problem: AdvectionProblem, t: float):
@@ -178,8 +155,11 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     Time is partitioned at the exact node-crossing times of the
     discontinuity; each segment is covered with uniform Runge-Kutta steps of
     size at most dt, landing exactly on the crossing before restarting on
-    the far side. After every step the inflow node is overwritten with the
-    boundary value. States are recorded at t = 0, every output_every-th
+    the far side. A crossed node then lies on the other side of the
+    discontinuity, so its value moves to that side's branch: the two
+    branches differ there by exactly J_0, which leaves kinks untouched.
+    After every step the inflow node is overwritten with the boundary
+    value. States are recorded at t = 0, every output_every-th
     step, and t_final. Stability is the caller's business: keep
     |c| * dt * (spectral radius of D) within the explicit stability region,
     roughly dt <= 2.8 / (|c| * max |eigenvalue|) for this scheme.
@@ -195,21 +175,23 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     if state.shape != grid.nodes.shape:
         raise ValueError("initial sampler must return one value per node")
 
-    boundaries = [0.0, *_crossing_times(problem), problem.t_final]
+    crossings = _crossings(problem)
+    boundaries = [0.0, *(t for t, _ in crossings), problem.t_final]
+    crossed = [node for _, node in crossings] + [None]
     track_xi = problem.jump0 is not None
 
     times = [0.0]
     states = [state.copy()]
     steps_done = 0
-    for t0, t1 in zip(boundaries[:-1], boundaries[1:]):
-        if t1 <= t0:
-            continue
+    for t0, t1, node in zip(boundaries[:-1], boundaries[1:], crossed):
         nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
         h = (t1 - t0) / nsub
         for k in range(nsub):
             t = t0 + k * h
             state = rk4_step(state, t, h, problem, D)
             t_new = t1 if k == nsub - 1 else t0 + (k + 1) * h
+            if k == nsub - 1 and node is not None:
+                state[node] -= np.sign(problem.speed) * problem.jump0.jumps[0]
             bc = _inflow_value(problem, t_new)
             if bc is not None and problem.speed != 0.0:
                 state[0 if problem.speed > 0 else grid.N] = bc

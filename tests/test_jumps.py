@@ -9,13 +9,13 @@ from jumpspec import (
     XiOnNodeError,
     apply,
     barycentric_weights,
+    basis_integrals,
+    basis_matrix,
     chebyshev_gauss_lobatto,
     corrected_derivative,
     corrected_integrate,
     corrected_interpolate,
     correction_matrix,
-    correction_terms,
-    correction_weights,
     custom,
     derivative_matrix,
     equidistant,
@@ -81,27 +81,32 @@ def test_non_finite_jumps_rejected():
         JumpData(0.1, [np.inf])
 
 
-# --- correction terms and matrix -------------------------------------------
+# --- pieces and the correction matrix ----------------------------------------
 
 
 def test_zero_jumps_vanish_everywhere():
     g = equidistant(-1, 1, 6)
     jd = JumpData(0.05, [0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(correction_terms(jd, g, 0.7), np.zeros(7))
+    f = np.linspace(-2.0, 3.0, 7)
+    minus, plus = reconstruct_pieces(f, jd, g)
+    np.testing.assert_array_equal(minus, f)
+    np.testing.assert_array_equal(plus, f)
     np.testing.assert_array_equal(correction_matrix(jd, g), np.zeros((7, 7)))
 
 
-def test_correction_terms_side_pattern():
+def test_reconstruct_pieces_side_pattern():
     g = equidistant(-1, 1, 4)  # nodes -1, -0.5, 0, 0.5, 1
     jd = JumpData(0.1, [2.0])
-    s = correction_terms(jd, g, 0.7)
+    f = np.array([0.3, -1.2, 2.5, 0.7, -0.4])
+    minus, plus = reconstruct_pieces(f, jd, g)
     g_w = jump_weights(jd, g)
-    # probe right of the discontinuity: nodes left of it get +g, others 0
-    np.testing.assert_array_equal(s[:3], g_w[:3])
-    np.testing.assert_array_equal(s[3:], 0.0)
-    s_left = correction_terms(jd, g, -0.7)
-    np.testing.assert_array_equal(s_left[:3], 0.0)
-    np.testing.assert_array_equal(s_left[3:], -g_w[3:])
+    # the right piece lifts the nodes left of the discontinuity by +g, the
+    # left piece lowers the nodes right of it by g; every node keeps its own
+    # side's datum exactly
+    np.testing.assert_array_equal(plus[:3], f[:3] + g_w[:3])
+    np.testing.assert_array_equal(plus[3:], f[3:])
+    np.testing.assert_array_equal(minus[:3], f[:3])
+    np.testing.assert_array_equal(minus[3:], f[3:] - g_w[3:])
 
 
 def test_correction_matrix_signs_and_diagonal():
@@ -122,18 +127,21 @@ def test_correction_matrix_signs_and_diagonal():
 
 
 def test_correction_matrix_consistent_with_terms():
+    # row i of the table is the correction that turns the data into the
+    # piece of node i's side
     g = chebyshev_gauss_lobatto(-1, 1, 7)
     jd = JumpData(0.21, [0.5, 1.5, -2.0])
+    f = np.random.default_rng(4).standard_normal(8)
     S = correction_matrix(jd, g)
-    for i, xi in enumerate(g.nodes):
-        np.testing.assert_array_equal(S[i], correction_terms(jd, g, xi))
+    minus, plus = reconstruct_pieces(f, jd, g)
+    for i, x in enumerate(g.nodes):
+        np.testing.assert_array_equal(f + S[i], plus if x > jd.xi else minus)
 
 
 def test_prefactor_antisymmetry():
     g = chebyshev_gauss_lobatto(-1, 1, 9)
     jd = JumpData(-0.3, [1.0, 0.7, 0.2])
-    cw = correction_weights(jd, g)
-    S, g_w = cw.at_nodes, cw.node_weights
+    S, g_w = correction_matrix(jd, g), jump_weights(jd, g)
     for i in range(10):
         for j in range(10):
             if g_w[i] != 0.0 and g_w[j] != 0.0:
@@ -431,3 +439,83 @@ def test_jump_data_json_wire_format():
     assert back.xi == jd.xi
     np.testing.assert_array_equal(back.jumps, jd.jumps)
     assert JumpData.from_dict({"xi": 0.1, "J": []}).order == -1
+
+
+# --- the piece form against the per-datum correction formula -------------------
+
+
+def per_datum_reference(w, D, rule, f, jds, probes):
+    """Independent oracle: every datum corrected separately for each evaluation point.
+
+    Datum j is shifted by +g_j when the evaluation point lies right of a
+    discontinuity and node j left of it, by -g_j in the mirrored case, and
+    by half of that at the discontinuity itself. The integral adds each
+    datum's correction times its basis integral over the far side.
+    """
+    g = w.grid
+    th = lambda x, xi: np.heaviside(np.asarray(x, dtype=float) - xi, 0.5)
+    weights = [jump_weights(jd, g) for jd in jds]
+    data = np.broadcast_to(f, (probes.size, f.size)).copy()
+    deriv = apply(D, f)
+    total = integrate(rule, f)
+    for jd, gw in zip(jds, weights):
+        th_n, th_p = th(g.nodes, jd.xi), th(probes, jd.xi)
+        data += th_p[:, None] * ((1.0 - th_n) * gw)[None, :] - (1.0 - th_p)[:, None] * (th_n * gw)[None, :]
+        deriv = deriv + (th_n * (D.entries @ gw) - D.entries @ (th_n * gw))
+        upper = basis_integrals(w, jd.xi, g.b)
+        lower = basis_integrals(w, g.a, jd.xi)
+        total += float(np.where(g.nodes < jd.xi, gw * upper, -gw * lower).sum())
+    B = basis_matrix(w, probes)
+    return (B * data).sum(axis=1), deriv, total, weights, B
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["cgl", "equidistant"]),
+    K=st.integers(1, 2),
+    banded=st.booleans(),
+)
+def test_piece_form_matches_per_datum_corrections(N, seed, family, K, banded):
+    rng = np.random.default_rng(seed)
+    g = chebyshev_gauss_lobatto(-1, 1, N) if family == "cgl" else equidistant(-1, 1, N)
+    w = barycentric_weights(g)
+    m = int(rng.integers(1, N)) if banded and N > 1 else N
+    D = derivative_matrix(g, 1, m)
+    rule = quad_weights(g)
+    xis = rng.uniform(-0.95, 0.95, K)
+    while np.any(np.isin(xis, g.nodes)) or np.unique(xis).size < K:
+        xis = rng.uniform(-0.95, 0.95, K)
+    jds = [JumpData(float(xi), rng.uniform(-2, 2, int(rng.integers(0, N + 1)) + 1)) for xi in xis]
+    f = rng.uniform(-3, 3, N + 1)
+    probes = np.concatenate([rng.uniform(-1, 1, 50), g.nodes, xis])
+
+    ref_vals, ref_deriv, ref_total, weights, B = per_datum_reference(w, D, rule, f, jds, probes)
+    size = np.abs(f).max() + sum(np.abs(gw).max() for gw in weights)
+    eps = np.finfo(float).eps
+
+    vals = corrected_interpolate(w, f, jds, probes)
+    lebesgue = np.abs(B).sum(axis=1).max()
+    assert np.abs(vals - ref_vals).max() <= 64 * eps * size * lebesgue
+
+    deriv = corrected_derivative(D, f, jds)
+    norm = np.abs(D.entries).sum(axis=1).max()
+    assert np.abs(deriv - ref_deriv).max() <= 64 * eps * size * norm
+
+    total = corrected_integrate(rule, w, f, jds)
+    assert abs(total - ref_total) <= 64 * eps * size * np.abs(rule.weights).sum()
+
+
+def test_two_discontinuities_give_three_pieces():
+    g = chebyshev_gauss_lobatto(-1, 1, 8)
+    f = np.random.default_rng(5).standard_normal(9)
+    jds = [JumpData(0.41, [1.0, -0.5]), JumpData(-0.33, [2.0])]
+    pieces = reconstruct_pieces(f, jds, g)
+    assert len(pieces) == 3
+    # pieces run left to right, whatever the order the cuts are passed in
+    np.testing.assert_allclose(pieces[1] - pieces[0], jump_weights(jds[1], g), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(pieces[2] - pieces[1], jump_weights(jds[0], g), rtol=0, atol=1e-14)
+    region = (g.nodes > -0.33).astype(int) + (g.nodes > 0.41)
+    for j, r in enumerate(region):
+        assert pieces[r][j] == f[j]

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from jumpspec import (
     barycentric_weights,
-    basis_eval,
     basis_matrix,
     chebyshev_gauss_lobatto,
     custom,
@@ -50,18 +49,19 @@ def test_cgl_weights_alternate_in_sign():
 
 def test_basis_values_three_nodes():
     w = barycentric_weights(custom(-1, 1, [-1.0, 0.0, 1.0]))
-    assert basis_eval(w, 1, 0.0) == 1.0
+    B = basis_matrix(w, [0.0, 0.5])
+    assert B[0, 1] == 1.0
     # pi_1(x) = 1 - x^2 and pi_0(x) = x (x - 1) / 2 on this grid
-    assert basis_eval(w, 1, 0.5) == pytest.approx(0.75, abs=1e-15)
-    assert basis_eval(w, 0, 0.5) == pytest.approx(-0.125, abs=1e-15)
+    assert B[1, 1] == pytest.approx(0.75, abs=1e-15)
+    assert B[1, 0] == pytest.approx(-0.125, abs=1e-15)
 
 
 def test_basis_index_range():
+    # one row per point, one column per basis polynomial 0..N, and a scalar
+    # point gives a single row
     w = barycentric_weights(custom(-1, 1, [-1.0, 0.0, 1.0]))
-    with pytest.raises(IndexError):
-        basis_eval(w, 3, 0.5)
-    with pytest.raises(IndexError):
-        basis_eval(w, -1, 0.5)
+    assert basis_matrix(w, [-0.3, 0.2, 0.5, 0.9]).shape == (4, 3)
+    assert basis_matrix(w, 0.5).shape == (1, 3)
 
 
 def test_delta_property_is_exact():

@@ -7,12 +7,11 @@ from jumpspec import (
     XiOnNodeError,
     apply,
     chebyshev_gauss_lobatto,
+    corrected_derivative,
     derivative_matrix,
     evolve,
     fd_weights,
-    jump_at,
     reconstruct_pieces,
-    rhs,
     rk4_step,
 )
 
@@ -25,12 +24,18 @@ def kink_problem(N=32, xi0=-0.5, c=1.0, T=1.0, corrections=True):
     return AdvectionProblem(g, c, u0, jump0, T, exact=exact), g
 
 
+# The semi-discrete right-hand side is -c times the corrected derivative;
+# rk4_step evaluates it at each stage for the instantaneous jump location.
+
+
 def test_rhs_constant_state_with_zero_jumps():
     prob, g = kink_problem()
     prob = AdvectionProblem(g, 1.0, lambda x: np.ones_like(x), JumpData(-0.5, [0.0, 0.0]), 1.0)
     D = derivative_matrix(g, 1)
-    got = rhs(np.ones(g.N + 1), 0.0, prob, D)
+    got = corrected_derivative(D, np.ones(g.N + 1), prob.jump0)
     assert np.abs(got).max() <= 1e-13 * np.abs(D.entries).max()
+    stepped = rk4_step(np.ones(g.N + 1), 0.0, 1e-3, prob, D)
+    assert np.abs(stepped - 1.0).max() <= 1e-15 * np.abs(D.entries).max()
 
 
 def test_rhs_step_state_is_annihilated():
@@ -39,8 +44,11 @@ def test_rhs_step_state_is_annihilated():
     u0 = lambda x: np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5)
     prob = AdvectionProblem(g, 1.0, u0, JumpData(xi0, [1.0]), 0.5)
     D = derivative_matrix(g, 1)
-    got = rhs(u0(g.nodes), 0.0, prob, D)
+    got = corrected_derivative(D, u0(g.nodes), prob.jump0)
     assert np.abs(got).max() <= 1e-12 * np.abs(D.entries).max()
+    # no node is crossed within the step, so the nodal state stays put
+    stepped = rk4_step(u0(g.nodes), 0.0, 1e-3, prob, D)
+    assert np.abs(stepped - u0(g.nodes)).max() <= 1e-14 * np.abs(D.entries).max()
 
 
 def test_rhs_linear_state_no_jumps():
@@ -48,7 +56,10 @@ def test_rhs_linear_state_no_jumps():
     c = 2.5
     prob = AdvectionProblem(g, c, lambda x: np.asarray(x, dtype=float), None, 1.0)
     D = derivative_matrix(g, 1)
-    np.testing.assert_allclose(rhs(g.nodes, 0.0, prob, D), -c, rtol=0, atol=1e-12 * np.abs(D.entries).max())
+    tol = 1e-12 * np.abs(D.entries).max()
+    np.testing.assert_allclose(-c * corrected_derivative(D, g.nodes, []), -c, rtol=0, atol=tol)
+    dt = 1e-2
+    np.testing.assert_allclose(rk4_step(g.nodes, 0.0, dt, prob, D), g.nodes - c * dt, rtol=0, atol=dt * tol)
 
 
 def test_rhs_raises_on_node_crossing_instant():
@@ -56,9 +67,13 @@ def test_rhs_raises_on_node_crossing_instant():
     D = derivative_matrix(g, 1)
     node = g.nodes[20]
     t_cross = node - (-0.5)
+    assert prob.jump0.xi + prob.speed * float(t_cross) == node
     with pytest.raises(XiOnNodeError):
-        rhs(prob.initial(g.nodes), float(t_cross), prob, D)
-    assert jump_at(prob, float(t_cross)).xi == node
+        corrected_derivative(D, prob.initial(g.nodes), JumpData(node, prob.jump0.jumps))
+    # a step may land on a crossing: its stages stay strictly off the node
+    k = int(np.searchsorted(g.nodes, -0.5))
+    state = rk4_step(prob.initial(g.nodes), 0.0, float(g.nodes[k] + 0.5), prob, D)
+    assert np.all(np.isfinite(state))
 
 
 def test_rk4_step_zero_rhs_keeps_state():
@@ -162,15 +177,21 @@ def test_blow_up_detection():
         evolve(prob, D, 0.5, output_every=1)  # far above the stable step size
 
 
-def test_step_data_demo_runs_without_crashing():
-    g = chebyshev_gauss_lobatto(-1, 1, 24)
-    xi0 = -0.5
-    u0 = lambda x: np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5)
-    exact = lambda x, t: np.heaviside(np.asarray(x, dtype=float) - t - xi0, 0.5)
-    prob = AdvectionProblem(g, 1.0, u0, JumpData(xi0, [1.0]), 0.4, exact=exact)
-    D = derivative_matrix(g, 1)
-    res = evolve(prob, D, 1e-3, output_every=100)
-    assert np.all(np.isfinite(res.states))
+@pytest.mark.parametrize("speed", [1.0, -1.0])
+@pytest.mark.parametrize("N,T,amp", [(24, 0.4, 1.0), (32, 1.0, -2.5)])
+def test_step_profile_stays_exact_across_node_crossings(N, T, amp, speed):
+    # every node the step passes moves to the far branch, so the corrected
+    # run reproduces the translated step to rounding
+    g = chebyshev_gauss_lobatto(-1, 1, N)
+    xi0 = -0.5 * speed
+    u0 = lambda x: amp * np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5)
+    exact = lambda x, t: amp * np.heaviside(np.asarray(x, dtype=float) - speed * t - xi0, 0.5)
+    prob = AdvectionProblem(g, speed, u0, JumpData(xi0, [amp]), T, exact=exact)
+    crossings = np.count_nonzero((np.abs(g.nodes - xi0) > 0) & (np.abs(g.nodes - xi0) < T)
+                                 & (np.sign(g.nodes - xi0) == speed))
+    assert crossings >= 3
+    res = evolve(prob, derivative_matrix(g, 1), 1e-3, output_every=100)
+    assert res.error_linf[-1] <= 1e-12 * abs(amp)
 
 
 def test_problem_validation():

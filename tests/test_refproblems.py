@@ -1,8 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
-from jumpspec import fd_weights
 from jumpspec.refproblems import (
     LegendreProblem,
     SyntheticPiecewise,
@@ -97,15 +97,20 @@ def test_value_jump_vanishes_but_slope_jump_does_not():
 
 
 def test_jump_values_match_finite_difference_oracle():
+    # mpmath's finite differences, carried at 20 significant digits, of the
+    # glued difference P_l(xi) Q_l(x) - P_l(x) Q_l(xi) at x = xi; Q_l comes
+    # from mpmath's own Legendre function, independent of the closed forms
     prob = LegendreProblem(2, 0.3)
-    jd = prob.jump_data(4)
+    jd = prob.jump_data(6)
     assert jd.jumps[0] == 0.0
-    h, npts = 0.01, 12
-    for k in range(1, 5):
-        right = 0.3 + h * np.arange(1, npts + 1)
-        left = 0.3 - h * np.arange(1, npts + 1)
-        est = fd_weights(right, 0.3, k) @ prob.value(right) - fd_weights(left, 0.3, k) @ prob.value(left)
-        assert est == pytest.approx(jd.jumps[k], rel=1e-5, abs=1e-5)
+    with mpmath.workdps(20):
+        xi = mpmath.mpf(prob.xi)
+        P_xi = mpmath.legendre(prob.l, xi)
+        Q_xi = mpmath.legenq(prob.l, 0, xi, type=2)
+        glued = lambda x: P_xi * mpmath.legenq(prob.l, 0, x, type=2) - mpmath.legendre(prob.l, x) * Q_xi
+        oracle = [float(d) for d in mpmath.diffs(glued, xi, 6)]
+    for k in range(1, 7):
+        assert oracle[k] == pytest.approx(jd.jumps[k], rel=1e-12, abs=1e-12)
 
 
 def test_jump_values_for_all_supported_degrees():
