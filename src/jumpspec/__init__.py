@@ -9,7 +9,7 @@ costs only a reevaluation of the jump series per step.
 """
 
 from .diffmat import DerivMatrix, apply, derivative_matrix, fd_weights, negative_sum_trick
-from .grid import Grid, GridFamily, chebyshev_gauss_lobatto, custom, equidistant
+from .grid import Grid, chebyshev_gauss_lobatto, custom, equidistant
 from .jumps import (
     JumpData,
     XiOnNodeError,
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Grid",
-    "GridFamily",
     "equidistant",
     "chebyshev_gauss_lobatto",
     "custom",

@@ -4,7 +4,8 @@ Every subcommand reads a single JSON config and writes result.csv plus
 report.json into the output directory. Runs are deterministic: identical
 configs produce byte-identical outputs. Configs may carry a "checks" list of
 tolerance assertions; the process exits 0 only when the run completes and
-all checks pass (1 for failed checks, 2 for config or usage errors).
+all checks pass (1 for failed checks, 2 for config or usage errors, 3 for a
+numerical failure such as a state that stops being finite).
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ __all__ = ["main", "probe_points", "fit_orders"]
 
 _FAMILY_ALIASES = {
     "equidistant": "equidistant",
-    "uniform": "equidistant",
     "cgl": "chebyshev_gauss_lobatto",
-    "chebyshev": "chebyshev_gauss_lobatto",
     "chebyshev_gauss_lobatto": "chebyshev_gauss_lobatto",
     "custom": "custom",
 }
@@ -54,13 +53,26 @@ def write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def build_grid(cfg: dict) -> Grid:
+def _integer(value, key: str) -> int:
+    """A config integer; rejects what int() would truncate or coerce (12.9, "12", true)."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _family(cfg: dict) -> str:
+    """Canonical grid family name of a config's "family" entry (default cgl)."""
     family = _FAMILY_ALIASES.get(str(cfg.get("family", "cgl")).lower())
     if family is None:
         raise ValueError(f"unknown grid family {cfg.get('family')!r}")
+    return family
+
+
+def build_grid(cfg: dict) -> Grid:
+    family = _family(cfg)
     if family == "custom":
         return custom(cfg["a"], cfg["b"], cfg["nodes"])
-    a, b, N = float(cfg["a"]), float(cfg["b"]), int(cfg["N"])
+    a, b, N = float(cfg["a"]), float(cfg["b"]), _integer(cfg["N"], "N")
     if family == "equidistant":
         return equidistant(a, b, N)
     return chebyshev_gauss_lobatto(a, b, N)
@@ -69,7 +81,7 @@ def build_grid(cfg: dict) -> Grid:
 def build_problem(cfg: dict):
     kind = str(cfg.get("type", "")).lower()
     if kind == "legendre":
-        return LegendreProblem(int(cfg["l"]), float(cfg["xi"]))
+        return LegendreProblem(_integer(cfg["l"], "l"), float(cfg["xi"]))
     if kind == "synthetic":
         return SyntheticPiecewise(
             np.asarray(cfg["left"], dtype=float),
@@ -102,27 +114,26 @@ def _jump_label(M: int) -> str:
 
 def _as_m_list(cfg: dict, N: int) -> list[int]:
     raw = cfg.get("M", N // 2)
-    if isinstance(raw, (int, float)):
-        raw = [raw]
-    out = [int(m) for m in raw]
+    out = [_integer(m, "M") for m in (raw if isinstance(raw, list) else [raw])]
     for m in out:
         if m > N:
             raise ValueError(f"M={m} exceeds the grid degree N={N}")
     return out
 
 
-def fit_orders(Ns, errs, *, tail_only: bool = True) -> dict:
+def fit_orders(Ns, errs) -> dict:
     """Fit convergence orders from (N, error) pairs.
 
     Algebraic order is minus the least-squares slope of log error against
     log N; the exponential rate is minus the slope against N itself. Fitting
-    uses the last half of the list (pre-asymptotic points pollute slopes)
-    unless tail_only is False. The exponential_regime flag is set when the
-    fit against N is straighter (smaller residual) than against log N.
+    uses the last half of the list once it has four or more points
+    (pre-asymptotic points pollute slopes). The exponential_regime flag is
+    set when the fit against N is straighter (smaller residual) than against
+    log N.
     """
     Ns = np.asarray(Ns, dtype=float)
     errs = np.maximum(np.asarray(errs, dtype=float), 1e-300)
-    k = Ns.size // 2 if (tail_only and Ns.size >= 4) else 0
+    k = Ns.size // 2 if Ns.size >= 4 else 0
     x_alg = np.log(Ns[k:])
     x_exp = Ns[k:]
     y = np.log(errs[k:])
@@ -201,7 +212,7 @@ def run_interp(cfg: dict, outdir: str) -> dict:
     Ms = _as_m_list(cfg, g.N)
     w = barycentric_weights(g)
     f = np.asarray(problem.value(g.nodes), dtype=float)
-    pts = probe_points(g.a, g.b, problem.xi, int(cfg.get("probes", 1000)))
+    pts = probe_points(g.a, g.b, problem.xi, _integer(cfg.get("probes", 1000), "probes"))
     exact = np.asarray(problem.value(pts), dtype=float)
     near = np.abs(pts - problem.xi) <= float(cfg.get("near_xi_window", 0.1 * (g.b - g.a)))
 
@@ -227,7 +238,7 @@ def run_interp(cfg: dict, outdir: str) -> dict:
         "command": "interp",
         "config": cfg,
         "N": g.N,
-        "family": g.family.value,
+        "family": _family(cfg["grid"]),
         "xi": problem.xi,
         "max_error": max_err,
         "max_error_near_xi": max_err_near,
@@ -249,14 +260,14 @@ def _converge_cell(problem, family: str, a: float, b: float, N: int, M: int, pts
 
 def run_converge(cfg: dict, outdir: str) -> dict:
     problem = build_problem(cfg["problem"])
-    family = _FAMILY_ALIASES.get(str(cfg.get("family", "cgl")).lower())
-    if family not in ("equidistant", "chebyshev_gauss_lobatto"):
+    family = _family(cfg)
+    if family == "custom":
         raise ValueError("convergence studies need an equidistant or cgl family")
     a, b = float(cfg["a"]), float(cfg["b"])
     _check_problem_domain(problem, Grid(a, b, np.array([a, b])))
-    N_list = [int(n) for n in cfg["N_list"]]
-    M_list = [int(m) for m in cfg["M_list"]]
-    probes = int(cfg.get("probes", 1000))
+    N_list = [_integer(n, "N_list") for n in cfg["N_list"]]
+    M_list = [_integer(m, "M_list") for m in cfg["M_list"]]
+    probes = _integer(cfg.get("probes", 1000), "probes")
     pts = probe_points(a, b, problem.xi, probes)
 
     cells = [(N, M) for N in N_list for M in M_list if M <= N]
@@ -291,14 +302,14 @@ def run_diff(cfg: dict, outdir: str) -> dict:
     problem = build_problem(cfg["problem"])
     g = build_grid(cfg["grid"])
     _check_problem_domain(problem, g)
-    n = int(cfg.get("n", 1))
-    m = int(cfg.get("m", g.N))
-    M = int(cfg.get("M", g.N // 2))
+    n = _integer(cfg.get("n", 1), "n")
+    m = _integer(cfg.get("m", g.N), "m")
+    M = _integer(cfg.get("M", g.N // 2), "M")
     D = derivative_matrix(g, n, m)
     f = np.asarray(problem.value(g.nodes), dtype=float)
     exact = np.asarray(problem.derivative(g.nodes, n), dtype=float)
     plain = apply(D, f)
-    jd = problem.jump_data(M) if M >= 0 else JumpData(problem.xi, np.empty(0))
+    jd = problem.jump_data(M)
     corrected = corrected_derivative(D, f, jd)
 
     write_csv(
@@ -333,13 +344,13 @@ def run_quad(cfg: dict, outdir: str) -> dict:
     problem = build_problem(cfg["problem"])
     g = build_grid(cfg["grid"])
     _check_problem_domain(problem, g)
-    M = int(cfg.get("M", g.N // 2))
+    M = _integer(cfg.get("M", g.N // 2), "M")
     rule = quad_weights(g)
     w = barycentric_weights(g)
     f = np.asarray(problem.value(g.nodes), dtype=float)
     reference = problem.integral(g.a, g.b)
     plain = integrate(rule, f)
-    jd = problem.jump_data(M) if M >= 0 else JumpData(problem.xi, np.empty(0))
+    jd = problem.jump_data(M)
     corrected = corrected_integrate(rule, w, f, jd)
 
     write_csv(
@@ -395,18 +406,19 @@ def _build_advection(cfg: dict) -> tuple[AdvectionProblem, Grid]:
     if xi0 is None or not cfg.get("corrections", True):
         jump0 = None
     else:
-        M = int(cfg.get("M", len(jumps) - 1))
+        M = _integer(cfg.get("M", len(jumps) - 1), "M")
         jump0 = JumpData(xi0, jumps[: M + 1] if M >= 0 else np.empty(0))
-    problem = AdvectionProblem(g, c, u0, jump0, T, boundary=None, exact=exact)
+    problem = AdvectionProblem(g, c, u0, jump0, T, exact=exact)
     return problem, g
 
 
 def run_evolve(cfg: dict, outdir: str) -> dict:
     problem, g = _build_advection(cfg)
     n = 1
-    m = int(cfg.get("m", g.N))
+    m = _integer(cfg.get("m", g.N), "m")
     D = derivative_matrix(g, n, m)
-    result = evolve(problem, D, float(cfg["dt"]), int(cfg.get("output_every", 1)))
+    output_every = _integer(cfg.get("output_every", 1), "output_every")
+    result = evolve(problem, D, float(cfg["dt"]), output_every)
 
     header = ["t"] + [f"u{j}" for j in range(g.N + 1)] + ["xi", "linf_error"]
     err = result.error_linf if result.error_linf is not None else np.full_like(result.times, np.nan)
@@ -466,9 +478,12 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
         report = _RUNNERS[args.command](cfg, args.out)
-    except (KeyError, TypeError, ValueError, RuntimeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"jumpspec: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"jumpspec: numerical failure: {exc}", file=sys.stderr)
+        return 3
 
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=float)

@@ -78,14 +78,14 @@ def _stencil_start(i: int, m: int, N: int) -> int:
     return min(max(i - (m + 1) // 2, 0), N - m)
 
 
-def derivative_matrix(grid: Grid, n: int, m: int | None = None, *, negative_sum: bool = True) -> DerivMatrix:
+def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
     """Build the derivative matrix of order n at difference order m.
 
     Row i holds the stencil weights for f^(n)(x_i): the whole grid when
     m = N (pseudospectral), otherwise the m+1 nodes nearest to i, becoming
-    fully one-sided at the boundary rows. n = 0 returns the identity. By
-    default the diagonal is then rebalanced so rows sum to zero (see
-    negative_sum_trick); pass negative_sum=False for the raw weights.
+    fully one-sided at the boundary rows. n = 0 returns the identity. For
+    n >= 1 the diagonal is then rebalanced so rows sum to zero (see
+    negative_sum_trick).
     """
     N = grid.N
     if m is None:
@@ -98,8 +98,7 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None, *, negative_sum:
     for i in range(N + 1):
         s = _stencil_start(i, m, N)
         entries[i, s : s + m + 1] = fd_weights(grid.nodes[s : s + m + 1], grid.nodes[i], n)
-    D = DerivMatrix(grid, n, m, entries)
-    return negative_sum_trick(D) if negative_sum else D
+    return negative_sum_trick(DerivMatrix(grid, n, m, entries))
 
 
 def negative_sum_trick(M: DerivMatrix) -> DerivMatrix:

@@ -2,21 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-__all__ = ["GridFamily", "Grid", "equidistant", "chebyshev_gauss_lobatto", "custom"]
-
-
-class GridFamily(str, Enum):
-    """How a grid's nodes were generated."""
-
-    EQUIDISTANT = "equidistant"
-    CHEBYSHEV_GAUSS_LOBATTO = "chebyshev_gauss_lobatto"
-    CUSTOM = "custom"
+__all__ = ["Grid", "equidistant", "chebyshev_gauss_lobatto", "custom"]
 
 
 @dataclass(frozen=True)
@@ -30,7 +20,6 @@ class Grid:
     a: float
     b: float
     nodes: np.ndarray
-    family: GridFamily = GridFamily.CUSTOM
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
@@ -46,36 +35,11 @@ class Grid:
             raise ValueError("grid nodes must lie within [a, b]")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "family", GridFamily(self.family))
 
     @property
     def N(self) -> int:
         """Polynomial degree of the grid: number of nodes minus one."""
         return self.nodes.size - 1
-
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "family": self.family.value,
-            "nodes": self.nodes.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> Grid:
-        return cls(
-            float(d["a"]),
-            float(d["b"]),
-            np.asarray(d["nodes"], dtype=float),
-            GridFamily(d["family"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> Grid:
-        return cls.from_dict(json.loads(s))
 
 
 def _check_args(a: float, b: float, N: int) -> None:
@@ -107,7 +71,7 @@ def equidistant(a: float, b: float, N: int) -> Grid:
     _check_args(a, b, N)
     x = a + (b - a) * np.arange(N + 1) / N
     _symmetrize(a, b, x)
-    return Grid(a, b, x, GridFamily.EQUIDISTANT)
+    return Grid(a, b, x)
 
 
 def chebyshev_gauss_lobatto(a: float, b: float, N: int) -> Grid:
@@ -120,9 +84,9 @@ def chebyshev_gauss_lobatto(a: float, b: float, N: int) -> Grid:
     i = np.arange(N + 1)
     x = 0.5 * (a + b) + 0.5 * (a - b) * np.cos(np.pi * i / N)
     _symmetrize(a, b, x)
-    return Grid(a, b, x, GridFamily.CHEBYSHEV_GAUSS_LOBATTO)
+    return Grid(a, b, x)
 
 
 def custom(a: float, b: float, nodes) -> Grid:
     """Wrap caller-supplied nodes, validating the grid invariants."""
-    return Grid(float(a), float(b), np.asarray(nodes, dtype=float), GridFamily.CUSTOM)
+    return Grid(float(a), float(b), np.asarray(nodes, dtype=float))

@@ -30,9 +30,9 @@ class AdvectionProblem:
     initial samples u(x, 0) (vectorized over x). jump0 describes the initial
     discontinuity; pass None (or empty jumps) to run the uncorrected smooth
     pipeline. The discontinuity path xi0 + c t must stay strictly inside the
-    interval up to t_final and must not start on a node. boundary(t) supplies
-    the inflow value; when omitted, exact(x, t) is used for it; when both are
-    omitted the inflow node is left untouched.
+    interval up to t_final and must not start on a node. exact(x, t), when
+    given, supplies the inflow value; when omitted the inflow node is left
+    untouched.
     """
 
     grid: Grid
@@ -40,7 +40,6 @@ class AdvectionProblem:
     initial: Callable
     jump0: JumpData | None
     t_final: float
-    boundary: Callable | None = None
     exact: Callable | None = None
 
     def __post_init__(self) -> None:
@@ -141,8 +140,6 @@ def _crossings(problem: AdvectionProblem) -> list[tuple[float, int]]:
 
 
 def _inflow_value(problem: AdvectionProblem, t: float):
-    if problem.boundary is not None:
-        return problem.boundary(t)
     if problem.exact is not None:
         idx = 0 if problem.speed > 0 else problem.grid.N
         return problem.exact(problem.grid.nodes[idx], t)

@@ -161,8 +161,6 @@ class LegendreProblem:
 
     def jump_data(self, order: int) -> JumpData:
         """Derivative jumps through the given order, from the closed forms."""
-        if order < 0:
-            return JumpData(self.xi, np.empty(0))
         P0 = float(legendre_P(self.l, self.xi))
         Q0 = float(legendre_Q(self.l, self.xi))
         J = np.array(
@@ -220,8 +218,6 @@ class SyntheticPiecewise:
         """
         if order is None:
             order = max(self.left.size, self.right.size) - 1
-        if order < 0:
-            return JumpData(self.xi, np.empty(0))
         delta = npoly.polysub(self.right, self.left)
         J = np.array([float(_polyval_derivative(delta, self.xi, m)) for m in range(order + 1)])
         return JumpData(self.xi, J)

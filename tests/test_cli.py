@@ -221,6 +221,98 @@ def test_missing_config_file_exits_two(tmp_path):
     assert code == 2
 
 
+CONVERGE_CFG = {
+    "problem": {"type": "legendre", "l": 2, "xi": 0.3},
+    "family": "cgl",
+    "a": -0.8,
+    "b": 0.8,
+    "N_list": [8, 10],
+    "M_list": [3],
+    "probes": 50,
+}
+DIFF_CFG = {
+    "problem": {"type": "legendre", "l": 2, "xi": 0.3},
+    "grid": {"family": "cgl", "a": -0.8, "b": 0.8, "N": 12},
+}
+EVOLVE_CFG = {
+    "grid": {"family": "cgl", "a": -1, "b": 1, "N": 12},
+    "speed": 1.0,
+    "t_final": 0.1,
+    "dt": 1e-2,
+    "initial": {"kind": "kink", "xi0": -0.25},
+}
+
+
+BASE_CFGS = {
+    "interp": INTERP_CFG,
+    "converge": CONVERGE_CFG,
+    "diff": DIFF_CFG,
+    "quad": DIFF_CFG,
+    "evolve": EVOLVE_CFG,
+}
+NON_INTEGRAL = [
+    ("interp", "grid.N", 12.9),
+    ("interp", "grid.N", "12"),
+    ("interp", "M", [2.7]),
+    ("interp", "M", 2.7),
+    ("interp", "probes", 400.5),
+    ("interp", "probes", True),
+    ("interp", "problem.l", 2.5),
+    ("converge", "N_list", [8, 10.5]),
+    ("converge", "M_list", [3.5]),
+    ("converge", "probes", 50.5),
+    ("diff", "n", 1.5),
+    ("diff", "m", 8.5),
+    ("diff", "M", 4.2),
+    ("quad", "M", 4.2),
+    ("evolve", "m", 12.5),
+    ("evolve", "M", 0.5),
+    ("evolve", "output_every", 1.5),
+]
+
+
+@pytest.mark.parametrize(
+    "command,field,value", NON_INTEGRAL, ids=[f"{c}-{f}-{v!r}" for c, f, v in NON_INTEGRAL]
+)
+def test_non_integral_integer_fields_exit_two(tmp_path, capsys, command, field, value):
+    cfg = json.loads(json.dumps(BASE_CFGS[command]))
+    *parents, key = field.split(".")
+    target = cfg
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    code, out, _ = run_command(tmp_path, command, cfg)
+    assert code == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_integral_float_fields_run_as_integers(tmp_path):
+    cfg = json.loads(json.dumps(INTERP_CFG))
+    cfg["grid"]["N"] = 12.0
+    cfg["M"] = [-1.0, 6.0, 12]
+    code, out, _ = run_command(tmp_path, "interp", cfg, tag="float")
+    assert code == 0
+    code, ref, _ = run_command(tmp_path, "interp", INTERP_CFG, tag="int")
+    assert code == 0
+    assert (out / "result.csv").read_bytes() == (ref / "result.csv").read_bytes()
+
+
+def test_numerical_failure_exits_three(tmp_path, capsys):
+    cfg = {
+        "grid": {"family": "cgl", "a": -1, "b": 1, "N": 24},
+        "speed": 1.0,
+        "t_final": 40.0,
+        "dt": 0.1,  # far past the RK4 stability limit of this grid
+        "initial": {"kind": "gaussian", "center": 0.0, "width": 0.3},
+    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run_command(tmp_path, "evolve", cfg)
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_thread_cap_respected(tmp_path, monkeypatch):
     monkeypatch.setenv("JUMPSPEC_THREADS", "1")
     cfg = {

@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from jumpspec import (
+    DerivMatrix,
     apply,
     chebyshev_gauss_lobatto,
     custom,
@@ -22,6 +23,11 @@ def poly_deriv_matrix(nodes, n):
         coeffs = npoly.polyfromroots(roots) / np.prod(nodes[j] - roots)
         D[:, j] = npoly.polyval(nodes, npoly.polyder(coeffs, n))
     return D
+
+
+def raw_pseudospectral(g, n):
+    """Fornberg's weights over the whole grid at every node, without rebalancing."""
+    return DerivMatrix(g, n, g.N, [fd_weights(g.nodes, x, n) for x in g.nodes])
 
 
 def test_centred_first_derivative_weights():
@@ -115,7 +121,7 @@ def test_negative_sum_trick_row_sums():
 
 
 def test_negative_sum_trick_fixed_point():
-    D = derivative_matrix(custom(-1, 1, [-1.0, 0.0, 1.0]), 1, 2, negative_sum=False)
+    D = raw_pseudospectral(custom(-1, 1, [-1.0, 0.0, 1.0]), 1)
     D2 = negative_sum_trick(D)
     np.testing.assert_allclose(D2.entries, D.entries, atol=1e-15)
 
@@ -129,7 +135,7 @@ def test_negative_sum_trick_rejects_identity():
 def test_pseudospectral_matches_symbolic_basis_derivatives():
     g = chebyshev_gauss_lobatto(-1, 1, 8)
     for n in (1, 2):
-        D = derivative_matrix(g, n, g.N, negative_sum=False)
+        D = raw_pseudospectral(g, n)
         np.testing.assert_allclose(D.entries, poly_deriv_matrix(g.nodes, n), rtol=0, atol=1e-12)
 
 
