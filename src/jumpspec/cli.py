@@ -112,9 +112,19 @@ def _jump_label(M: int) -> str:
     return "lagrange" if M < 0 else f"M{M}"
 
 
+def _jump_order(value) -> int:
+    """A config jump order M: -1 for no correction, else the highest jump used."""
+    M = _integer(value, "M")
+    if M < -1:
+        raise ValueError(f"M must be >= -1, got {M}")
+    return M
+
+
 def _as_m_list(cfg: dict, N: int) -> list[int]:
     raw = cfg.get("M", N // 2)
-    out = [_integer(m, "M") for m in (raw if isinstance(raw, list) else [raw])]
+    out = [_jump_order(m) for m in (raw if isinstance(raw, list) else [raw])]
+    if len(set(out)) < len(out):
+        raise ValueError(f"M must be unique, got {out}")
     for m in out:
         if m > N:
             raise ValueError(f"M={m} exceeds the grid degree N={N}")
@@ -304,7 +314,7 @@ def run_diff(cfg: dict, outdir: str) -> dict:
     _check_problem_domain(problem, g)
     n = _integer(cfg.get("n", 1), "n")
     m = _integer(cfg.get("m", g.N), "m")
-    M = _integer(cfg.get("M", g.N // 2), "M")
+    M = _jump_order(cfg.get("M", g.N // 2))
     D = derivative_matrix(g, n, m)
     f = np.asarray(problem.value(g.nodes), dtype=float)
     exact = np.asarray(problem.derivative(g.nodes, n), dtype=float)
@@ -344,7 +354,7 @@ def run_quad(cfg: dict, outdir: str) -> dict:
     problem = build_problem(cfg["problem"])
     g = build_grid(cfg["grid"])
     _check_problem_domain(problem, g)
-    M = _integer(cfg.get("M", g.N // 2), "M")
+    M = _jump_order(cfg.get("M", g.N // 2))
     rule = quad_weights(g)
     w = barycentric_weights(g)
     f = np.asarray(problem.value(g.nodes), dtype=float)
@@ -406,8 +416,8 @@ def _build_advection(cfg: dict) -> tuple[AdvectionProblem, Grid]:
     if xi0 is None or not cfg.get("corrections", True):
         jump0 = None
     else:
-        M = _integer(cfg.get("M", len(jumps) - 1), "M")
-        jump0 = JumpData(xi0, jumps[: M + 1] if M >= 0 else np.empty(0))
+        M = _jump_order(cfg.get("M", len(jumps) - 1))
+        jump0 = JumpData(xi0, jumps[: M + 1])
     problem = AdvectionProblem(g, c, u0, jump0, T, exact=exact)
     return problem, g
 

@@ -13,7 +13,7 @@ from .lagrange import _check_data
 __all__ = ["DerivMatrix", "fd_weights", "derivative_matrix", "negative_sum_trick", "apply"]
 
 
-def fd_weights(nodes, x0: float, n: int) -> np.ndarray:
+def fd_weights(nodes, x0, n: int) -> np.ndarray:
     """Finite-difference weights for the n-th derivative at x0.
 
     Implements Fornberg's recursion (SIAM Review 40, 1998). The returned
@@ -21,34 +21,46 @@ def fd_weights(nodes, x0: float, n: int) -> np.ndarray:
     polynomial f of degree < len(nodes); equivalently, c[j] is the n-th
     derivative of the j-th Lagrange basis polynomial of the stencil at x0.
     n = 0 gives interpolation weights.
+
+    Batched: nodes of shape (R, k) with x0 of shape (R,) give the (R, k)
+    weights of R stencils in one pass, each row bit for bit what the 1-D
+    call returns; a 1-D stencil with a scalar x0 is the R = 1 case. The
+    loops run over the stencil point and the derivative order only.
     """
     x = np.asarray(nodes, dtype=float)
-    k = x.size
+    z = np.asarray(x0, dtype=float)
+    if x.ndim == 0 or z.shape != x.shape[:-1]:
+        raise ValueError(f"x0 of shape {z.shape} does not match stencils of shape {x.shape}")
+    out_shape = x.shape
+    k = x.shape[-1]
+    x = x.reshape(-1, k)
+    z = z.reshape(-1)
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     if n >= k:
         raise ValueError(f"order {n} derivative needs at least {n + 1} stencil points, got {k}")
-    c = np.zeros((k, n + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
+    # c[m, r, j]: weight of point j of stencil r for the m-th derivative;
+    # every update below is the scalar recursion's, in its order, per (r, j)
+    c = np.zeros((n + 1, x.shape[0], k))
+    c[0, :, 0] = 1.0
+    c1 = np.ones(x.shape[0])
+    c4 = x[:, 0] - z
     for i in range(1, k):
         mn = min(i, n)
-        c2 = 1.0
+        c3 = x[:, i : i + 1] - x[:, :i]
+        # the product over j < i, left to right as in the scalar c2 *= c3:
+        # accumulate fixes that order, a reduction such as np.prod does not
+        c2 = np.multiply.accumulate(c3, axis=1)[:, -1]
         c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for m in range(mn, 0, -1):
-                    c[i, m] = c1 * (m * c[i - 1, m - 1] - c5 * c[i - 1, m]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for m in range(mn, 0, -1):
-                c[j, m] = (c4 * c[j, m] - m * c[j, m - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+        c4 = x[:, i] - z
+        for m in range(mn, 0, -1):
+            c[m, :, i] = c1 * (m * c[m - 1, :, i - 1] - c5 * c[m, :, i - 1]) / c2
+        c[0, :, i] = -c1 * c5 * c[0, :, i - 1] / c2
+        for m in range(mn, 0, -1):
+            c[m, :, :i] = (c4[:, None] * c[m, :, :i] - m * c[m - 1, :, :i]) / c3
+        c[0, :, :i] = c4[:, None] * c[0, :, :i] / c3
         c1 = c2
-    return c[:, n]
+    return c[n].reshape(out_shape)
 
 
 @dataclass(frozen=True)
@@ -72,12 +84,6 @@ class DerivMatrix:
         object.__setattr__(self, "entries", entries)
 
 
-def _stencil_start(i: int, m: int, N: int) -> int:
-    # (m+1)-point window holding node i, shifted to stay inside the grid;
-    # even-sized windows take the extra point on the left
-    return min(max(i - (m + 1) // 2, 0), N - m)
-
-
 def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
     """Build the derivative matrix of order n at difference order m.
 
@@ -85,7 +91,7 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
     m = N (pseudospectral), otherwise the m+1 nodes nearest to i, becoming
     fully one-sided at the boundary rows. n = 0 returns the identity. For
     n >= 1 the diagonal is then rebalanced so rows sum to zero (see
-    negative_sum_trick).
+    negative_sum_trick). All rows come from one batched fd_weights call.
     """
     N = grid.N
     if m is None:
@@ -94,11 +100,16 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
         raise ValueError(f"need 0 <= n <= m <= N, got n={n}, m={m}, N={N}")
     if n == 0:
         return DerivMatrix(grid, 0, m, np.eye(N + 1))
+    rows = np.arange(N + 1)
+    # (m+1)-point window holding node i, shifted to stay inside the grid;
+    # even-sized windows take the extra point on the left
+    cols = np.clip(rows - (m + 1) // 2, 0, N - m)[:, None] + np.arange(m + 1)
     entries = np.zeros((N + 1, N + 1))
-    for i in range(N + 1):
-        s = _stencil_start(i, m, N)
-        entries[i, s : s + m + 1] = fd_weights(grid.nodes[s : s + m + 1], grid.nodes[i], n)
+    entries[rows[:, None], cols] = fd_weights(grid.nodes[cols], grid.nodes, n)
     return negative_sum_trick(DerivMatrix(grid, n, m, entries))
+
+
+_ROW_BLOCK = 32
 
 
 def negative_sum_trick(M: DerivMatrix) -> DerivMatrix:
@@ -113,10 +124,13 @@ def negative_sum_trick(M: DerivMatrix) -> DerivMatrix:
     if M.n < 1:
         raise ValueError("the negative sum trick applies to derivative orders n >= 1")
     entries = M.entries.copy()
-    for i in range(entries.shape[0]):
-        off = np.delete(entries[i], i)
-        off = off[np.argsort(np.abs(off), kind="stable")]
-        entries[i, i] = -off.sum()
+    size = entries.shape[0]
+    # blocks of rows keep the sort temporaries at O(block * N)
+    for lo in range(0, size, _ROW_BLOCK):
+        rows = np.arange(lo, min(lo + _ROW_BLOCK, size))
+        off = entries[rows][rows[:, None] != np.arange(size)].reshape(rows.size, size - 1)
+        off = np.take_along_axis(off, np.argsort(np.abs(off), axis=1, kind="stable"), axis=1)
+        entries[rows, rows] = -off.sum(axis=1)
     return DerivMatrix(M.grid, M.n, M.m, entries)
 
 

@@ -180,27 +180,30 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     times = [0.0]
     states = [state.copy()]
     steps_done = 0
-    for t0, t1, node in zip(boundaries[:-1], boundaries[1:], crossed):
-        nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
-        h = (t1 - t0) / nsub
-        for k in range(nsub):
-            t = t0 + k * h
-            state = rk4_step(state, t, h, problem, D)
-            t_new = t1 if k == nsub - 1 else t0 + (k + 1) * h
-            if k == nsub - 1 and node is not None:
-                state[node] -= np.sign(problem.speed) * problem.jump0.jumps[0]
-            bc = _inflow_value(problem, t_new)
-            if bc is not None and problem.speed != 0.0:
-                state[0 if problem.speed > 0 else grid.N] = bc
-            if not np.all(np.isfinite(state)):
-                raise RuntimeError(
-                    f"state became non-finite at t = {t_new} (max |u| before failure "
-                    f"{np.max(np.abs(states[-1])):.3e}); likely an unstable dt"
-                )
-            steps_done += 1
-            if steps_done % output_every == 0 or t_new == problem.t_final:
-                times.append(t_new)
-                states.append(state.copy())
+    # an unstable dt overflows on the way to the non-finite check below,
+    # which reports it; numpy's own overflow warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0, t1, node in zip(boundaries[:-1], boundaries[1:], crossed):
+            nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
+            h = (t1 - t0) / nsub
+            for k in range(nsub):
+                t = t0 + k * h
+                state = rk4_step(state, t, h, problem, D)
+                t_new = t1 if k == nsub - 1 else t0 + (k + 1) * h
+                if k == nsub - 1 and node is not None:
+                    state[node] -= np.sign(problem.speed) * problem.jump0.jumps[0]
+                bc = _inflow_value(problem, t_new)
+                if bc is not None and problem.speed != 0.0:
+                    state[0 if problem.speed > 0 else grid.N] = bc
+                if not np.all(np.isfinite(state)):
+                    raise RuntimeError(
+                        f"state became non-finite at t = {t_new} (max |u| before failure "
+                        f"{np.max(np.abs(states[-1])):.3e}); likely an unstable dt"
+                    )
+                steps_done += 1
+                if steps_done % output_every == 0 or t_new == problem.t_final:
+                    times.append(t_new)
+                    states.append(state.copy())
 
     if times[-1] != problem.t_final:
         times.append(problem.t_final)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,28 @@ def test_non_integral_integer_fields_exit_two(tmp_path, capsys, command, field, 
     assert not (out / "report.json").exists()
 
 
+BAD_JUMP_ORDERS = [
+    ("interp", [-1, -2, 6]),
+    ("interp", [-1, 6, 6]),
+    ("interp", [-1, -2, 6, 6]),
+    ("interp", -2),
+    ("diff", -5),
+    ("quad", -2),
+    ("evolve", -2),
+]
+
+
+@pytest.mark.parametrize(
+    "command,value", BAD_JUMP_ORDERS, ids=[f"{c}-{v!r}" for c, v in BAD_JUMP_ORDERS]
+)
+def test_repeated_or_below_minus_one_jump_orders_exit_two(tmp_path, capsys, command, value):
+    cfg = dict(BASE_CFGS[command], M=value)
+    code, out, _ = run_command(tmp_path, command, cfg)
+    assert code == 2
+    assert "M must be" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_integral_float_fields_run_as_integers(tmp_path):
     cfg = json.loads(json.dumps(INTERP_CFG))
     cfg["grid"]["N"] = 12.0
@@ -306,11 +329,13 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
         "dt": 0.1,  # far past the RK4 stability limit of this grid
         "initial": {"kind": "gaussian", "center": 0.0, "width": 0.3},
     }
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, out, _ = run_command(tmp_path, "evolve", cfg)
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_thread_cap_respected(tmp_path, monkeypatch):

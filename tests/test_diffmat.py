@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from jumpspec import (
@@ -25,6 +27,48 @@ def poly_deriv_matrix(nodes, n):
     return D
 
 
+def scalar_fornberg(nodes, x0, n):
+    """Fornberg's recursion for one stencil in Python scalars: the loop whose
+    operations, in their order, the batched fd_weights must repeat."""
+    x = np.asarray(nodes, dtype=float)
+    k = x.size
+    c = np.zeros((k, n + 1))
+    c[0, 0] = 1.0
+    c1 = 1.0
+    c4 = x[0] - x0
+    for i in range(1, k):
+        mn = min(i, n)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for m in range(mn, 0, -1):
+                    c[i, m] = c1 * (m * c[i - 1, m - 1] - c5 * c[i - 1, m]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for m in range(mn, 0, -1):
+                c[j, m] = (c4 * c[j, m] - m * c[j, m - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c[:, n]
+
+
+def per_row_matrix(g, n, m):
+    """The derivative matrix built one row at a time: the scalar recursion on
+    the row's window, then the diagonal from that row's N off-diagonal
+    entries, summed smallest magnitude first."""
+    N = g.N
+    D = np.zeros((N + 1, N + 1))
+    for i in range(N + 1):
+        s = min(max(i - (m + 1) // 2, 0), N - m)
+        D[i, s : s + m + 1] = scalar_fornberg(g.nodes[s : s + m + 1], g.nodes[i], n)
+        off = np.delete(D[i], i)
+        D[i, i] = -off[np.argsort(np.abs(off), kind="stable")].sum()
+    return D
+
+
 def raw_pseudospectral(g, n):
     """Fornberg's weights over the whole grid at every node, without rebalancing."""
     return DerivMatrix(g, n, g.N, [fd_weights(g.nodes, x, n) for x in g.nodes])
@@ -45,6 +89,26 @@ def test_one_sided_first_derivative_weights():
 def test_fd_weights_order_too_high():
     with pytest.raises(ValueError):
         fd_weights([0.0, 1.0], 0.0, 2)
+
+
+def test_fd_weights_rejects_mismatched_evaluation_points():
+    with pytest.raises(ValueError):
+        fd_weights(np.tile(np.arange(4.0), (3, 1)), np.zeros(2), 1)
+    with pytest.raises(ValueError):
+        fd_weights([0.0, 1.0, 2.0], [0.0, 1.0], 1)
+
+
+def test_batched_fd_weights_stack_scalar_calls_bitwise():
+    rng = np.random.default_rng(7)
+    for k, n in ((2, 1), (5, 2), (9, 4), (13, 3)):
+        nodes = np.sort(rng.uniform(-1, 1, (6, k)), axis=1)
+        # evaluation points on a stencil node, between nodes and outside
+        x0 = np.concatenate([nodes[:2, 1], rng.uniform(-1, 1, 2), [-1.5, 1.5]])
+        batched = fd_weights(nodes, x0, n)
+        assert batched.shape == (6, k)
+        stacked = np.array([fd_weights(nodes[r], x0[r], n) for r in range(6)])
+        reference = np.array([scalar_fornberg(nodes[r], x0[r], n) for r in range(6)])
+        assert batched.tobytes() == stacked.tobytes() == reference.tobytes()
 
 
 def test_fd_weights_polynomial_exactness_off_node():
@@ -177,6 +241,38 @@ def test_apply_sine_pseudospectral():
     g = chebyshev_gauss_lobatto(-1, 1, 16)
     D = derivative_matrix(g, 1)
     assert np.abs(apply(D, np.sin(g.nodes)) - np.cos(g.nodes)).max() <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["cgl", "equidistant", "custom"]),
+    N=st.integers(1, 40),
+    n=st.integers(1, 4),
+    m_offset=st.integers(0, 40),
+    seed=st.integers(0, 10_000),
+)
+# more than one 32-row block of the diagonal rebalancing
+@example(family="cgl", N=40, n=1, m_offset=40, seed=0)
+@example(family="custom", N=33, n=4, m_offset=3, seed=1)
+def test_derivative_matrix_matches_per_row_build_bitwise(family, N, n, m_offset, seed):
+    n = min(n, N)
+    m = min(n + m_offset, N)
+    if family == "cgl":
+        g = chebyshev_gauss_lobatto(-1, 1.5, N)
+    elif family == "equidistant":
+        g = equidistant(-1, 1.5, N)
+    else:
+        gaps = np.random.default_rng(seed).uniform(0.1, 1.0, N)
+        interior = -1 + 2.5 * np.cumsum(gaps[:-1]) / gaps.sum()
+        g = custom(-1, 1.5, np.concatenate([[-1.0], interior, [1.5]]))
+    D = derivative_matrix(g, n, m)
+    assert D.entries.tobytes() == per_row_matrix(g, n, m).tobytes()
+
+
+def test_pseudospectral_build_at_n256():
+    g = chebyshev_gauss_lobatto(-1, 1, 256)
+    D = derivative_matrix(g, 1)
+    assert np.abs(apply(D, np.sin(3 * g.nodes)) - 3 * np.cos(3 * g.nodes)).max() <= 1e-9
 
 
 def test_apply_length_mismatch():
