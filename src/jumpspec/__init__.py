@@ -28,9 +28,7 @@ from .refproblems import (
     LegendreProblem,
     SyntheticPiecewise,
     legendre_P,
-    legendre_P_derivative,
     legendre_Q,
-    legendre_Q_derivative,
 )
 
 __version__ = "0.1.0"
@@ -65,9 +63,7 @@ __all__ = [
     "LegendreProblem",
     "SyntheticPiecewise",
     "legendre_P",
-    "legendre_P_derivative",
     "legendre_Q",
-    "legendre_Q_derivative",
     "AdvectionProblem",
     "EvolutionResult",
     "rk4_step",

@@ -34,7 +34,7 @@ import numpy as np
 
 from .diffmat import DerivMatrix, fd_weights
 from .grid import Grid
-from .lagrange import BarycentricWeights, _barycentric, _check_data
+from .lagrange import BarycentricWeights, _barycentric, _check_data, barycentric_weights
 from .quadrature import QuadRule, basis_integrals, integrate
 
 __all__ = [
@@ -241,7 +241,7 @@ def corrected_derivative(D: DerivMatrix, f, jump) -> np.ndarray:
     return out
 
 
-def corrected_integrate(rule: QuadRule, w: BarycentricWeights, f, jump) -> float:
+def corrected_integrate(rule: QuadRule, f, jump) -> float:
     """Integrate jump-corrected data over the rule's interval.
 
     The corrected interpolant is piece k on region k, so its integral is the
@@ -249,8 +249,7 @@ def corrected_integrate(rule: QuadRule, w: BarycentricWeights, f, jump) -> float
     basis integrals from a to the cut applied to that cut's jump series
     (adjacent pieces differ by exactly that series).
     """
-    if not np.array_equal(rule.grid.nodes, w.grid.nodes):
-        raise ValueError("quadrature rule and barycentric weights belong to different grids")
+    w = barycentric_weights(rule.grid)
     jumps = _as_jump_tuple(jump, rule.grid)
     pieces = _pieces(_check_data(f, rule.grid), jumps, rule.grid)[0]
     total = integrate(rule, pieces[-1])

@@ -30,9 +30,8 @@ class AdvectionProblem:
     initial samples u(x, 0) (vectorized over x). jump0 describes the initial
     discontinuity; pass None (or empty jumps) to run the uncorrected smooth
     pipeline. The discontinuity path xi0 + c t must stay strictly inside the
-    interval up to t_final and must not start on a node. exact(x, t), when
-    given, supplies the inflow value; when omitted the inflow node is left
-    untouched.
+    interval up to t_final and must not start on a node. The solution is
+    initial(x - c t), which supplies the inflow value and the errors.
     """
 
     grid: Grid
@@ -40,7 +39,6 @@ class AdvectionProblem:
     initial: Callable
     jump0: JumpData | None
     t_final: float
-    exact: Callable | None = None
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.speed):
@@ -62,15 +60,14 @@ class EvolutionResult:
     """Recorded trajectory: nodal states, discontinuity path and errors.
 
     states[k] holds the N+1 nodal values at times[k]; xi_path[k] is the
-    discontinuity location then (NaN when no jump is tracked); error_linf is
-    the max-norm error against the problem's exact solution, or None when no
-    exact solution was supplied.
+    discontinuity location then (NaN when no jump is tracked); error_linf[k]
+    is the max-norm error against the translated initial profile then.
     """
 
     times: np.ndarray
     states: np.ndarray
     xi_path: np.ndarray
-    error_linf: np.ndarray | None
+    error_linf: np.ndarray
 
 
 def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, float]:
@@ -139,13 +136,6 @@ def _crossings(problem: AdvectionProblem) -> list[tuple[float, int]]:
     return sorted(zip(times[inside].tolist(), inside.tolist()))
 
 
-def _inflow_value(problem: AdvectionProblem, t: float):
-    if problem.exact is not None:
-        idx = 0 if problem.speed > 0 else problem.grid.N
-        return problem.exact(problem.grid.nodes[idx], t)
-    return None
-
-
 def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: int = 1) -> EvolutionResult:
     """Integrate the problem from t = 0 to t_final.
 
@@ -155,9 +145,9 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     the far side. A crossed node then lies on the other side of the
     discontinuity, so its value moves to that side's branch: the two
     branches differ there by exactly J_0, which leaves kinks untouched.
-    After every step the inflow node is overwritten with the boundary
-    value. States are recorded at t = 0, every output_every-th
-    step, and t_final. Stability is the caller's business: keep
+    After every step the inflow node is overwritten with the exact
+    solution initial(x - c t). States are recorded at t = 0, every
+    output_every-th step, and t_final. Stability is the caller's business: keep
     |c| * dt * (spectral radius of D) within the explicit stability region,
     roughly dt <= 2.8 / (|c| * max |eigenvalue|) for this scheme.
 
@@ -176,6 +166,8 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     boundaries = [0.0, *(t for t, _ in crossings), problem.t_final]
     crossed = [node for _, node in crossings] + [None]
     track_xi = problem.jump0 is not None
+    exact = lambda x, t: problem.initial(x - problem.speed * t)
+    inflow = 0 if problem.speed > 0 else grid.N
 
     times = [0.0]
     states = [state.copy()]
@@ -192,9 +184,8 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
                 t_new = t1 if k == nsub - 1 else t0 + (k + 1) * h
                 if k == nsub - 1 and node is not None:
                     state[node] -= np.sign(problem.speed) * problem.jump0.jumps[0]
-                bc = _inflow_value(problem, t_new)
-                if bc is not None and problem.speed != 0.0:
-                    state[0 if problem.speed > 0 else grid.N] = bc
+                if problem.speed != 0.0:
+                    state[inflow] = exact(grid.nodes[inflow], t_new)
                 if not np.all(np.isfinite(state)):
                     raise RuntimeError(
                         f"state became non-finite at t = {t_new} (max |u| before failure "
@@ -215,10 +206,8 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
         xi_path = problem.jump0.xi + problem.speed * times_arr
     else:
         xi_path = np.full_like(times_arr, np.nan)
-    err = None
-    if problem.exact is not None:
-        err = np.array(
-            [np.max(np.abs(s - np.asarray(problem.exact(grid.nodes, t), dtype=float)))
-             for t, s in zip(times_arr, states_arr)]
-        )
+    err = np.array(
+        [np.max(np.abs(s - np.asarray(exact(grid.nodes, t), dtype=float)))
+         for t, s in zip(times_arr, states_arr)]
+    )
     return EvolutionResult(times_arr, states_arr, xi_path, err)

@@ -19,9 +19,7 @@ from .jumps import JumpData
 __all__ = [
     "MAX_LEGENDRE_DEGREE",
     "legendre_P",
-    "legendre_P_derivative",
     "legendre_Q",
-    "legendre_Q_derivative",
     "LegendreProblem",
     "SyntheticPiecewise",
 ]
@@ -66,14 +64,8 @@ def _polyval_derivative(coeffs: np.ndarray, x, order: int):
     return npoly.polyval(x, c)
 
 
-def legendre_P(l: int, x):
-    """Legendre polynomial of the first kind, degrees 0..5."""
-    _check_degree(l)
-    return npoly.polyval(np.asarray(x, dtype=float), _P_COEFFS[l])
-
-
-def legendre_P_derivative(l: int, x, order: int = 1):
-    """order-th derivative of the first-kind polynomial."""
+def legendre_P(l: int, x, order: int = 0):
+    """Legendre polynomial of the first kind, degrees 0..5, or its order-th derivative."""
     _check_degree(l)
     return _polyval_derivative(_P_COEFFS[l], np.asarray(x, dtype=float), order)
 
@@ -87,20 +79,14 @@ def _atanh_derivative(x, order: int):
     return lead * (sign / (1.0 + x) ** order + 1.0 / (1.0 - x) ** order)
 
 
-def legendre_Q(l: int, x):
-    """Legendre function of the second kind on (-1, 1), degrees 0..5.
+def legendre_Q(l: int, x, order: int = 0):
+    """Legendre function of the second kind on (-1, 1), degrees 0..5, or its
+    order-th derivative, any order >= 0.
 
     Closed form P_l(x) atanh(x) minus a degree l-1 polynomial; the
     logarithmic endpoint singularities restrict evaluation to |x| < 1.
-    """
-    return legendre_Q_derivative(l, x, 0)
-
-
-def legendre_Q_derivative(l: int, x, order: int = 1):
-    """order-th derivative of the second-kind function, any order >= 0.
-
-    Differentiates the closed rational-plus-log form via the Leibniz rule,
-    so high orders stay exact up to rounding (no recurrence through the
+    Derivatives differentiate this form via the Leibniz rule, so high
+    orders stay exact up to rounding (no recurrence through the
     differential equation, which keeps consistency checks against that
     equation meaningful).
     """
@@ -146,16 +132,12 @@ class LegendreProblem:
             raise ValueError("source location must satisfy |xi| < 1")
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        right = legendre_P(self.l, self.xi) * legendre_Q(self.l, x)
-        left = legendre_P(self.l, x) * legendre_Q(self.l, self.xi)
-        th = np.heaviside(x - self.xi, 0.5)
-        return th * right + (1.0 - th) * left
+        return self.derivative(x, 0)
 
     def derivative(self, x, order: int = 1):
         x = np.asarray(x, dtype=float)
-        right = legendre_P(self.l, self.xi) * legendre_Q_derivative(self.l, x, order)
-        left = legendre_P_derivative(self.l, x, order) * legendre_Q(self.l, self.xi)
+        right = legendre_P(self.l, self.xi) * legendre_Q(self.l, x, order)
+        left = legendre_P(self.l, x, order) * legendre_Q(self.l, self.xi)
         th = np.heaviside(x - self.xi, 0.5)
         return th * right + (1.0 - th) * left
 
@@ -165,8 +147,8 @@ class LegendreProblem:
         Q0 = float(legendre_Q(self.l, self.xi))
         J = np.array(
             [
-                P0 * float(legendre_Q_derivative(self.l, self.xi, k))
-                - float(legendre_P_derivative(self.l, self.xi, k)) * Q0
+                P0 * float(legendre_Q(self.l, self.xi, k))
+                - float(legendre_P(self.l, self.xi, k)) * Q0
                 for k in range(order + 1)
             ]
         )

@@ -69,7 +69,7 @@ def test_criterion_1_step_exactness():
         worst = max(worst, np.abs(corrected_derivative(D, f, jd)).max())
 
         rule = quad_weights(g)
-        got = corrected_integrate(rule, w, f, jd)
+        got = corrected_integrate(rule, f, jd)
         worst = max(worst, abs(got - (1.0 - xi)))
     elapsed = time.perf_counter() - t0
     report(1, "step exactness", worst <= 1e-12 and elapsed < 1.0,
@@ -103,7 +103,7 @@ def test_criterion_2_piecewise_polynomial_exactness():
         D = derivative_matrix(g, 1)
         worst = max(worst, np.abs(corrected_derivative(D, f, jd) - prob.derivative(g.nodes, 1)).max())
         rule = quad_weights(g)
-        worst = max(worst, abs(corrected_integrate(rule, w, f, jd) - prob.integral(-1, 1)))
+        worst = max(worst, abs(corrected_integrate(rule, f, jd) - prob.integral(-1, 1)))
     elapsed = time.perf_counter() - t0
     report(2, "piecewise-polynomial exactness", worst <= 1e-10 and elapsed < 5.0,
            f"max deviation {worst:.2e} over 50 trials, {elapsed:.2f}s")
@@ -256,14 +256,13 @@ def test_criterion_8_method_of_lines_advection():
     g = chebyshev_gauss_lobatto(-1, 1, 32)
     xi0 = -0.5
     u0 = lambda x: np.abs(np.asarray(x, dtype=float) - xi0)
-    exact = lambda x, t: np.abs(np.asarray(x, dtype=float) - t - xi0)
     D = derivative_matrix(g, 1)
 
-    corrected = AdvectionProblem(g, 1.0, u0, JumpData(xi0, [0.0, 2.0]), 1.0, exact=exact)
+    corrected = AdvectionProblem(g, 1.0, u0, JumpData(xi0, [0.0, 2.0]), 1.0)
     res = evolve(corrected, D, 1e-3, output_every=200)
     err_corr = float(res.error_linf[-1])
 
-    plain = AdvectionProblem(g, 1.0, u0, None, 1.0, exact=exact)
+    plain = AdvectionProblem(g, 1.0, u0, None, 1.0)
     res_plain = evolve(plain, D, 1e-3, output_every=200)
     err_plain = float(res_plain.error_linf[-1])
 

@@ -296,6 +296,8 @@ BAD_JUMP_ORDERS = [
     ("diff", -5),
     ("quad", -2),
     ("evolve", -2),
+    ("converge", [-2, -1, 3]),
+    ("converge", [-1, 3, 3]),
 ]
 
 
@@ -303,10 +305,30 @@ BAD_JUMP_ORDERS = [
     "command,value", BAD_JUMP_ORDERS, ids=[f"{c}-{v!r}" for c, v in BAD_JUMP_ORDERS]
 )
 def test_repeated_or_below_minus_one_jump_orders_exit_two(tmp_path, capsys, command, value):
-    cfg = dict(BASE_CFGS[command], M=value)
+    key = "M_list" if command == "converge" else "M"
+    cfg = dict(BASE_CFGS[command], **{key: value})
     code, out, _ = run_command(tmp_path, command, cfg)
     assert code == 2
-    assert "M must be" in capsys.readouterr().err
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+NON_BOOLEAN = [
+    ("evolve", "corrections", "false"),
+    ("evolve", "corrections", 0),
+    ("diff", "export_matrix", "true"),
+    ("diff", "export_corrections", 1),
+    ("quad", "export_weights", "yes"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,field,value", NON_BOOLEAN, ids=[f"{c}-{f}-{v!r}" for c, f, v in NON_BOOLEAN]
+)
+def test_non_boolean_flags_exit_two(tmp_path, capsys, command, field, value):
+    code, out, _ = run_command(tmp_path, command, dict(BASE_CFGS[command], **{field: value}))
+    assert code == 2
+    assert f"{field} must be true or false" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

@@ -19,9 +19,8 @@ from jumpspec import (
 def kink_problem(N=32, xi0=-0.5, c=1.0, T=1.0, corrections=True):
     g = chebyshev_gauss_lobatto(-1, 1, N)
     u0 = lambda x: np.abs(np.asarray(x, dtype=float) - xi0)
-    exact = lambda x, t: np.abs(np.asarray(x, dtype=float) - c * t - xi0)
     jump0 = JumpData(xi0, [0.0, 2.0]) if corrections else None
-    return AdvectionProblem(g, c, u0, jump0, T, exact=exact), g
+    return AdvectionProblem(g, c, u0, jump0, T), g
 
 
 # The semi-discrete right-hand side is -c times the corrected derivative;
@@ -95,8 +94,7 @@ def test_rk4_step_rejects_interior_crossing():
 def test_smooth_gaussian_advection_accuracy():
     g = chebyshev_gauss_lobatto(-1, 1, 24)
     u0 = lambda x: np.exp(-(((np.asarray(x, dtype=float) + 0.25) / 0.35) ** 2))
-    exact = lambda x, t: u0(np.asarray(x, dtype=float) - t)
-    prob = AdvectionProblem(g, 1.0, u0, None, 0.5, exact=exact)
+    prob = AdvectionProblem(g, 1.0, u0, None, 0.5)
     D = derivative_matrix(g, 1)
     res = evolve(prob, D, 1e-3, output_every=100)
     assert res.error_linf[-1] <= 1e-6
@@ -106,8 +104,7 @@ def test_kinked_advection_accuracy_short_run():
     g = chebyshev_gauss_lobatto(-1, 1, 24)
     xi0 = -0.25
     u0 = lambda x: np.abs(np.asarray(x, dtype=float) - xi0)
-    exact = lambda x, t: np.abs(np.asarray(x, dtype=float) - t - xi0)
-    prob = AdvectionProblem(g, 1.0, u0, JumpData(xi0, [0.0, 2.0]), 0.5, exact=exact)
+    prob = AdvectionProblem(g, 1.0, u0, JumpData(xi0, [0.0, 2.0]), 0.5)
     D = derivative_matrix(g, 1)
     res = evolve(prob, D, 1e-3, output_every=100)
     assert res.error_linf[-1] <= 1e-4
@@ -116,7 +113,7 @@ def test_kinked_advection_accuracy_short_run():
 def test_zero_speed_keeps_state_constant():
     g = chebyshev_gauss_lobatto(-1, 1, 16)
     u0 = lambda x: np.exp(-((np.asarray(x, dtype=float) / 0.4) ** 2))
-    prob = AdvectionProblem(g, 0.0, u0, None, 1.0, exact=lambda x, t: u0(x))
+    prob = AdvectionProblem(g, 0.0, u0, None, 1.0)
     D = derivative_matrix(g, 1)
     res = evolve(prob, D, 1e-2, output_every=10)
     assert np.abs(res.states - res.states[0]).max() <= 1e-12
@@ -128,7 +125,7 @@ def test_xi_path_is_exact_and_errors_recorded():
     res = evolve(prob, D, 1e-3, output_every=50)
     np.testing.assert_array_equal(res.xi_path, -0.5 + res.times)
     assert res.times[0] == 0.0 and res.times[-1] == 0.5
-    assert res.error_linf is not None and np.all(res.error_linf >= 0.0)
+    assert np.all(res.error_linf >= 0.0)
     assert res.states.shape == (res.times.size, g.N + 1)
 
 
@@ -171,7 +168,7 @@ def test_disabled_corrections_run_and_show_derivative_oscillations():
 def test_blow_up_detection():
     g = chebyshev_gauss_lobatto(-1, 1, 32)
     u0 = lambda x: np.exp(-((np.asarray(x, dtype=float) / 0.3) ** 2))
-    prob = AdvectionProblem(g, 1.0, u0, None, 50.0, exact=lambda x, t: u0(x - t))
+    prob = AdvectionProblem(g, 1.0, u0, None, 50.0)
     D = derivative_matrix(g, 1)
     with pytest.raises(RuntimeError):
         evolve(prob, D, 0.5, output_every=1)  # far above the stable step size
@@ -185,8 +182,7 @@ def test_step_profile_stays_exact_across_node_crossings(N, T, amp, speed):
     g = chebyshev_gauss_lobatto(-1, 1, N)
     xi0 = -0.5 * speed
     u0 = lambda x: amp * np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5)
-    exact = lambda x, t: amp * np.heaviside(np.asarray(x, dtype=float) - speed * t - xi0, 0.5)
-    prob = AdvectionProblem(g, speed, u0, JumpData(xi0, [amp]), T, exact=exact)
+    prob = AdvectionProblem(g, speed, u0, JumpData(xi0, [amp]), T)
     crossings = np.count_nonzero((np.abs(g.nodes - xi0) > 0) & (np.abs(g.nodes - xi0) < T)
                                  & (np.sign(g.nodes - xi0) == speed))
     assert crossings >= 3

@@ -7,9 +7,7 @@ from jumpspec.refproblems import (
     LegendreProblem,
     SyntheticPiecewise,
     legendre_P,
-    legendre_P_derivative,
     legendre_Q,
-    legendre_Q_derivative,
 )
 
 
@@ -41,7 +39,7 @@ def test_second_kind_matches_scipy():
         qn, qd = special.lqn(5, x)
         for l in range(6):
             assert float(legendre_Q(l, x)) == pytest.approx(qn[l], abs=1e-13)
-            assert float(legendre_Q_derivative(l, x, 1)) == pytest.approx(qd[l], abs=1e-12)
+            assert float(legendre_Q(l, x, 1)) == pytest.approx(qd[l], abs=1e-12)
 
 
 def test_second_kind_domain():
@@ -61,7 +59,7 @@ def test_legendre_ode_residual_for_derivative_chain():
         for l in range(6):
             lam = l * (l + 1)
             for k in range(7):
-                for fun in (legendre_Q_derivative, legendre_P_derivative):
+                for fun in (legendre_Q, legendre_P):
                     y0 = float(fun(l, x, k))
                     y1 = float(fun(l, x, k + 1))
                     y2 = float(fun(l, x, k + 2))
