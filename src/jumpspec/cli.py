@@ -1,17 +1,19 @@
 """Command-line front end: experiment configs in, CSV and JSON artifacts out.
 
-Every subcommand reads a single JSON config and writes result.csv plus
-report.json into the output directory. Runs are deterministic: identical
-configs produce byte-identical outputs. Configs may carry a "checks" list of
-tolerance assertions; the process exits 0 only when the run completes and
-all checks pass (1 for failed checks, 2 for config or usage errors, 3 for a
-numerical failure such as a state that stops being finite).
+Every subcommand parses its whole JSON config, checks included, by key
+tables before any work; a key outside its object's table is a config error.
+Only after the run and its checks is anything written: result.csv, any
+exports and report.json. Identical configs produce byte-identical outputs.
+The process exits 0 only when the run completes and all checks pass (1 for
+failed checks, 2 for config or usage errors, 3 for a numerical failure such
+as a state that stops being finite); exits 2 and 3 write nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -34,23 +36,13 @@ from .refproblems import LegendreProblem, SyntheticPiecewise
 
 __all__ = ["main", "probe_points", "fit_orders"]
 
-_FAMILY_ALIASES = {
-    "equidistant": "equidistant",
-    "cgl": "chebyshev_gauss_lobatto",
-    "chebyshev_gauss_lobatto": "chebyshev_gauss_lobatto",
-    "custom": "custom",
-}
-
-
-def _fmt(v) -> str:
-    return f"{v:.17g}"
-
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(line % tuple(row))
 
 
 def _integer(value, key: str) -> int:
@@ -60,43 +52,115 @@ def _integer(value, key: str) -> int:
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
-def _flag(cfg: dict, key: str, default: bool = False) -> bool:
+def _real(value, key: str) -> float:
+    """A config number; rejects what float() would coerce ("0.5", true)."""
+    if type(value) in (int, float):
+        return float(value)
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
+def _flag(value, key: str) -> bool:
     """A config boolean; rejects what a truth test would coerce ("false", 0)."""
-    value = cfg.get(key, default)
     if type(value) is bool:
         return value
     raise ValueError(f"{key} must be true or false, got {value!r}")
 
 
-def _family(cfg: dict) -> str:
-    """Canonical grid family name of a config's "family" entry (default cgl)."""
-    family = _FAMILY_ALIASES.get(str(cfg.get("family", "cgl")).lower())
-    if family is None:
-        raise ValueError(f"unknown grid family {cfg.get('family')!r}")
-    return family
+def _raw(value, key: str):
+    return value
+
+
+def _jump_order(value, key: str) -> int:
+    """A config jump order M: -1 for no correction, else the highest jump used."""
+    M = _integer(value, key)
+    if M < -1:
+        raise ValueError(f"{key} must be >= -1, got {M}")
+    return M
+
+
+def _list(item, unique: bool = False):
+    """Parser of a JSON list whose entries each go through the parser item."""
+    def parse(value, key: str) -> list:
+        if type(value) is not list:
+            raise ValueError(f"{key} must be a list, got {value!r}")
+        out = [item(v, key) for v in value]
+        if unique and len(set(out)) < len(out):
+            raise ValueError(f"{key} must be unique, got {out}")
+        return out
+    return parse
+
+
+def _jump_orders(value, key: str) -> list[int]:
+    """interp's M: one jump order or a list of distinct ones."""
+    return _list(_jump_order, unique=True)(value if type(value) is list else [value], key)
+
+
+def _fields(cfg, table: dict, where: str = "", tag: str | None = None, default=None) -> dict:
+    """cfg's values, each through its parser in table: {key: (parser,
+    default)}, default ... for a required key. A parser takes the value and
+    the key's name (where + key) for its messages. A key outside the table
+    is a config error. With a tag, table maps each name the tag's value may
+    take (case-insensitive; default if absent) to that name's table."""
+    if type(cfg) is not dict:
+        raise ValueError(f"{where[:-1] or 'the config'} must be a JSON object, got {cfg!r}")
+    if tag is not None:
+        name = str(cfg.get(tag, default)).lower()
+        if name not in table:
+            raise ValueError(f"unknown {where}{tag} {cfg.get(tag, default)!r}")
+        return {**_fields(cfg, {tag: (_raw, default), **table[name]}, where), tag: name}
+    unknown = [key for key in cfg if key not in table]
+    if unknown:
+        raise ValueError(f"unknown key {where}{unknown[0]}")
+    out = {}
+    for key, (parse, fallback) in table.items():
+        if key in cfg:
+            out[key] = parse(cfg[key], where + key)
+        elif fallback is ...:
+            raise ValueError(f"{where}{key} is required")
+        else:
+            out[key] = fallback
+    return out
+
+
+_REAL = (_real, ...)
+_SPACED = {"a": _REAL, "b": _REAL, "N": (_integer, ...)}
+# grid family -> its keys besides "family"
+_GRIDS = {
+    "cgl": _SPACED,
+    "chebyshev_gauss_lobatto": _SPACED,
+    "equidistant": _SPACED,
+    "custom": {"a": _REAL, "b": _REAL, "nodes": (_list(_real), ...)},
+}
+_PROBLEMS = {
+    "legendre": {"l": (_integer, ...), "xi": _REAL},
+    "synthetic": {"left": (_list(_real), ...), "right": (_list(_real), ...), "xi": _REAL},
+}
+_PROFILE = {"xi0": _REAL, "amplitude": (_real, 1.0)}
+_INITIALS = {"kink": _PROFILE, "step": _PROFILE, "gaussian": {"center": _REAL, "width": _REAL}}
+
+
+def _family(value, key: str) -> str:
+    """A grid family's full name; cgl is short for chebyshev_gauss_lobatto."""
+    family = str(value).lower()
+    if family not in _GRIDS:
+        raise ValueError(f"unknown grid {key} {value!r}")
+    return "chebyshev_gauss_lobatto" if family == "cgl" else family
 
 
 def build_grid(cfg: dict) -> Grid:
-    family = _family(cfg)
-    if family == "custom":
-        return custom(cfg["a"], cfg["b"], cfg["nodes"])
-    a, b, N = float(cfg["a"]), float(cfg["b"]), _integer(cfg["N"], "N")
-    if family == "equidistant":
-        return equidistant(a, b, N)
-    return chebyshev_gauss_lobatto(a, b, N)
+    f = _fields(cfg, _GRIDS, "grid.", "family", "cgl")
+    if f["family"] == "custom":
+        return custom(f["a"], f["b"], f["nodes"])
+    if f["family"] == "equidistant":
+        return equidistant(f["a"], f["b"], f["N"])
+    return chebyshev_gauss_lobatto(f["a"], f["b"], f["N"])
 
 
-def build_problem(cfg: dict):
-    kind = str(cfg.get("type", "")).lower()
-    if kind == "legendre":
-        return LegendreProblem(_integer(cfg["l"], "l"), float(cfg["xi"]))
-    if kind == "synthetic":
-        return SyntheticPiecewise(
-            np.asarray(cfg["left"], dtype=float),
-            np.asarray(cfg["right"], dtype=float),
-            float(cfg["xi"]),
-        )
-    raise ValueError(f"unknown problem type {cfg.get('type')!r}")
+def _problem(cfg, key: str):
+    f = _fields(cfg, _PROBLEMS, key + ".", "type")
+    if f["type"] == "legendre":
+        return LegendreProblem(f["l"], f["xi"])
+    return SyntheticPiecewise(f["left"], f["right"], f["xi"])
 
 
 def _check_problem_domain(problem, g: Grid) -> None:
@@ -114,35 +178,6 @@ def probe_points(a: float, b: float, xi: float | None, count: int) -> np.ndarray
     if xi is not None and a < xi < b:
         pts = np.concatenate([pts, [np.nextafter(xi, a), np.nextafter(xi, b)]])
     return np.unique(pts)
-
-
-def _jump_label(M: int) -> str:
-    return "lagrange" if M < 0 else f"M{M}"
-
-
-def _jump_order(value, key: str = "M") -> int:
-    """A config jump order M: -1 for no correction, else the highest jump used."""
-    M = _integer(value, key)
-    if M < -1:
-        raise ValueError(f"{key} must be >= -1, got {M}")
-    return M
-
-
-def _jump_orders(values: list, key: str) -> list[int]:
-    """A config list of distinct jump orders."""
-    out = [_jump_order(m, key) for m in values]
-    if len(set(out)) < len(out):
-        raise ValueError(f"{key} must be unique, got {out}")
-    return out
-
-
-def _as_m_list(cfg: dict, N: int) -> list[int]:
-    raw = cfg.get("M", N // 2)
-    out = _jump_orders(raw if isinstance(raw, list) else [raw], "M")
-    for m in out:
-        if m > N:
-            raise ValueError(f"M={m} exceeds the grid degree N={N}")
-    return out
 
 
 def fit_orders(Ns, errs) -> dict:
@@ -185,45 +220,61 @@ def _max_workers() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-# ---------------------------------------------------------------------------
-# checks
+_LABEL = (_raw, ...)
+_METRIC = (_raw, "max_error")
+_ORDER = (_jump_order, ...)
+# check kind -> (the report entry it reads, None: the one its "metric" names; the test of
+# the observed value against "value", or smallest's against the entry's minimum; its keys)
+_CHECKS = {
+    "max_error_leq": ("max_error", operator.le, {"label": _LABEL, "value": _REAL}),
+    "ratio_leq": (None, operator.le, {"num": _LABEL, "den": _LABEL, "value": _REAL, "metric": _METRIC}),
+    "smallest": (None, operator.eq, {"label": _LABEL, "metric": _METRIC}),
+    "order_geq": ("fits", operator.ge, {"M": _ORDER, "value": _REAL}),
+    "exponential_regime_is": ("fits", operator.eq, {"M": _ORDER, "value": (_flag, ...)}),
+    "error_at_leq": ("rows", operator.le, {"N": (_integer, ...), "M": _ORDER, "value": _REAL}),
+    "final_linf_leq": ("final_linf", operator.le, {"value": _REAL}),
+}
 
 
-def _run_checks(cfg: dict, metrics: dict) -> list[dict]:
+def _check(cfg, where: str, command: str, entries: tuple) -> dict:
+    """A parsed check and the report entry it reads, which must be one of
+    the command's entries."""
+    c = _fields(cfg, {kind: keys for kind, (*_, keys) in _CHECKS.items()}, where, "kind")
+    c["entry"] = _CHECKS[c["kind"]][0] or c["metric"]
+    if c["entry"] not in entries:
+        raise ValueError(f"{where[:-1]} reads {c['entry']!r}, which {command} does not report")
+    return c
+
+
+def _run_checks(checks: list, report: dict) -> list[dict]:
+    """Each parsed check with the value it reads from the report and whether it passes."""
     results = []
-    for chk in cfg.get("checks", []):
-        kind = chk.get("kind")
-        if kind == "max_error_leq":
-            observed = metrics["max_error"][chk["label"]]
-            passed = observed <= chk["value"]
-        elif kind == "ratio_leq":
-            table = metrics[chk.get("metric", "max_error")]
-            observed = table[chk["num"]] / table[chk["den"]]
-            passed = observed <= chk["value"]
-        elif kind == "smallest":
-            table = metrics[chk.get("metric", "max_error")]
-            observed = table[chk["label"]]
-            passed = observed == min(table.values())
-        elif kind == "order_geq":
-            observed = metrics["fits"][_jump_label(chk["M"])]["algebraic_order"]
-            passed = observed >= chk["value"]
-        elif kind == "error_at_leq":
-            observed = metrics["errors"][(chk["N"], chk["M"])]
-            passed = observed <= chk["value"]
-        elif kind == "exponential_regime_is":
-            observed = metrics["fits"][_jump_label(chk["M"])]["exponential_regime"]
-            passed = observed == bool(chk["value"])
-        elif kind == "final_linf_leq":
-            observed = metrics["final_linf"]
-            passed = observed <= chk["value"]
-        else:
-            raise ValueError(f"unknown check kind {kind!r}")
-        results.append({"check": chk, "observed": observed, "passed": bool(passed)})
+    for i, (raw, c) in enumerate(checks):
+        kind, entry = c["kind"], report[c["entry"]]
+        try:  # a label, fit or cell the run did not produce is a config error
+            if c["entry"] == "fits":
+                fit = {f["M"]: f for f in entry}[c["M"]]
+                observed = fit["algebraic_order" if kind == "order_geq" else "exponential_regime"]
+            elif c["entry"] == "rows":
+                observed = {(r["N"], r["M"]): r["linf_error"] for r in entry}[(c["N"], c["M"])]
+            elif kind == "ratio_leq":
+                observed = entry[c["num"]] / entry[c["den"]]
+            else:
+                observed = entry if kind == "final_linf_leq" else entry[c["label"]]
+        except KeyError as exc:
+            raise ValueError(f"checks[{i}]: report entry {c['entry']!r} has nothing at {exc}") from None
+        passed = _CHECKS[kind][1](observed, min(entry.values()) if kind == "smallest" else c["value"])
+        results.append({"check": raw, "observed": observed, "passed": bool(passed)})
     return results
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes its parsed config and returns its report entries
+# and the CSV files to write, {file name: (header, rows)}
+
+_PROBLEM = (_problem, ...)
+_GRID = (lambda cfg, key: _fields(cfg, _GRIDS, key + ".", "family", "cgl"), ...)
+_M = (_jump_order, None)  # None: the command's default
 
 
 def _interpolants(problem, g: Grid, Ms: list[int], pts: np.ndarray) -> list[np.ndarray]:
@@ -237,12 +288,14 @@ def _interpolants(problem, g: Grid, Ms: list[int], pts: np.ndarray) -> list[np.n
     ]
 
 
-def run_interp(cfg: dict, outdir: str) -> dict:
-    problem = build_problem(cfg["problem"])
-    g = build_grid(cfg["grid"])
+def run_interp(cfg: dict) -> tuple[dict, dict]:
+    """tabulate plain vs jump-corrected interpolation at dense probes"""
+    problem, g = cfg["problem"], build_grid(cfg["grid"])
     _check_problem_domain(problem, g)
-    Ms = _as_m_list(cfg, g.N)
-    pts = probe_points(g.a, g.b, problem.xi, _integer(cfg.get("probes", 1000), "probes"))
+    Ms = [g.N // 2] if cfg["M"] is None else cfg["M"]
+    if any(M > g.N for M in Ms):
+        raise ValueError(f"M={max(Ms)} exceeds the grid degree N={g.N}")
+    pts = probe_points(g.a, g.b, problem.xi, cfg["probes"])
     exact = np.asarray(problem.value(pts), dtype=float)
     near = np.abs(pts - problem.xi) <= 0.1 * (g.b - g.a)
 
@@ -251,25 +304,21 @@ def run_interp(cfg: dict, outdir: str) -> dict:
     max_err: dict[str, float] = {}
     max_err_near: dict[str, float] = {}
     for M, vals in zip(Ms, _interpolants(problem, g, Ms, pts)):
-        label = _jump_label(M)
+        label = "lagrange" if M < 0 else f"M{M}"
         err = np.abs(vals - exact)
         cols += [vals, err]
         header += [f"p_{label}", f"err_{label}"]
         max_err[label] = float(err.max())
         max_err_near[label] = float(err[near].max()) if near.any() else 0.0
 
-    write_csv(os.path.join(outdir, "result.csv"), header, zip(*cols))
-    metrics = {"max_error": max_err, "max_error_near_xi": max_err_near}
-    return {
-        "command": "interp",
-        "config": cfg,
+    report = {
         "N": g.N,
-        "family": _family(cfg["grid"]),
+        "family": _family(cfg["grid"]["family"], "family"),
         "xi": problem.xi,
         "max_error": max_err,
         "max_error_near_xi": max_err_near,
-        "checks": _run_checks(cfg, metrics),
     }
+    return report, {"result.csv": (header, zip(*cols))}
 
 
 def _converge_cell(problem, g: Grid, M_list: list[int], pts: np.ndarray, exact: np.ndarray) -> dict:
@@ -279,58 +328,46 @@ def _converge_cell(problem, g: Grid, M_list: list[int], pts: np.ndarray, exact: 
     return {(g.N, M): float(np.max(np.abs(v - exact))) for M, v in zip(Ms, vals)}
 
 
-def run_converge(cfg: dict, outdir: str) -> dict:
-    problem = build_problem(cfg["problem"])
-    family = _family(cfg)
+def run_converge(cfg: dict) -> tuple[dict, dict]:
+    """max-error convergence study over grids of increasing size"""
+    problem, family, a, b = cfg["problem"], cfg["family"], cfg["a"], cfg["b"]
     if family == "custom":
         raise ValueError("convergence studies need an equidistant or cgl family")
-    a, b = float(cfg["a"]), float(cfg["b"])
-    N_list = [_integer(n, "N_list") for n in cfg["N_list"]]
-    grids = [build_grid({"family": family, "a": a, "b": b, "N": N}) for N in N_list]
+    grids = [build_grid({"family": family, "a": a, "b": b, "N": N}) for N in cfg["N_list"]]
     for g in grids:
         _check_problem_domain(problem, g)
-    M_list = _jump_orders(cfg["M_list"], "M_list")
-    probes = _integer(cfg.get("probes", 1000), "probes")
-    pts = probe_points(a, b, problem.xi, probes)
+    pts = probe_points(a, b, problem.xi, cfg["probes"])
     exact = np.asarray(problem.value(pts), dtype=float)
 
     errors = {}
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for cell in pool.map(lambda g: _converge_cell(problem, g, M_list, pts, exact), grids):
+        for cell in pool.map(lambda g: _converge_cell(problem, g, cfg["M_list"], pts, exact), grids):
             errors.update(cell)
 
     rows = [(N, M, errors[(N, M)]) for N, M in sorted(errors)]
-    fits = {}
-    for M in M_list:
-        Ns = [N for N in sorted(N_list) if M <= N]
+    fits = []
+    for M in sorted(cfg["M_list"]):
+        Ns = [N for N in sorted(cfg["N_list"]) if M <= N]
         if len(Ns) >= 2:
-            fit = fit_orders(Ns, [errors[(N, M)] for N in Ns])
-            fit["M"] = M
-            fits[_jump_label(M)] = fit
+            fits.append({**fit_orders(Ns, [errors[(N, M)] for N in Ns]), "M": M})
 
-    write_csv(os.path.join(outdir, "result.csv"), ["N", "M", "linf_error"], rows)
-    metrics = {"fits": fits, "errors": errors}
-    return {
-        "command": "converge",
-        "config": cfg,
-        "problem": cfg["problem"].get("type", "?"),
+    report = {
+        "problem": "legendre" if isinstance(problem, LegendreProblem) else "synthetic",
         "family": family,
-        "probes": probes,
+        "probes": cfg["probes"],
         "rows": [{"N": n, "M": m, "linf_error": e} for n, m, e in rows],
-        "fits": sorted(fits.values(), key=lambda d: d["M"]),
-        "checks": _run_checks(cfg, metrics),
+        "fits": fits,
     }
+    return report, {"result.csv": (["N", "M", "linf_error"], rows)}
 
 
-def run_diff(cfg: dict, outdir: str) -> dict:
-    problem = build_problem(cfg["problem"])
-    g = build_grid(cfg["grid"])
+def run_diff(cfg: dict) -> tuple[dict, dict]:
+    """tabulate plain vs jump-corrected derivatives at the nodes"""
+    problem, g = cfg["problem"], build_grid(cfg["grid"])
     _check_problem_domain(problem, g)
-    n = _integer(cfg.get("n", 1), "n")
-    m = _integer(cfg.get("m", g.N), "m")
-    M = _jump_order(cfg.get("M", g.N // 2))
-    export_matrix = _flag(cfg, "export_matrix")
-    export_corrections = _flag(cfg, "export_corrections")
+    n = cfg["n"]
+    m = g.N if cfg["m"] is None else cfg["m"]
+    M = g.N // 2 if cfg["M"] is None else cfg["M"]
     D = derivative_matrix(g, n, m)
     f = np.asarray(problem.value(g.nodes), dtype=float)
     exact = np.asarray(problem.derivative(g.nodes, n), dtype=float)
@@ -338,40 +375,26 @@ def run_diff(cfg: dict, outdir: str) -> dict:
     jd = problem.jump_data(M)
     corrected = corrected_derivative(D, f, jd)
 
-    write_csv(
-        os.path.join(outdir, "result.csv"),
-        ["x", "f", "deriv_exact", "deriv_plain", "deriv_corrected", "err_plain", "err_corrected"],
-        zip(g.nodes, f, exact, plain, corrected, np.abs(plain - exact), np.abs(corrected - exact)),
-    )
-    if export_matrix:
-        write_csv(os.path.join(outdir, "derivative_matrix.csv"),
-                  [f"c{j}" for j in range(g.N + 1)], D.entries)
-    if export_corrections and M >= 0:
-        write_csv(os.path.join(outdir, "correction_matrix.csv"),
-                  [f"c{j}" for j in range(g.N + 1)], correction_matrix(jd, g))
+    header = ["x", "f", "deriv_exact", "deriv_plain", "deriv_corrected", "err_plain", "err_corrected"]
+    rows = zip(g.nodes, f, exact, plain, corrected, np.abs(plain - exact), np.abs(corrected - exact))
+    files = {"result.csv": (header, rows)}
+    columns = [f"c{j}" for j in range(g.N + 1)]
+    if cfg["export_matrix"]:
+        files["derivative_matrix.csv"] = (columns, D.entries)
+    if cfg["export_corrections"] and M >= 0:
+        files["correction_matrix.csv"] = (columns, correction_matrix(jd, g))
     max_err = {
         "plain": float(np.max(np.abs(plain - exact))),
         "corrected": float(np.max(np.abs(corrected - exact))),
     }
-    metrics = {"max_error": max_err}
-    return {
-        "command": "diff",
-        "config": cfg,
-        "N": g.N,
-        "n": n,
-        "m": m,
-        "M": M,
-        "max_error": max_err,
-        "checks": _run_checks(cfg, metrics),
-    }
+    return {"N": g.N, "n": n, "m": m, "M": M, "max_error": max_err}, files
 
 
-def run_quad(cfg: dict, outdir: str) -> dict:
-    problem = build_problem(cfg["problem"])
-    g = build_grid(cfg["grid"])
+def run_quad(cfg: dict) -> tuple[dict, dict]:
+    """plain vs jump-corrected integral against a reference value"""
+    problem, g = cfg["problem"], build_grid(cfg["grid"])
     _check_problem_domain(problem, g)
-    M = _jump_order(cfg.get("M", g.N // 2))
-    export_weights = _flag(cfg, "export_weights")
+    M = g.N // 2 if cfg["M"] is None else cfg["M"]
     rule = quad_weights(g)
     f = np.asarray(problem.value(g.nodes), dtype=float)
     reference = problem.integral(g.a, g.b)
@@ -379,99 +402,72 @@ def run_quad(cfg: dict, outdir: str) -> dict:
     jd = problem.jump_data(M)
     corrected = corrected_integrate(rule, f, jd)
 
-    write_csv(
-        os.path.join(outdir, "result.csv"),
-        ["integral_plain", "integral_corrected", "reference", "err_plain", "err_corrected"],
-        [(plain, corrected, reference, abs(plain - reference), abs(corrected - reference))],
-    )
-    if export_weights:
-        write_csv(os.path.join(outdir, "quad_weights.csv"), ["x", "w"], zip(g.nodes, rule.weights))
-    max_err = {
-        "plain": abs(plain - reference),
-        "corrected": abs(corrected - reference),
-    }
-    metrics = {"max_error": max_err}
-    return {
-        "command": "quad",
-        "config": cfg,
+    header = ["integral_plain", "integral_corrected", "reference", "err_plain", "err_corrected"]
+    rows = [(plain, corrected, reference, abs(plain - reference), abs(corrected - reference))]
+    files = {"result.csv": (header, rows)}
+    if cfg["export_weights"]:
+        files["quad_weights.csv"] = (["x", "w"], zip(g.nodes, rule.weights))
+    report = {
         "N": g.N,
         "M": M,
         "integral_plain": plain,
         "integral_corrected": corrected,
         "reference": reference,
-        "max_error": max_err,
-        "checks": _run_checks(cfg, metrics),
+        "max_error": {"plain": abs(plain - reference), "corrected": abs(corrected - reference)},
     }
+    return report, files
 
 
-def _build_advection(cfg: dict) -> AdvectionProblem:
-    g = build_grid(cfg["grid"])
-    c = float(cfg["speed"])
-    T = float(cfg["t_final"])
-    corrections = _flag(cfg, "corrections", True)
-    init = cfg["initial"]
-    kind = str(init.get("kind", "")).lower()
-    if kind == "kink":
-        xi0 = float(init["xi0"])
-        amp = float(init.get("amplitude", 1.0))
-        u0 = lambda x: amp * np.abs(np.asarray(x, dtype=float) - xi0)
-        jumps = np.array([0.0, 2.0 * amp])
-    elif kind == "step":
-        xi0 = float(init["xi0"])
-        amp = float(init.get("amplitude", 1.0))
-        u0 = lambda x: amp * np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5)
-        jumps = np.array([amp])
-    elif kind == "gaussian":
-        center = float(init["center"])
-        width = float(init["width"])
-        xi0 = None
+def run_evolve(cfg: dict) -> tuple[dict, dict]:
+    """advect a profile with a moving discontinuity"""
+    g, init = build_grid(cfg["grid"]), cfg["initial"]
+    if init["kind"] == "gaussian":
+        center, width = init["center"], init["width"]
         u0 = lambda x: np.exp(-(((np.asarray(x, dtype=float) - center) / width) ** 2))
-        jumps = None
-    else:
-        raise ValueError(f"unknown initial kind {init.get('kind')!r}")
-    if xi0 is None or not corrections:
         jump0 = None
     else:
-        M = _jump_order(cfg.get("M", len(jumps) - 1))
-        jump0 = JumpData(xi0, jumps[: M + 1])
-    return AdvectionProblem(g, c, u0, jump0, T)
-
-
-def run_evolve(cfg: dict, outdir: str) -> dict:
-    problem = _build_advection(cfg)
-    g = problem.grid
-    n = 1
-    m = _integer(cfg.get("m", g.N), "m")
-    D = derivative_matrix(g, n, m)
-    output_every = _integer(cfg.get("output_every", 1), "output_every")
-    result = evolve(problem, D, float(cfg["dt"]), output_every)
+        xi0, amp = init["xi0"], init["amplitude"]
+        if init["kind"] == "kink":
+            u0 = lambda x: amp * np.abs(np.asarray(x, dtype=float) - xi0)
+            jumps = np.array([0.0, 2.0 * amp])
+        else:
+            u0 = lambda x: amp * np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5)
+            jumps = np.array([amp])
+        M = len(jumps) - 1 if cfg["M"] is None else cfg["M"]
+        jump0 = JumpData(xi0, jumps[: M + 1]) if cfg["corrections"] else None
+    problem = AdvectionProblem(g, cfg["speed"], u0, jump0, cfg["t_final"])
+    D = derivative_matrix(g, 1, g.N if cfg["m"] is None else cfg["m"])
+    result = evolve(problem, D, cfg["dt"], cfg["output_every"])
 
     header = ["t"] + [f"u{j}" for j in range(g.N + 1)] + ["xi", "linf_error"]
     err = result.error_linf
-    rows = (
-        (t, *s, xi, e)
-        for t, s, xi, e in zip(result.times, result.states, result.xi_path, err)
-    )
-    write_csv(os.path.join(outdir, "result.csv"), header, rows)
-    final_linf = float(err[-1])
-    metrics = {"final_linf": final_linf}
-    return {
-        "command": "evolve",
-        "config": cfg,
+    rows = ((t, *s, xi, e) for t, s, xi, e in zip(result.times, result.states, result.xi_path, err))
+    report = {
         "N": g.N,
         "steps_recorded": int(result.times.size),
-        "final_linf": final_linf,
+        "final_linf": float(err[-1]),
         "max_linf": float(err.max()),
-        "checks": _run_checks(cfg, metrics),
     }
+    return report, {"result.csv": (header, rows)}
 
 
-_RUNNERS = {
-    "interp": run_interp,
-    "converge": run_converge,
-    "diff": run_diff,
-    "quad": run_quad,
-    "evolve": run_evolve,
+# command -> (runner, the report entries its checks may read, its key table besides "checks")
+_COMMANDS = {
+    "interp": (run_interp, ("max_error", "max_error_near_xi"), {
+        "problem": _PROBLEM, "grid": _GRID, "M": (_jump_orders, None), "probes": (_integer, 1000)}),
+    "converge": (run_converge, ("fits", "rows"), {
+        "problem": _PROBLEM, "family": (_family, "chebyshev_gauss_lobatto"), "a": _REAL, "b": _REAL,
+        "N_list": (_list(_integer, unique=True), ...), "M_list": (_list(_jump_order, unique=True), ...),
+        "probes": (_integer, 1000)}),
+    "diff": (run_diff, ("max_error",), {
+        "problem": _PROBLEM, "grid": _GRID, "n": (_integer, 1), "m": (_integer, None), "M": _M,
+        "export_matrix": (_flag, False), "export_corrections": (_flag, False)}),
+    "quad": (run_quad, ("max_error",), {
+        "problem": _PROBLEM, "grid": _GRID, "M": _M, "export_weights": (_flag, False)}),
+    "evolve": (run_evolve, ("final_linf",), {
+        "grid": _GRID, "speed": _REAL, "t_final": _REAL, "dt": _REAL, "output_every": (_integer, 1),
+        "initial": (lambda cfg, key: _fields(cfg, _INITIALS, key + ".", "kind"), ...),
+        "corrections": (_flag, True), "m": (_integer, None), "M": _M}),
 }
 
 
@@ -482,14 +478,8 @@ def main(argv=None) -> int:
         "experiments for sampled functions with known derivative jumps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("interp", "tabulate plain vs jump-corrected interpolation at dense probes"),
-        ("converge", "max-error convergence study over grids of increasing size"),
-        ("diff", "tabulate plain vs jump-corrected derivatives at the nodes"),
-        ("quad", "plain vs jump-corrected integral against a reference value"),
-        ("evolve", "advect a profile with a moving discontinuity"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, (run, _, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=run.__doc__)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", required=True, help="output directory for result.csv and report.json")
     args = parser.parse_args(argv)
@@ -501,9 +491,14 @@ def main(argv=None) -> int:
         print(f"jumpspec: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
+    run, entries, table = _COMMANDS[args.command]
     try:
-        report = _RUNNERS[args.command](cfg, args.out)
+        spec = _fields(cfg, {**table, "checks": (_list(_raw), [])})
+        checks = [(c, _check(c, f"checks[{i}].", args.command, entries))
+                  for i, c in enumerate(spec["checks"])]
+        report, files = run(spec)
+        report.update(command=args.command, config=cfg)
+        report["checks"] = _run_checks(checks, report)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"jumpspec: {exc}", file=sys.stderr)
         return 2
@@ -511,11 +506,14 @@ def main(argv=None) -> int:
         print(f"jumpspec: numerical failure: {exc}", file=sys.stderr)
         return 3
 
+    os.makedirs(args.out, exist_ok=True)
+    for name, (header, rows) in files.items():
+        write_csv(os.path.join(args.out, name), header, rows)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
 
-    failed = [c for c in report.get("checks", []) if not c["passed"]]
+    failed = [c for c in report["checks"] if not c["passed"]]
     for c in failed:
         print(f"jumpspec: check failed: {c['check']} (observed {c['observed']})", file=sys.stderr)
     return 1 if failed else 0

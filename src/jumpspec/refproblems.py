@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
 from .jumps import JumpData
@@ -27,14 +28,7 @@ __all__ = [
 MAX_LEGENDRE_DEGREE = 5
 
 # First-kind polynomials P_0..P_5, power-basis coefficients, low order first.
-_P_COEFFS = {
-    0: np.array([1.0]),
-    1: np.array([0.0, 1.0]),
-    2: np.array([-0.5, 0.0, 1.5]),
-    3: np.array([0.0, -1.5, 0.0, 2.5]),
-    4: np.array([3.0 / 8.0, 0.0, -30.0 / 8.0, 0.0, 35.0 / 8.0]),
-    5: np.array([0.0, 15.0 / 8.0, 0.0, -70.0 / 8.0, 0.0, 63.0 / 8.0]),
-}
+_P_COEFFS = {l: legendre.leg2poly(np.eye(l + 1)[l]) for l in range(MAX_LEGENDRE_DEGREE + 1)}
 
 
 def _build_w_coeffs() -> dict[int, np.ndarray]:

@@ -272,20 +272,25 @@ NON_INTEGRAL = [
 ]
 
 
-@pytest.mark.parametrize(
-    "command,field,value", NON_INTEGRAL, ids=[f"{c}-{f}-{v!r}" for c, f, v in NON_INTEGRAL]
-)
-def test_non_integral_integer_fields_exit_two(tmp_path, capsys, command, field, value):
+def edited(command, field, value):
+    """A copy of the command's base config with the dotted field set to value."""
     cfg = json.loads(json.dumps(BASE_CFGS[command]))
     *parents, key = field.split(".")
     target = cfg
     for name in parents:
         target = target[name]
     target[key] = value
-    code, out, _ = run_command(tmp_path, command, cfg)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command,field,value", NON_INTEGRAL, ids=[f"{c}-{f}-{v!r}" for c, f, v in NON_INTEGRAL]
+)
+def test_non_integral_integer_fields_exit_two(tmp_path, capsys, command, field, value):
+    code, out, _ = run_command(tmp_path, command, edited(command, field, value))
     assert code == 2
-    assert f"{key} must be an integer" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert f"{field.split('.')[-1]} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 BAD_JUMP_ORDERS = [
@@ -310,7 +315,7 @@ def test_repeated_or_below_minus_one_jump_orders_exit_two(tmp_path, capsys, comm
     code, out, _ = run_command(tmp_path, command, cfg)
     assert code == 2
     assert f"{key} must be" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 NON_BOOLEAN = [
@@ -329,7 +334,53 @@ def test_non_boolean_flags_exit_two(tmp_path, capsys, command, field, value):
     code, out, _ = run_command(tmp_path, command, dict(BASE_CFGS[command], **{field: value}))
     assert code == 2
     assert f"{field} must be true or false" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
+
+
+CONFIG_ERRORS = [
+    ("interp", "probe", 10, "unknown key probe"),
+    ("interp", "problem.amplitude", 1.0, "unknown key problem.amplitude"),
+    ("interp", "grid.nodes", [-0.9, 0.0, 0.9], "unknown key grid.nodes"),
+    ("evolve", "initial.amplitud", 2.0, "unknown key initial.amplitud"),
+    ("quad", "checks", [{"kind": "max_error_leq", "label": "corrected", "value": 1.0, "tol": 2.0}],
+     "unknown key checks[0].tol"),
+    ("interp", "checks", [{"kind": "final_linf_leq", "value": 1.0}],
+     "checks[0] reads 'final_linf', which interp does not report"),
+    ("evolve", "checks", [{"kind": "max_error_leq", "label": "corrected", "value": 1.0}],
+     "checks[0] reads 'max_error', which evolve does not report"),
+    ("converge", "checks", [{"kind": "order_leq", "M": 3, "value": 9.0}], "unknown checks[0].kind 'order_leq'"),
+    ("diff", "checks", [{"kind": "max_error_leq", "label": "corrected"}], "checks[0].value is required"),
+    ("converge", "checks", [{"kind": "error_at_leq", "N": 8, "value": 1.0}], "checks[0].M is required"),
+    ("diff", "checks", [{"kind": "smallest", "label": "corrected", "metric": "max_error_near_xi"}],
+     "checks[0] reads 'max_error_near_xi', which diff does not report"),
+    ("interp", "checks", [{"kind": "ratio_leq", "num": "M6", "den": "M12", "value": 1.0, "metric": "fits"}],
+     "checks[0] reads 'fits', which interp does not report"),
+    ("converge", "N_list", [8, 8, 10], "N_list must be unique"),
+    ("converge", "checks", [{"kind": "exponential_regime_is", "M": 3, "value": "false"}],
+     "checks[0].value must be true or false"),
+    ("interp", "grid.a", "-0.9", "grid.a must be a number"),
+    ("quad", "problem", {"type": "synthetic", "left": 1.0, "right": [0.0], "xi": 0.3},
+     "problem.left must be a list"),
+    ("quad", "problem", 3, "problem must be a JSON object"),
+    ("diff", "problem.type", "legendre_q", "unknown problem.type 'legendre_q'"),
+    # these resolve only after the run, which still writes nothing
+    ("interp", "checks", [{"kind": "max_error_leq", "label": "M7", "value": 1.0}],
+     "checks[0]: report entry 'max_error' has nothing at 'M7'"),
+    ("converge", "checks", [{"kind": "order_geq", "M": 5, "value": 1.0}],
+     "checks[0]: report entry 'fits' has nothing at 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,field,value,message",
+    CONFIG_ERRORS,
+    ids=[f"{c}-{f}-{i}" for i, (c, f, _, _) in enumerate(CONFIG_ERRORS)],
+)
+def test_config_errors_exit_two_and_write_nothing(tmp_path, capsys, command, field, value, message):
+    code, out, _ = run_command(tmp_path, command, edited(command, field, value))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_integral_float_fields_run_as_integers(tmp_path):
@@ -356,7 +407,7 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
         code, out, _ = run_command(tmp_path, "evolve", cfg)
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
