@@ -258,6 +258,9 @@ def _run_checks(checks: list, report: dict) -> list[dict]:
             elif c["entry"] == "rows":
                 observed = {(r["N"], r["M"]): r["linf_error"] for r in entry}[(c["N"], c["M"])]
             elif kind == "ratio_leq":
+                if entry[c["den"]] == 0.0:
+                    raise ValueError(f"checks[{i}]: report entry {c['entry']!r} has 0 at "
+                                     f"{c['den']!r}, the ratio's denominator")
                 observed = entry[c["num"]] / entry[c["den"]]
             else:
                 observed = entry if kind == "final_linf_leq" else entry[c["label"]]

@@ -6,6 +6,14 @@ the advection speed with its derivative jumps frozen, so its node-crossing
 times are known exactly in advance; the stepper lands on each crossing,
 moves the crossed node to the branch of its new side, and restarts just
 after it, which keeps the right-hand side smooth in time within every step.
+
+Between two crossings every node stays on its side and only xi moves, so
+the corrected operator is built once per crossing-free segment (see
+_stage_rhs): M + 1 corrected derivatives of zero data with the shifted
+jumps J[p:] at the bracket midpoint. A Taylor expansion in xi turns them
+into the exact correction at any xi in the bracket, so a corrected stage
+costs one plain matrix-vector product plus M Horner updates of an
+(N+1)-vector, instead of rebuilding jump data and piece arrays per stage.
 """
 
 from __future__ import annotations
@@ -71,7 +79,9 @@ class EvolutionResult:
 
 
 def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, float]:
-    """Node-free open interval containing the discontinuity path over one step.
+    """Node-free open interval containing the discontinuity path over [t, t + dt].
+
+    evolve asks once per crossing-free segment, rk4_step alone once per step.
 
     The path endpoints may touch the bracketing nodes (that is the crossing
     the stepper lands on), but no node may lie strictly inside the swept
@@ -97,32 +107,60 @@ def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, flo
     return float(nodes[i]), float(nodes[j])
 
 
-def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatrix) -> np.ndarray:
+def _stage_rhs(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: float) -> Callable:
+    """Right-hand side rhs(tt, y) = -c u_x of the semi-discrete system for t <= tt <= t + dt.
+
+    Without jumps this is the plain -c D y. With jumps, no node crosses the
+    discontinuity in [t, t + dt] (_bracket enforces it), so only xi moves,
+    inside a node-free bracket (lo, hi). Taylor-expanding the jump series
+    about the midpoint m gives, with e = m - xi and z = -0.0 at every node,
+
+        corrected_derivative(D, y, JumpData(xi, J)) = D y + sum_p e^p / p! R_p,
+        R_p = corrected_derivative(D, z, JumpData(m, J[p:])),
+
+    exactly, since the series is a polynomial in xi and every node keeps its
+    side. The M + 1 columns R_p are built once here; a stage is then one
+    plain matvec plus M Horner updates, and |e| <= (hi - lo) / 2 keeps the
+    sum well conditioned. Stage locations that land exactly on a bracketing
+    node are nudged one ulp into the open interval, which puts every node
+    on a definite side consistently with the direction of motion.
+    """
+    c, jd = problem.speed, problem.jump0
+    if jd is None or jd.order < 0:
+        return lambda tt, y: -c * apply(D, y)
+    lo, hi = _bracket(problem, t, dt)
+    mid = 0.5 * (lo + hi)
+    zero = np.full(D.grid.N + 1, -0.0)
+    R = [corrected_derivative(D, zero, JumpData(mid, jd.jumps[p:])) for p in range(jd.order + 1)]
+    lo_in, hi_in = float(np.nextafter(lo, hi)), float(np.nextafter(hi, lo))
+    xi0 = float(jd.xi)
+
+    def rhs(tt: float, y: np.ndarray) -> np.ndarray:
+        e = mid - min(max(xi0 + c * tt, lo_in), hi_in)
+        acc = R[-1]
+        for p in reversed(range(jd.order)):
+            acc = R[p] + (e / (p + 1)) * acc
+        return -c * (apply(D, y) + acc)
+
+    return rhs
+
+
+def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatrix,
+             rhs: Callable | None = None) -> np.ndarray:
     """One classical Runge-Kutta step from t to t + dt.
 
-    The discontinuity may touch a node only at the step endpoints; stage
-    locations that land exactly on a bracketing node are nudged one ulp into
-    the open interval, which puts every node on a definite side consistently
-    with the direction of motion.
+    rhs(tt, y) is the semi-discrete right-hand side; by default it is built
+    for this one step by _stage_rhs. evolve passes the one it built for the
+    whole crossing-free segment that contains the step. The discontinuity
+    may touch a node only at the step endpoints.
     """
     state = np.asarray(state, dtype=float)
-    jd0 = problem.jump0
-    if jd0 is None or jd0.order < 0:
-        def rhs_at(tt: float, y: np.ndarray) -> np.ndarray:
-            return -problem.speed * apply(D, y)
-    else:
-        lo, hi = _bracket(problem, t, dt)
-        lo_in = np.nextafter(lo, hi)
-        hi_in = np.nextafter(hi, lo)
-
-        def rhs_at(tt: float, y: np.ndarray) -> np.ndarray:
-            xi = min(max(jd0.xi + problem.speed * tt, lo_in), hi_in)
-            return -problem.speed * corrected_derivative(D, y, JumpData(xi, jd0.jumps))
-
-    k1 = rhs_at(t, state)
-    k2 = rhs_at(t + 0.5 * dt, state + 0.5 * dt * k1)
-    k3 = rhs_at(t + 0.5 * dt, state + 0.5 * dt * k2)
-    k4 = rhs_at(t + dt, state + dt * k3)
+    if rhs is None:
+        rhs = _stage_rhs(problem, D, t, dt)
+    k1 = rhs(t, state)
+    k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
+    k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
+    k4 = rhs(t + dt, state + dt * k3)
     return state + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -178,9 +216,10 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
         for t0, t1, node in zip(boundaries[:-1], boundaries[1:], crossed):
             nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
             h = (t1 - t0) / nsub
+            rhs = _stage_rhs(problem, D, t0, t1 - t0)
             for k in range(nsub):
                 t = t0 + k * h
-                state = rk4_step(state, t, h, problem, D)
+                state = rk4_step(state, t, h, problem, D, rhs)
                 t_new = t1 if k == nsub - 1 else t0 + (k + 1) * h
                 if k == nsub - 1 and node is not None:
                     state[node] -= np.sign(problem.speed) * problem.jump0.jumps[0]

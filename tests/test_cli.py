@@ -273,13 +273,15 @@ NON_INTEGRAL = [
 
 
 def edited(command, field, value):
-    """A copy of the command's base config with the dotted field set to value."""
+    """A copy of the command's base config with the dotted field set to value;
+    several fields joined by '+' take a tuple of values, one each."""
     cfg = json.loads(json.dumps(BASE_CFGS[command]))
-    *parents, key = field.split(".")
-    target = cfg
-    for name in parents:
-        target = target[name]
-    target[key] = value
+    for path, v in zip(field.split("+"), value if "+" in field else (value,)):
+        *parents, key = path.split(".")
+        target = cfg
+        for name in parents:
+            target = target[name]
+        target[key] = v
     return cfg
 
 
@@ -368,6 +370,11 @@ CONFIG_ERRORS = [
      "checks[0]: report entry 'max_error' has nothing at 'M7'"),
     ("converge", "checks", [{"kind": "order_geq", "M": 5, "value": 1.0}],
      "checks[0]: report entry 'fits' has nothing at 5"),
+    # a constant interpolated on 3 nodes has no plain error to divide by
+    ("interp", "problem+grid.N+M+checks",
+     ({"type": "synthetic", "left": [1.0], "right": [1.0], "xi": -0.55}, 2, [-1, 0],
+      [{"kind": "ratio_leq", "num": "M0", "den": "lagrange", "value": 1.0}]),
+     "checks[0]: report entry 'max_error' has 0 at 'lagrange', the ratio's denominator"),
 ]
 
 

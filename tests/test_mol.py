@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jumpspec import (
     AdvectionProblem,
@@ -9,11 +13,14 @@ from jumpspec import (
     chebyshev_gauss_lobatto,
     corrected_derivative,
     derivative_matrix,
+    equidistant,
     evolve,
     fd_weights,
+    jump_weights,
     reconstruct_pieces,
     rk4_step,
 )
+from jumpspec import mol
 
 
 def kink_problem(N=32, xi0=-0.5, c=1.0, T=1.0, corrections=True):
@@ -202,3 +209,95 @@ def test_problem_validation():
         evolve(prob, D, -1e-3)
     with pytest.raises(ValueError):
         evolve(prob, D, 1e-3, output_every=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    N=st.integers(2, 64),
+    family=st.sampled_from(["cgl", "equidistant"]),
+    banded=st.booleans(),
+    M=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one jump: the Horner sum must be R_0 alone, whatever e is
+@example(N=16, family="cgl", banded=False, M=0, seed=0)
+@example(N=16, family="equidistant", banded=True, M=0, seed=1)
+def test_segment_rhs_matches_corrected_derivative(N, family, banded, M, seed):
+    rng = np.random.default_rng(seed)
+    g = chebyshev_gauss_lobatto(-1, 1, N) if family == "cgl" else equidistant(-1, 1, N)
+    D = derivative_matrix(g, 1, int(rng.integers(1, N + 1)) if banded else N)
+    k = int(rng.integers(0, N))
+    lo, hi = g.nodes[k], g.nodes[k + 1]
+    c = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+    xi0 = lo + rng.uniform(0.1, 0.9) * (hi - lo)
+    J = rng.standard_normal(M + 1) * 10.0 ** rng.uniform(-2, 2, M + 1)
+    prob = AdvectionProblem(g, c, np.sin, JumpData(xi0, J), 1e-3 * (hi - lo))
+    # over [t, t + dt] the path sweeps the whole bracket
+    t = ((lo if c > 0 else hi) - xi0) / c
+    dt = (hi - lo) / abs(c)
+    rhs = mol._stage_rhs(prob, D, t, dt)
+    y = rng.uniform(-1, 1, N + 1) * 10.0 ** rng.uniform(-2, 2)
+    norm = np.abs(D.entries).sum(axis=1).max()
+    for u in rng.uniform(0.01, 0.99, 5):
+        tt = t + u * dt
+        jd = JumpData(xi0 + c * tt, J)
+        assert lo < jd.xi < hi
+        want = -c * corrected_derivative(D, y, jd)
+        bound = 16 * np.finfo(float).eps * abs(c) * norm * (np.abs(y).max() + np.abs(jump_weights(jd, g)).max())
+        assert np.abs(rhs(tt, y) - want).max() <= bound
+
+
+@pytest.mark.parametrize("profile,J", [("kink", [0.0, 2.0]), ("step", [1.0])])
+def test_corrected_evolve_builds_each_segment_operator_once(monkeypatch, profile, J):
+    # M + 1 corrected derivatives per crossing-free segment, none per stage
+    calls = []
+    real = mol.corrected_derivative
+    monkeypatch.setattr(mol, "corrected_derivative", lambda *a: calls.append(a) or real(*a))
+    g = chebyshev_gauss_lobatto(-1, 1, 24)
+    xi0, T = -0.5, 0.6
+    shape = np.abs if profile == "kink" else lambda x: np.heaviside(x, 0.5)
+    prob = AdvectionProblem(g, 1.0, lambda x: shape(np.asarray(x, dtype=float) - xi0), JumpData(xi0, J), T)
+    K = np.count_nonzero((g.nodes > xi0) & (g.nodes < xi0 + T))
+    assert K >= 3
+    D = derivative_matrix(g, 1)
+    for dt in (1e-3, 7e-3):
+        calls.clear()
+        evolve(prob, D, dt, output_every=50)
+        assert len(calls) == (K + 1) * len(J)
+
+
+def plain_rk4_states(problem, D, dt):
+    """States after every step of the uncorrected method-of-lines loop,
+    written out stage by stage: one RK4 step of -c D y at a time, then the
+    exact inflow value."""
+    nodes = problem.grid.nodes
+    state = np.asarray(problem.initial(nodes), dtype=float)
+    nsub = max(1, math.ceil(problem.t_final / dt - 1e-12))
+    h = problem.t_final / nsub
+    inflow = 0 if problem.speed > 0 else problem.grid.N
+    rhs = lambda y: -problem.speed * apply(D, y)
+    states = [state.copy()]
+    for k in range(nsub):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        t_new = problem.t_final if k == nsub - 1 else (k + 1) * h
+        state[inflow] = problem.initial(nodes[inflow] - problem.speed * t_new)
+        states.append(state.copy())
+    return np.array(states)
+
+
+@pytest.mark.parametrize("speed", [1.3, -0.7])
+@pytest.mark.parametrize("profile", ["kink", "gaussian"])
+def test_uncorrected_evolve_is_the_plain_rk4_loop_bitwise(profile, speed):
+    if profile == "kink":
+        prob, g = kink_problem(N=20, c=speed, xi0=-0.3 * np.sign(speed), T=0.4, corrections=False)
+    else:
+        g = chebyshev_gauss_lobatto(-1, 1, 20)
+        u0 = lambda x: np.exp(-(((np.asarray(x, dtype=float) - 0.1) / 0.3) ** 2))
+        prob = AdvectionProblem(g, speed, u0, None, 0.4)
+    D = derivative_matrix(g, 1)
+    res = evolve(prob, D, 2e-3, output_every=1)
+    assert res.states.tobytes() == plain_rk4_states(prob, D, 2e-3).tobytes()
