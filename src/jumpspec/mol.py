@@ -11,9 +11,11 @@ Between two crossings every node stays on its side and only xi moves, so
 the corrected operator is built once per crossing-free segment (see
 _stage_rhs): M + 1 corrected derivatives of zero data with the shifted
 jumps J[p:] at the bracket midpoint. A Taylor expansion in xi turns them
-into the exact correction at any xi in the bracket, so a corrected stage
-costs one plain matrix-vector product plus M Horner updates of an
-(N+1)-vector, instead of rebuilding jump data and piece arrays per stage.
+into the exact correction at any xi in the bracket. The segment stacks the
+M + 1 columns to the right of the derivative matrix once, so a corrected
+stage costs one product of that (N+1) x (N+M+2) matrix with the state
+extended by the Taylor weights e^p / p!, as a plain stage costs one
+product with D, instead of rebuilding jump data and piece arrays per stage.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diffmat import DerivMatrix, apply
+from .diffmat import DerivMatrix
 from .grid import Grid
 from .jumps import JumpData, corrected_derivative
 
@@ -119,28 +121,38 @@ def _stage_rhs(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: float) -
         R_p = corrected_derivative(D, z, JumpData(m, J[p:])),
 
     exactly, since the series is a polynomial in xi and every node keeps its
-    side. The M + 1 columns R_p are built once here; a stage is then one
-    plain matvec plus M Horner updates, and |e| <= (hi - lo) / 2 keeps the
-    sum well conditioned. Stage locations that land exactly on a bracketing
-    node are nudged one ulp into the open interval, which puts every node
-    on a definite side consistently with the direction of motion.
+    side. The M + 1 columns R_p are built and stacked to the right of D once
+    here, one hstack per segment; a stage is then one product of that
+    (N+1) x (N+M+2) matrix with [y; 1, e, e^2/2, ..., e^M/M!], held in a
+    buffer reused across stages, and |e| <= (hi - lo) / 2 keeps the sum well
+    conditioned. Without jumps the matrix is D itself and the vector is y.
+    Stage locations that land exactly on a bracketing node are nudged one
+    ulp into the open interval, which puts every node on a definite side
+    consistently with the direction of motion.
     """
     c, jd = problem.speed, problem.jump0
+    A = D.entries  # stages pass float vectors of the grid's length, which apply would re-check
     if jd is None or jd.order < 0:
-        return lambda tt, y: -c * apply(D, y)
+        return lambda tt, y: -c * (A @ y)
     lo, hi = _bracket(problem, t, dt)
     mid = 0.5 * (lo + hi)
-    zero = np.full(D.grid.N + 1, -0.0)
-    R = [corrected_derivative(D, zero, JumpData(mid, jd.jumps[p:])) for p in range(jd.order + 1)]
+    n, M = D.grid.N + 1, jd.order
+    zero = np.full(n, -0.0)
+    R = [corrected_derivative(D, zero, JumpData(mid, jd.jumps[p:])) for p in range(M + 1)]
+    A = np.hstack([A, np.column_stack(R)])
     lo_in, hi_in = float(np.nextafter(lo, hi)), float(np.nextafter(hi, lo))
     xi0 = float(jd.xi)
+    z = np.empty(n + M + 1)
+    z[n] = 1.0
 
     def rhs(tt: float, y: np.ndarray) -> np.ndarray:
         e = mid - min(max(xi0 + c * tt, lo_in), hi_in)
-        acc = R[-1]
-        for p in reversed(range(jd.order)):
-            acc = R[p] + (e / (p + 1)) * acc
-        return -c * (apply(D, y) + acc)
+        z[:n] = y
+        w = 1.0
+        for p in range(1, M + 1):
+            w *= e / p
+            z[n + p] = w
+        return -c * (A @ z)
 
     return rhs
 
@@ -184,10 +196,11 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     discontinuity, so its value moves to that side's branch: the two
     branches differ there by exactly J_0, which leaves kinks untouched.
     After every step the inflow node is overwritten with the exact
-    solution initial(x - c t). States are recorded at t = 0, every
-    output_every-th step, and t_final. Stability is the caller's business: keep
-    |c| * dt * (spectral radius of D) within the explicit stability region,
-    roughly dt <= 2.8 / (|c| * max |eigenvalue|) for this scheme.
+    solution initial(x - c t), sampled once per segment at all of its step
+    end times. States are recorded at t = 0, every output_every-th step,
+    and t_final. Stability is the caller's business: keep |c| * dt *
+    (spectral radius of D) within the explicit stability region, roughly
+    dt <= 2.8 / (|c| * max |eigenvalue|) for this scheme.
 
     Raises RuntimeError with a diagnostic if the state stops being finite.
     """
@@ -217,15 +230,16 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
             nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
             h = (t1 - t0) / nsub
             rhs = _stage_rhs(problem, D, t0, t1 - t0)
-            for k in range(nsub):
-                t = t0 + k * h
-                state = rk4_step(state, t, h, problem, D, rhs)
-                t_new = t1 if k == nsub - 1 else t0 + (k + 1) * h
+            t_ends = t0 + np.arange(1, nsub + 1) * h
+            t_ends[-1] = t1
+            inflow_values = exact(grid.nodes[inflow], t_ends) if problem.speed != 0.0 else None
+            for k, t_new in enumerate(t_ends.tolist()):
+                state = rk4_step(state, t0 + k * h, h, problem, D, rhs)
                 if k == nsub - 1 and node is not None:
                     state[node] -= np.sign(problem.speed) * problem.jump0.jumps[0]
-                if problem.speed != 0.0:
-                    state[inflow] = exact(grid.nodes[inflow], t_new)
-                if not np.all(np.isfinite(state)):
+                if inflow_values is not None:
+                    state[inflow] = inflow_values[k]
+                if not np.isfinite(state).all():
                     raise RuntimeError(
                         f"state became non-finite at t = {t_new} (max |u| before failure "
                         f"{np.max(np.abs(states[-1])):.3e}); likely an unstable dt"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -401,6 +402,25 @@ def test_integral_float_fields_run_as_integers(tmp_path):
     assert (out / "result.csv").read_bytes() == (ref / "result.csv").read_bytes()
 
 
+NON_FINITE = re.compile(
+    r"state became non-finite at t = (\S+) \(max \|u\| before failure \d\.\d{3}e\+3\d\d\); "
+    r"likely an unstable dt"
+)
+
+
+def failed_evolve_time(tmp_path, capsys, cfg):
+    """Run an evolve config that must fail numerically; return the reported failure time."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_command(tmp_path, "evolve", cfg)
+    assert code == 3
+    match = NON_FINITE.search(capsys.readouterr().err)
+    assert match is not None
+    assert not out.exists()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return match.group(1)
+
+
 def test_numerical_failure_exits_three(tmp_path, capsys):
     cfg = {
         "grid": {"family": "cgl", "a": -1, "b": 1, "N": 24},
@@ -409,13 +429,21 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
         "dt": 0.1,  # far past the RK4 stability limit of this grid
         "initial": {"kind": "gaussian", "center": 0.0, "width": 0.3},
     }
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, _ = run_command(tmp_path, "evolve", cfg)
-    assert code == 3
-    assert "non-finite" in capsys.readouterr().err
-    assert not out.exists()
-    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert failed_evolve_time(tmp_path, capsys, cfg) == "10.700000000000001"
+
+
+def test_corrected_numerical_failure_exits_three(tmp_path, capsys):
+    # the discontinuity must stay inside the interval, which caps the run at
+    # a few dozen unstable steps and a growth of about 1e65, so a large
+    # amplitude puts the overflow within reach of the corrected stepper
+    cfg = {
+        "grid": {"family": "cgl", "a": -1, "b": 1, "N": 24},
+        "speed": 0.3,
+        "t_final": 6.3,
+        "dt": 0.1,
+        "initial": {"kind": "kink", "xi0": -0.95, "amplitude": 1e250},
+    }
+    assert 0.0 < float(failed_evolve_time(tmp_path, capsys, cfg)) < cfg["t_final"]
 
 
 def test_thread_cap_respected(tmp_path, monkeypatch):

@@ -219,7 +219,7 @@ def test_problem_validation():
     M=st.integers(0, 8),
     seed=st.integers(0, 2**32 - 1),
 )
-# one jump: the Horner sum must be R_0 alone, whatever e is
+# one jump: the Taylor sum must be R_0 alone, whatever e is
 @example(N=16, family="cgl", banded=False, M=0, seed=0)
 @example(N=16, family="equidistant", banded=True, M=0, seed=1)
 def test_segment_rhs_matches_corrected_derivative(N, family, banded, M, seed):
@@ -301,3 +301,21 @@ def test_uncorrected_evolve_is_the_plain_rk4_loop_bitwise(profile, speed):
     D = derivative_matrix(g, 1)
     res = evolve(prob, D, 2e-3, output_every=1)
     assert res.states.tobytes() == plain_rk4_states(prob, D, 2e-3).tobytes()
+
+
+@pytest.mark.parametrize("family,N,m,c", [("cgl", 24, None, 1.0), ("cgl", 32, None, -0.8),
+                                          ("equidistant", 40, 6, 1.3)])
+def test_piecewise_cubic_advects_to_rounding_with_three_jump_orders(family, N, m, c):
+    # distinct cubics on each side: every Taylor weight e^p / p! up to p = 3
+    # enters the segment operator, and the corrected scheme is exact in space
+    left = np.polynomial.Polynomial([1.0, -0.5, 0.8, 0.5])
+    right = np.polynomial.Polynomial([0.2, 1.0, -0.6, -0.7])
+    xi0, T = (-0.33 if c > 0 else 0.27), 0.5
+    J = [(right - left).deriv(p)(xi0) for p in range(4)]
+    assert min(abs(j) for j in J) > 0.4
+    g = chebyshev_gauss_lobatto(-1, 1, N) if family == "cgl" else equidistant(-1, 1, N)
+    u0 = lambda x: np.where(np.asarray(x, dtype=float) < xi0, left(x), right(x))
+    prob = AdvectionProblem(g, c, u0, JumpData(xi0, J), T)
+    assert len(mol._crossings(prob)) >= 3
+    res = evolve(prob, derivative_matrix(g, 1, m), 1e-3, output_every=100)
+    assert res.error_linf.max() <= 1e-9
