@@ -8,25 +8,26 @@ moves the crossed node to the branch of its new side, and restarts just
 after it, which keeps the right-hand side smooth in time within every step.
 
 Between two crossings every node stays on its side and only xi moves, so
-the corrected operator is built once per crossing-free segment (see
-_stage_rhs): M + 1 corrected derivatives of zero data with the shifted
-jumps J[p:] at the bracket midpoint. A Taylor expansion in xi turns them
-into the exact correction at any xi in the bracket. The segment stacks the
-M + 1 columns to the right of the derivative matrix once, so a corrected
-stage costs one product of that (N+1) x (N+M+2) matrix with the state
-extended by the Taylor weights e^p / p!, as a plain stage costs one
-product with D, instead of rebuilding jump data and piece arrays per stage.
+the semi-discrete system is linear with a forcing term known in advance: a
+Taylor expansion in xi of M + 1 corrected derivatives of zero data, built
+with the shifted jumps J[p:] at the bracket midpoint, gives the exact
+correction at any xi in the bracket. With all steps of a segment the same
+size h, one RK4 step is then one fixed matrix E and one forcing row per
+step, and both are built once per crossing-free segment (see
+_segment_steps): a step costs one matrix-vector product and two vector
+additions, y + (E y + f), corrected or not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .diffmat import DerivMatrix
+from .diffmat import DerivMatrix, _zero_row_sums
 from .grid import Grid
 from .jumps import JumpData, corrected_derivative
 
@@ -109,71 +110,106 @@ def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, flo
     return float(nodes[i]), float(nodes[j])
 
 
-def _stage_rhs(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: float) -> Callable:
-    """Right-hand side rhs(tt, y) = -c u_x of the semi-discrete system for t <= tt <= t + dt.
+def _rk4_increment(A: np.ndarray, h: float, y: np.ndarray, b1=0.0, b2=0.0, b4=0.0) -> np.ndarray:
+    """Increment h/6 (k1 + 2 (k2 + k3) + k4) of one classical Runge-Kutta step
+    of y' = A y + b(tt), with b = b1, b2, b4 at the stage times t, t + h/2
+    and t + h. y and the b may be blocks of columns, stepped column by column."""
+    k1 = A @ y + b1
+    k2 = A @ (y + 0.5 * h * k1) + b2
+    k3 = A @ (y + 0.5 * h * k2) + b2
+    k4 = A @ (y + h * k3) + b4
+    return (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
-    Without jumps this is the plain -c D y. With jumps, no node crosses the
-    discontinuity in [t, t + dt] (_bracket enforces it), so only xi moves,
-    inside a node-free bracket (lo, hi). Taylor-expanding the jump series
-    about the midpoint m gives, with e = m - xi and z = -0.0 at every node,
+
+_FORCING_BLOCK = 1024
+
+
+def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: float,
+                   nsub: int) -> tuple[np.ndarray, Iterator]:
+    """Step matrix E and forcing rows of nsub RK4 steps of size h = dt / nsub
+    from t: step k maps y to y + (E y + f_k), with f_k the k-th item of the
+    returned iterator, or to y + E y where that item is None.
+
+    The semi-discrete system y' = -c u_x is linear. Without jumps it is
+    y' = -c D y, and E is the RK4 increment of -c D applied to the
+    identity. Its rows sum to zero in exact arithmetic, as D's do, and its
+    diagonal is rebalanced to make them do so in floating point
+    (diffmat._zero_row_sums): without that, the rounding of E moves
+    constants a little every step.
+
+    With jumps, no node crosses the discontinuity in [t, t + dt] (_bracket
+    enforces it), so only xi moves, inside a node-free bracket (lo, hi).
+    Taylor-expanding the jump series about the midpoint m gives, with
+    e = m - xi and z = -0.0 at every node,
 
         corrected_derivative(D, y, JumpData(xi, J)) = D y + sum_p e^p / p! R_p,
         R_p = corrected_derivative(D, z, JumpData(m, J[p:])),
 
     exactly, since the series is a polynomial in xi and every node keeps its
-    side. The M + 1 columns R_p are built and stacked to the right of D once
-    here, one hstack per segment; a stage is then one product of that
-    (N+1) x (N+M+2) matrix with [y; 1, e, e^2/2, ..., e^M/M!], held in a
-    buffer reused across stages, and |e| <= (hi - lo) / 2 keeps the sum well
-    conditioned. Without jumps the matrix is D itself and the vector is y.
-    Stage locations that land exactly on a bracketing node are nudged one
-    ulp into the open interval, which puts every node on a definite side
+    side; |e| <= (hi - lo) / 2 keeps the sum well conditioned. The forcing
+    -c sum_p e^p / p! R_p is linear in the Taylor weights at the three stage
+    times, so the same RK4 stages run on the M + 1 columns -c R_p, placed
+    at each stage time in turn, give a map Q from the 3 (M + 1) weights of
+    a step to its forcing; with the weights of a block of steps as the rows
+    of W, their forcing rows are W Q^T, one product per block. Stage
+    locations that land exactly on a bracketing node are nudged one ulp
+    into the open interval, which puts every node on a definite side
     consistently with the direction of motion.
     """
     c, jd = problem.speed, problem.jump0
-    A = D.entries  # stages pass float vectors of the grid's length, which apply would re-check
+    n, h = D.grid.N + 1, dt / nsub
+    A = -c * D.entries
+    E = _zero_row_sums(_rk4_increment(A, h, np.eye(n)))
     if jd is None or jd.order < 0:
-        return lambda tt, y: -c * (A @ y)
+        return E, repeat(None, nsub)
     lo, hi = _bracket(problem, t, dt)
     mid = 0.5 * (lo + hi)
-    n, M = D.grid.N + 1, jd.order
+    M = jd.order
     zero = np.full(n, -0.0)
-    R = [corrected_derivative(D, zero, JumpData(mid, jd.jumps[p:])) for p in range(M + 1)]
-    A = np.hstack([A, np.column_stack(R)])
+    B = -c * np.column_stack(
+        [corrected_derivative(D, zero, JumpData(mid, jd.jumps[p:])) for p in range(M + 1)]
+    )
+    # column block s of Q takes the forcing at stage time s: t, t + h/2, t + h
+    b = np.zeros((3, n, 3, M + 1))
+    for s in range(3):
+        b[s, :, s] = B
+    Q = _rk4_increment(A, h, np.zeros((n, 3 * (M + 1))), *b.reshape(3, n, -1))
     lo_in, hi_in = float(np.nextafter(lo, hi)), float(np.nextafter(hi, lo))
-    xi0 = float(jd.xi)
-    z = np.empty(n + M + 1)
-    z[n] = 1.0
 
-    def rhs(tt: float, y: np.ndarray) -> np.ndarray:
-        e = mid - min(max(xi0 + c * tt, lo_in), hi_in)
-        z[:n] = y
-        w = 1.0
-        for p in range(1, M + 1):
-            w *= e / p
-            z[n + p] = w
-        return -c * (A @ z)
+    def forcing() -> Iterator[np.ndarray]:
+        # blocks of steps keep W and the rows at O(block) memory however small h is
+        for k in range(0, nsub, _FORCING_BLOCK):
+            starts = t + np.arange(k, min(k + _FORCING_BLOCK, nsub)) * h
+            tt = starts[:, None] + np.array([0.0, 0.5 * h, h])
+            e = mid - np.clip(jd.xi + c * tt, lo_in, hi_in)
+            W = np.empty((*e.shape, M + 1))
+            W[..., 0] = 1.0
+            for p in range(1, M + 1):
+                W[..., p] = W[..., p - 1] * (e / p)
+            yield from W.reshape(len(e), -1) @ Q.T
 
-    return rhs
+    return E, forcing()
 
 
 def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatrix,
-             rhs: Callable | None = None) -> np.ndarray:
+             step: tuple[np.ndarray, np.ndarray | None] | None = None) -> np.ndarray:
     """One classical Runge-Kutta step from t to t + dt.
 
-    rhs(tt, y) is the semi-discrete right-hand side; by default it is built
-    for this one step by _stage_rhs. evolve passes the one it built for the
-    whole crossing-free segment that contains the step. The discontinuity
-    may touch a node only at the step endpoints.
+    step is the (E, f) pair of the step: y maps to y + (E y + f), or to
+    y + E y when f is None (see _segment_steps). By default it is built for
+    this one step; evolve builds E and the forcing rows once for the whole
+    crossing-free segment that contains the step and passes the step's row.
+    The discontinuity may touch a node only at the step endpoints.
     """
     state = np.asarray(state, dtype=float)
-    if rhs is None:
-        rhs = _stage_rhs(problem, D, t, dt)
-    k1 = rhs(t, state)
-    k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
-    k4 = rhs(t + dt, state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    if step is None:
+        E, forcing = _segment_steps(problem, D, t, dt, 1)
+        step = E, next(forcing)
+    E, f = step
+    du = E @ state
+    if f is not None:
+        du += f
+    return state + du
 
 
 def _crossings(problem: AdvectionProblem) -> list[tuple[float, int]]:
@@ -197,12 +233,18 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     branches differ there by exactly J_0, which leaves kinks untouched.
     After every step the inflow node is overwritten with the exact
     solution initial(x - c t), sampled once per segment at all of its step
-    end times. States are recorded at t = 0, every output_every-th step,
-    and t_final. Stability is the caller's business: keep |c| * dt *
-    (spectral radius of D) within the explicit stability region, roughly
-    dt <= 2.8 / (|c| * max |eigenvalue|) for this scheme.
+    end times. Each segment's step matrix and forcing rows are built once
+    (_segment_steps), and every step goes through rk4_step with them.
+    States are recorded at t = 0, every output_every-th step, and t_final.
+    Stability is the caller's business: the step matrix I + E, without the
+    inflow node's row and column, must keep its spectral radius within 1.
+    The inflow node is reset after each step, not within its stages, so on
+    Chebyshev grids this caps dt several times below the RK4 region's
+    2.8 / (|c| * max |eigenvalue|) of the inflow-reduced D.
 
-    Raises RuntimeError with a diagnostic if the state stops being finite.
+    Raises RuntimeError with a diagnostic if the state stops being finite;
+    it names the failure time and the largest |u| of the state the failing
+    step started from.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -229,12 +271,13 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
         for t0, t1, node in zip(boundaries[:-1], boundaries[1:], crossed):
             nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
             h = (t1 - t0) / nsub
-            rhs = _stage_rhs(problem, D, t0, t1 - t0)
+            E, forcing = _segment_steps(problem, D, t0, t1 - t0, nsub)
             t_ends = t0 + np.arange(1, nsub + 1) * h
             t_ends[-1] = t1
             inflow_values = exact(grid.nodes[inflow], t_ends) if problem.speed != 0.0 else None
-            for k, t_new in enumerate(t_ends.tolist()):
-                state = rk4_step(state, t0 + k * h, h, problem, D, rhs)
+            for k, (t_new, f) in enumerate(zip(t_ends.tolist(), forcing)):
+                before = state
+                state = rk4_step(before, t0 + k * h, h, problem, D, (E, f))
                 if k == nsub - 1 and node is not None:
                     state[node] -= np.sign(problem.speed) * problem.jump0.jumps[0]
                 if inflow_values is not None:
@@ -242,7 +285,7 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
                 if not np.isfinite(state).all():
                     raise RuntimeError(
                         f"state became non-finite at t = {t_new} (max |u| before failure "
-                        f"{np.max(np.abs(states[-1])):.3e}); likely an unstable dt"
+                        f"{np.max(np.abs(before)):.3e}); likely an unstable dt"
                     )
                 steps_done += 1
                 if steps_done % output_every == 0 or t_new == problem.t_final:

@@ -403,13 +403,14 @@ def test_integral_float_fields_run_as_integers(tmp_path):
 
 
 NON_FINITE = re.compile(
-    r"state became non-finite at t = (\S+) \(max \|u\| before failure \d\.\d{3}e\+3\d\d\); "
+    r"state became non-finite at t = (\S+) \(max \|u\| before failure (\d\.\d{3}e\+3\d\d)\); "
     r"likely an unstable dt"
 )
 
 
-def failed_evolve_time(tmp_path, capsys, cfg):
-    """Run an evolve config that must fail numerically; return the reported failure time."""
+def failed_evolve(tmp_path, capsys, cfg):
+    """Run an evolve config that must fail numerically; return the reported
+    failure time and max |u| before failure, as printed."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, _ = run_command(tmp_path, "evolve", cfg)
@@ -418,18 +419,22 @@ def failed_evolve_time(tmp_path, capsys, cfg):
     assert match is not None
     assert not out.exists()
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    return match.group(1)
+    return match.groups()
 
 
-def test_numerical_failure_exits_three(tmp_path, capsys):
+@pytest.mark.parametrize("output_every", [1, 10, 50])
+def test_numerical_failure_exits_three(tmp_path, capsys, output_every):
+    # the reported max |u| is that of the state the failing step started
+    # from, whatever the recording interval
     cfg = {
         "grid": {"family": "cgl", "a": -1, "b": 1, "N": 24},
         "speed": 1.0,
         "t_final": 40.0,
         "dt": 0.1,  # far past the RK4 stability limit of this grid
+        "output_every": output_every,
         "initial": {"kind": "gaussian", "center": 0.0, "width": 0.3},
     }
-    assert failed_evolve_time(tmp_path, capsys, cfg) == "10.700000000000001"
+    assert failed_evolve(tmp_path, capsys, cfg) == ("10.8", "2.932e+307")
 
 
 def test_corrected_numerical_failure_exits_three(tmp_path, capsys):
@@ -443,7 +448,7 @@ def test_corrected_numerical_failure_exits_three(tmp_path, capsys):
         "dt": 0.1,
         "initial": {"kind": "kink", "xi0": -0.95, "amplitude": 1e250},
     }
-    assert 0.0 < float(failed_evolve_time(tmp_path, capsys, cfg)) < cfg["t_final"]
+    assert 0.0 < float(failed_evolve(tmp_path, capsys, cfg)[0]) < cfg["t_final"]
 
 
 def test_thread_cap_respected(tmp_path, monkeypatch):

@@ -30,8 +30,9 @@ def kink_problem(N=32, xi0=-0.5, c=1.0, T=1.0, corrections=True):
     return AdvectionProblem(g, c, u0, jump0, T), g
 
 
-# The semi-discrete right-hand side is -c times the corrected derivative;
-# rk4_step evaluates it at each stage for the instantaneous jump location.
+# The semi-discrete right-hand side is -c times the corrected derivative at
+# the instantaneous jump location; rk4_step applies its RK4 step as one matrix
+# and a forcing term.
 
 
 def test_rhs_constant_state_with_zero_jumps():
@@ -219,10 +220,10 @@ def test_problem_validation():
     M=st.integers(0, 8),
     seed=st.integers(0, 2**32 - 1),
 )
-# one jump: the Taylor sum must be R_0 alone, whatever e is
+# one jump: the forcing must come from R_0 alone, whatever e is
 @example(N=16, family="cgl", banded=False, M=0, seed=0)
 @example(N=16, family="equidistant", banded=True, M=0, seed=1)
-def test_segment_rhs_matches_corrected_derivative(N, family, banded, M, seed):
+def test_segment_step_matches_four_stage_recursion(N, family, banded, M, seed):
     rng = np.random.default_rng(seed)
     g = chebyshev_gauss_lobatto(-1, 1, N) if family == "cgl" else equidistant(-1, 1, N)
     D = derivative_matrix(g, 1, int(rng.integers(1, N + 1)) if banded else N)
@@ -232,19 +233,30 @@ def test_segment_rhs_matches_corrected_derivative(N, family, banded, M, seed):
     xi0 = lo + rng.uniform(0.1, 0.9) * (hi - lo)
     J = rng.standard_normal(M + 1) * 10.0 ** rng.uniform(-2, 2, M + 1)
     prob = AdvectionProblem(g, c, np.sin, JumpData(xi0, J), 1e-3 * (hi - lo))
-    # over [t, t + dt] the path sweeps the whole bracket
-    t = ((lo if c > 0 else hi) - xi0) / c
-    dt = (hi - lo) / abs(c)
-    rhs = mol._stage_rhs(prob, D, t, dt)
-    y = rng.uniform(-1, 1, N + 1) * 10.0 ** rng.uniform(-2, 2)
+    # the path stays strictly inside the bracket over [t, t + dt], in
+    # nsub steps that keep h |c| ||D|| <= 1
+    u0, u1 = sorted(rng.uniform(0.01, 0.99, 2))
     norm = np.abs(D.entries).sum(axis=1).max()
-    for u in rng.uniform(0.01, 0.99, 5):
-        tt = t + u * dt
-        jd = JumpData(xi0 + c * tt, J)
-        assert lo < jd.xi < hi
-        want = -c * corrected_derivative(D, y, jd)
-        bound = 16 * np.finfo(float).eps * abs(c) * norm * (np.abs(y).max() + np.abs(jump_weights(jd, g)).max())
-        assert np.abs(rhs(tt, y) - want).max() <= bound
+    nsub = 5
+    h = min((u1 - u0) * (hi - lo) / abs(c) / nsub, 1 / (abs(c) * norm))
+    t = ((lo if c > 0 else hi) - xi0) / c + u0 * (hi - lo) / abs(c)
+    dt = nsub * h
+    h = dt / nsub
+    E, forcing = mol._segment_steps(prob, D, t, dt, nsub)
+    F = list(forcing)
+    assert len(F) == nsub
+    rhs = lambda tt, y: -c * corrected_derivative(D, y, JumpData(xi0 + c * tt, J))
+    y = rng.uniform(-1, 1, N + 1) * 10.0 ** rng.uniform(-2, 2)
+    for j in rng.integers(0, nsub, 3):
+        tj = t + j * h
+        k1 = rhs(tj, y)
+        k2 = rhs(tj + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(tj + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(tj + h, y + h * k3)
+        want = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        g_max = max(np.abs(jump_weights(JumpData(xi0 + c * tt, J), g)).max() for tt in (tj, tj + h))
+        bound = np.finfo(float).eps * (np.abs(y).max() + 16 * h * abs(c) * norm * (np.abs(y).max() + g_max))
+        assert np.abs(y + (E @ y + F[j]) - want).max() <= bound
 
 
 @pytest.mark.parametrize("profile,J", [("kink", [0.0, 2.0]), ("step", [1.0])])
@@ -266,23 +278,44 @@ def test_corrected_evolve_builds_each_segment_operator_once(monkeypatch, profile
         assert len(calls) == (K + 1) * len(J)
 
 
-def plain_rk4_states(problem, D, dt):
-    """States after every step of the uncorrected method-of-lines loop,
-    written out stage by stage: one RK4 step of -c D y at a time, then the
-    exact inflow value."""
+def test_forcing_blocks_cover_every_step_once(monkeypatch):
+    # segments far longer than a block of forcing rows step exactly as with
+    # one block per segment
+    prob, g = kink_problem(N=24, xi0=-0.45, T=0.3)
+    D = derivative_matrix(g, 1)
+    whole = evolve(prob, D, 1e-3, output_every=7)
+    monkeypatch.setattr(mol, "_FORCING_BLOCK", 5)
+    blocked = evolve(prob, D, 1e-3, output_every=7)
+    np.testing.assert_array_equal(blocked.times, whole.times)
+    assert np.abs(blocked.states - whole.states).max() <= 1e-14
+    assert whole.error_linf[-1] <= 1e-13
+
+
+def stage_by_stage_step(problem, D):
+    """One RK4 step of -c D y, written out stage by stage."""
+    rhs = lambda y: -problem.speed * apply(D, y)
+
+    def step(state, t, h):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        return state + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+    return step
+
+
+def plain_rk4_states(problem, dt, step):
+    """States after every step of the uncorrected method-of-lines loop:
+    step(state, t, h) at a time, then the exact inflow value."""
     nodes = problem.grid.nodes
     state = np.asarray(problem.initial(nodes), dtype=float)
     nsub = max(1, math.ceil(problem.t_final / dt - 1e-12))
     h = problem.t_final / nsub
     inflow = 0 if problem.speed > 0 else problem.grid.N
-    rhs = lambda y: -problem.speed * apply(D, y)
     states = [state.copy()]
     for k in range(nsub):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        state = step(state, k * h, h)
         t_new = problem.t_final if k == nsub - 1 else (k + 1) * h
         state[inflow] = problem.initial(nodes[inflow] - problem.speed * t_new)
         states.append(state.copy())
@@ -300,7 +333,11 @@ def test_uncorrected_evolve_is_the_plain_rk4_loop_bitwise(profile, speed):
         prob = AdvectionProblem(g, speed, u0, None, 0.4)
     D = derivative_matrix(g, 1)
     res = evolve(prob, D, 2e-3, output_every=1)
-    assert res.states.tobytes() == plain_rk4_states(prob, D, 2e-3).tobytes()
+    one_shot = lambda state, t, h: rk4_step(state, t, h, prob, D)
+    assert res.states.tobytes() == plain_rk4_states(prob, 2e-3, one_shot).tobytes()
+    # one step matrix reassociates the stages: rounding apart, the same RK4
+    want = plain_rk4_states(prob, 2e-3, stage_by_stage_step(prob, D))
+    assert np.abs(res.states - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
 
 
 @pytest.mark.parametrize("family,N,m,c", [("cgl", 24, None, 1.0), ("cgl", 32, None, -0.8),
@@ -319,3 +356,46 @@ def test_piecewise_cubic_advects_to_rounding_with_three_jump_orders(family, N, m
     assert len(mol._crossings(prob)) >= 3
     res = evolve(prob, derivative_matrix(g, 1, m), 1e-3, output_every=100)
     assert res.error_linf.max() <= 1e-9
+
+
+def rk4_dt_limit(D, speed):
+    """Largest dt for which the RK4 step of -c D, followed by the inflow
+    overwrite, has spectral radius at most 1 on the other nodes.
+
+    The inflow node is reset after the step, not at each stage, so its row
+    and column drop out of the step matrix, not of D: this limit is several
+    times smaller than the one from the eigenvalues of the reduced D."""
+    keep = slice(1, None) if speed > 0 else slice(None, -1)
+    A = -speed * D.entries
+    I = np.eye(A.shape[0])
+
+    def stable(h):
+        Z = h * A
+        S = I + Z @ (I + Z @ (I / 2 + Z @ (I / 6 + Z / 24)))
+        return np.max(np.abs(np.linalg.eigvals(S[keep, keep]))) <= 1.0 + 1e-12
+
+    # scan for the first unstable step, then bisect between it and the
+    # last stable one
+    hs = np.linspace(0.0, 3.0 / np.max(np.abs(np.linalg.eigvals(A[keep, keep]))), 301)
+    k = next(k for k, h in enumerate(hs) if not stable(h))
+    lo, hi = hs[k - 1], hs[k]
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+    return float(lo)
+
+
+@pytest.mark.parametrize("family,N,m", [("cgl", 24, None), ("cgl", 48, None), ("cgl", 40, 6),
+                                        ("equidistant", 48, 2)])
+@pytest.mark.parametrize("speed", [1.4, -0.8])
+def test_corrected_kink_stays_at_rounding_at_half_the_stability_limit(family, N, m, speed):
+    # the benchmark's advect shapes: a rounding regression in the stepper
+    # shows here long before it reaches the benchmark's 1e-10 tolerance
+    g = chebyshev_gauss_lobatto(-1, 1, N) if family == "cgl" else equidistant(-1, 1, N)
+    amp, xi0 = 1.7, -0.55 * np.sign(speed)
+    u0 = lambda x: amp * np.abs(np.asarray(x, dtype=float) - xi0)
+    prob = AdvectionProblem(g, speed, u0, JumpData(xi0, [0.0, 2.0 * amp]), 1.2 / abs(speed))
+    D = derivative_matrix(g, 1, m)
+    res = evolve(prob, D, 0.5 * rk4_dt_limit(D, speed), output_every=100)
+    assert len(mol._crossings(prob)) >= 5
+    assert res.error_linf[-1] <= 4e-12 * amp
