@@ -5,7 +5,8 @@ once with jump corrections and once without.
 The discontinuity moves through half the grid nodes during the run; the
 stepper lands exactly on every node-crossing time and, between two
 crossings, applies one step matrix and a forcing row built once for that
-segment from the corrected derivative at the bracket midpoint. The
+segment, from powers of the derivative matrix built once per run and the
+corrected derivative at the bracket midpoint. The
 corrected run must end within 1e-10 of the exact solution, so a loss of
 stepper precision fails the script. result.csv holds the recorded states,
 discontinuity path and max-norm errors against the translated exact

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import os
 import sys
@@ -53,10 +54,13 @@ def _integer(value, key: str) -> int:
 
 
 def _real(value, key: str) -> float:
-    """A config number; rejects what float() would coerce ("0.5", true)."""
-    if type(value) in (int, float):
-        return float(value)
-    raise ValueError(f"{key} must be a number, got {value!r}")
+    """A finite config number; rejects what float() would coerce ("0.5",
+    true), and NaN, Infinity and integers past the float range."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if (type(value) is int and abs(value) > sys.float_info.max) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _flag(value, key: str) -> bool:

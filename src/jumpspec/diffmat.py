@@ -129,8 +129,7 @@ def negative_sum_trick(M: DerivMatrix) -> DerivMatrix:
 def _zero_row_sums(entries: np.ndarray) -> np.ndarray:
     """Set, in place, each diagonal entry of a square array to minus the sum
     of its off-diagonal row, accumulated smallest magnitude first; returns
-    the array. Any linear map that annihilates constants can be rebalanced
-    this way (negative_sum_trick, and the RK4 step increment in mol)."""
+    the array (negative_sum_trick's rebalance)."""
     size = entries.shape[0]
     # blocks of rows keep the sort temporaries at O(block * N)
     for lo in range(0, size, _ROW_BLOCK):

@@ -15,7 +15,11 @@ correction at any xi in the bracket. With all steps of a segment the same
 size h, one RK4 step is then one fixed matrix E and one forcing row per
 step, and both are built once per crossing-free segment (see
 _segment_steps): a step costs one matrix-vector product and two vector
-additions, y + (E y + f), corrected or not.
+additions, y + (E y + f), corrected or not. E is a polynomial in h of the
+powers A, ..., A^4 of A = -c D, which a run builds once, so a segment
+forms it by Horner with no matrix product. The state's finiteness is
+checked once per segment; a segment that fails is replayed step by step
+to name the first failing step.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .diffmat import DerivMatrix, _zero_row_sums
+from .diffmat import DerivMatrix
 from .grid import Grid
 from .jumps import JumpData, corrected_derivative
 
@@ -124,17 +128,31 @@ def _rk4_increment(A: np.ndarray, h: float, y: np.ndarray, b1=0.0, b2=0.0, b4=0.
 _FORCING_BLOCK = 1024
 
 
+def _powers(problem: AdvectionProblem, D: DerivMatrix) -> np.ndarray:
+    """A, A^2, A^3, A^4 with A = -c D, stacked: every step matrix of a run
+    is a polynomial in them (see _segment_steps)."""
+    A = -problem.speed * D.entries
+    P = np.empty((4, *A.shape))
+    P[0] = A
+    for k in range(1, 4):
+        P[k] = P[k - 1] @ A
+    return P
+
+
 def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: float,
-                   nsub: int) -> tuple[np.ndarray, Iterator]:
+                   nsub: int, powers: np.ndarray | None = None) -> tuple[np.ndarray, Iterator]:
     """Step matrix E and forcing rows of nsub RK4 steps of size h = dt / nsub
     from t: step k maps y to y + (E y + f_k), with f_k the k-th item of the
     returned iterator, or to y + E y where that item is None.
 
     The semi-discrete system y' = -c u_x is linear. Without jumps it is
-    y' = -c D y, and E is the RK4 increment of -c D applied to the
-    identity. Its rows sum to zero in exact arithmetic, as D's do, and its
-    diagonal is rebalanced to make them do so in floating point
-    (diffmat._zero_row_sums): without that, the rounding of E moves
+    y' = A y with A = -c D, and the RK4 increment of an autonomous linear
+    system is exactly E = h A + h^2/2 A^2 + h^3/6 A^3 + h^4/24 A^4. powers
+    holds A, ..., A^4 (_powers; built here when None), so evolve builds them
+    once per run and a segment forms E by Horner in h, with no matrix
+    product. E's rows sum to zero in exact arithmetic, as D's do, and one
+    pass subtracts each row's floating-point sum from its diagonal entry so
+    they do so to rounding: without that, the rounding of E moves
     constants a little every step.
 
     With jumps, no node crosses the discontinuity in [t, t + dt] (_bracket
@@ -148,7 +166,7 @@ def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: floa
     exactly, since the series is a polynomial in xi and every node keeps its
     side; |e| <= (hi - lo) / 2 keeps the sum well conditioned. The forcing
     -c sum_p e^p / p! R_p is linear in the Taylor weights at the three stage
-    times, so the same RK4 stages run on the M + 1 columns -c R_p, placed
+    times, so the RK4 stages of A run on the M + 1 columns -c R_p, placed
     at each stage time in turn, give a map Q from the 3 (M + 1) weights of
     a step to its forcing; with the weights of a block of steps as the rows
     of W, their forcing rows are W Q^T, one product per block. Stage
@@ -158,8 +176,12 @@ def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: floa
     """
     c, jd = problem.speed, problem.jump0
     n, h = D.grid.N + 1, dt / nsub
-    A = -c * D.entries
-    E = _zero_row_sums(_rk4_increment(A, h, np.eye(n)))
+    P = _powers(problem, D) if powers is None else powers
+    E = P[3] * (h / 4.0)
+    for k in (2, 1, 0):
+        E += P[k]
+        E *= h / (k + 1)
+    np.fill_diagonal(E, E.diagonal() - E.sum(axis=1))
     if jd is None or jd.order < 0:
         return E, repeat(None, nsub)
     lo, hi = _bracket(problem, t, dt)
@@ -173,7 +195,7 @@ def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: floa
     b = np.zeros((3, n, 3, M + 1))
     for s in range(3):
         b[s, :, s] = B
-    Q = _rk4_increment(A, h, np.zeros((n, 3 * (M + 1))), *b.reshape(3, n, -1))
+    Q = _rk4_increment(P[0], h, np.zeros((n, 3 * (M + 1))), *b.reshape(3, n, -1))
     lo_in, hi_in = float(np.nextafter(lo, hi)), float(np.nextafter(hi, lo))
 
     def forcing() -> Iterator[np.ndarray]:
@@ -197,9 +219,10 @@ def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatr
 
     step is the (E, f) pair of the step: y maps to y + (E y + f), or to
     y + E y when f is None (see _segment_steps). By default it is built for
-    this one step; evolve builds E and the forcing rows once for the whole
-    crossing-free segment that contains the step and passes the step's row.
-    The discontinuity may touch a node only at the step endpoints.
+    this one step, powers of -c D included, through the same code as
+    evolve's, which builds the powers once per run, E and the forcing rows
+    once per crossing-free segment, and passes each step its pair. The
+    discontinuity may touch a node only at the step endpoints.
     """
     state = np.asarray(state, dtype=float)
     if step is None:
@@ -222,6 +245,30 @@ def _crossings(problem: AdvectionProblem) -> list[tuple[float, int]]:
     return sorted(zip(times[inside].tolist(), inside.tolist()))
 
 
+def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarray,
+                    state: np.ndarray, t0: float, t1: float, nsub: int,
+                    node: int | None) -> Iterator[tuple[float, np.ndarray]]:
+    """(end time, state) after each of nsub uniform steps from t0 to t1,
+    starting from state: one rk4_step with the segment's step matrix and
+    forcing row (_segment_steps), then, on the last step, the move of the
+    crossed node, if any, and after every step the inflow overwrite. Each
+    yielded state is a new array that nothing writes to afterwards."""
+    h = (t1 - t0) / nsub
+    inflow = 0 if problem.speed > 0 else problem.grid.N
+    E, forcing = _segment_steps(problem, D, t0, t1 - t0, nsub, powers)
+    t_ends = t0 + np.arange(1, nsub + 1) * h
+    t_ends[-1] = t1
+    inflow_values = (problem.initial(problem.grid.nodes[inflow] - problem.speed * t_ends)
+                     if problem.speed != 0.0 else None)
+    for k, (t_new, f) in enumerate(zip(t_ends.tolist(), forcing)):
+        state = rk4_step(state, t0 + k * h, h, problem, D, (E, f))
+        if k == nsub - 1 and node is not None:
+            state[node] -= np.sign(problem.speed) * problem.jump0.jumps[0]
+        if inflow_values is not None:
+            state[inflow] = inflow_values[k]
+        yield t_new, state
+
+
 def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: int = 1) -> EvolutionResult:
     """Integrate the problem from t = 0 to t_final.
 
@@ -233,7 +280,8 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     branches differ there by exactly J_0, which leaves kinks untouched.
     After every step the inflow node is overwritten with the exact
     solution initial(x - c t), sampled once per segment at all of its step
-    end times. Each segment's step matrix and forcing rows are built once
+    end times. The powers of -c D are built once per run (_powers), each
+    segment's step matrix and forcing rows once per segment from them
     (_segment_steps), and every step goes through rk4_step with them.
     States are recorded at t = 0, every output_every-th step, and t_final.
     Stability is the caller's business: the step matrix I + E, without the
@@ -244,7 +292,14 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
 
     Raises RuntimeError with a diagnostic if the state stops being finite;
     it names the failure time and the largest |u| of the state the failing
-    step started from.
+    step started from. Finiteness is checked once per segment, at its end:
+    a non-finite entry other than the inflow node's stays non-finite, since
+    the step y + (E y + f) adds it to its own entry and the crossed-node
+    move adds a finite J_0, and a non-finite inflow value reaches every
+    other entry on the next step. So the check misses no failure, and a
+    failed segment is replayed from its start state, through the same
+    rk4_step calls, with a check after every step to find the first
+    failing one.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -260,7 +315,7 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     crossed = [node for _, node in crossings] + [None]
     track_xi = problem.jump0 is not None
     exact = lambda x, t: problem.initial(x - problem.speed * t)
-    inflow = 0 if problem.speed > 0 else grid.N
+    powers = _powers(problem, D)
 
     times = [0.0]
     states = [state.copy()]
@@ -270,27 +325,23 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     with np.errstate(over="ignore", invalid="ignore"):
         for t0, t1, node in zip(boundaries[:-1], boundaries[1:], crossed):
             nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
-            h = (t1 - t0) / nsub
-            E, forcing = _segment_steps(problem, D, t0, t1 - t0, nsub)
-            t_ends = t0 + np.arange(1, nsub + 1) * h
-            t_ends[-1] = t1
-            inflow_values = exact(grid.nodes[inflow], t_ends) if problem.speed != 0.0 else None
-            for k, (t_new, f) in enumerate(zip(t_ends.tolist(), forcing)):
-                before = state
-                state = rk4_step(before, t0 + k * h, h, problem, D, (E, f))
-                if k == nsub - 1 and node is not None:
-                    state[node] -= np.sign(problem.speed) * problem.jump0.jumps[0]
-                if inflow_values is not None:
-                    state[inflow] = inflow_values[k]
-                if not np.isfinite(state).all():
-                    raise RuntimeError(
-                        f"state became non-finite at t = {t_new} (max |u| before failure "
-                        f"{np.max(np.abs(before)):.3e}); likely an unstable dt"
-                    )
+            start = state
+            steps = lambda: _segment_states(problem, D, powers, start, t0, t1, nsub, node)
+            for t_new, state in steps():
                 steps_done += 1
                 if steps_done % output_every == 0 or t_new == problem.t_final:
                     times.append(t_new)
                     states.append(state.copy())
+            if not np.isfinite(state).all():
+                before = start
+                for t_new, state in steps():
+                    if not np.isfinite(state).all():
+                        break
+                    before = state
+                raise RuntimeError(
+                    f"state became non-finite at t = {t_new} (max |u| before failure "
+                    f"{np.max(np.abs(before)):.3e}); likely an unstable dt"
+                )
 
     if times[-1] != problem.t_final:
         times.append(problem.t_final)

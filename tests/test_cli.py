@@ -376,6 +376,13 @@ CONFIG_ERRORS = [
      ({"type": "synthetic", "left": [1.0], "right": [1.0], "xi": -0.55}, 2, [-1, 0],
       [{"kind": "ratio_leq", "num": "M0", "den": "lagrange", "value": 1.0}]),
      "checks[0]: report entry 'max_error' has 0 at 'lagrange', the ratio's denominator"),
+    # JSON's NaN and Infinity, and integers past the float range, are no config numbers
+    ("evolve", "dt", float("nan"), "dt must be a finite number"),
+    ("evolve", "dt", float("inf"), "dt must be a finite number"),
+    ("evolve", "t_final", 10**400, "t_final must be a finite number"),
+    ("interp", "grid.a", float("-inf"), "grid.a must be a finite number"),
+    ("evolve", "checks", [{"kind": "final_linf_leq", "value": float("nan")}],
+     "checks[0].value must be a finite number"),
 ]
 
 

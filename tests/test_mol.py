@@ -399,3 +399,98 @@ def test_corrected_kink_stays_at_rounding_at_half_the_stability_limit(family, N,
     res = evolve(prob, D, 0.5 * rk4_dt_limit(D, speed), output_every=100)
     assert len(mol._crossings(prob)) >= 5
     assert res.error_linf[-1] <= 4e-12 * amp
+
+
+@pytest.mark.parametrize("family,N,m", [("cgl", 24, None), ("cgl", 48, None), ("cgl", 128, None),
+                                        ("cgl", 40, 6), ("equidistant", 48, 2)])
+@pytest.mark.parametrize("speed", [1.4, -0.8])
+def test_step_matrix_from_powers_matches_the_four_stages(family, N, m, speed):
+    # E = h A + h^2/2 A^2 + h^3/6 A^3 + h^4/24 A^4 from powers built once,
+    # against the RK4 stages of A run on the identity, up to the stability limit
+    g = chebyshev_gauss_lobatto(-1, 1, N) if family == "cgl" else equidistant(-1, 1, N)
+    D = derivative_matrix(g, 1, m)
+    prob = AdvectionProblem(g, speed, np.sin, None, 1.0)
+    A = -speed * D.entries
+    eps = np.finfo(float).eps
+    off = ~np.eye(N + 1, dtype=bool)
+    for h in rk4_dt_limit(D, speed) * np.logspace(-3, 0, 7):
+        E, _ = mol._segment_steps(prob, D, 0.0, h, 1)
+        diff = np.abs(E - mol._rk4_increment(A, h, np.eye(N + 1)))
+        Z = h * np.abs(A)
+        Z2 = Z @ Z
+        scale = eps * (Z + Z2 / 2 + Z2 @ Z / 6 + Z2 @ Z2 / 24)
+        assert np.all(diff[off] <= 16 * scale[off])
+        # the diagonal absorbs the rounding of its row's sum
+        assert np.all(np.diag(diff) <= 4 * scale.sum(axis=1))
+
+
+@pytest.mark.parametrize("corrections", [True, False])
+def test_evolve_builds_the_powers_of_the_operator_once(monkeypatch, corrections):
+    # one set of powers of -c D per run, whatever the crossings and dt; a
+    # segment's only products with A are the RK4 stages of its 3 (M + 1)
+    # forcing columns, none on an (N+1) x (N+1) block
+    powers, widths = [], []
+    real_powers, real_increment = mol._powers, mol._rk4_increment
+    monkeypatch.setattr(mol, "_powers", lambda *a: powers.append(a) or real_powers(*a))
+    monkeypatch.setattr(mol, "_rk4_increment",
+                        lambda A, h, y, *b: widths.append(y.shape[1]) or real_increment(A, h, y, *b))
+    prob, g = kink_problem(N=24, xi0=-0.5, T=0.6, corrections=corrections)
+    K = np.count_nonzero((g.nodes > -0.5) & (g.nodes < 0.1))
+    assert K >= 3
+    D = derivative_matrix(g, 1)
+    for dt in (1e-3, 7e-3):
+        powers.clear()
+        widths.clear()
+        evolve(prob, D, dt, output_every=50)
+        assert len(powers) == 1
+        assert widths == ([3 * 2] * (K + 1) if corrections else [])
+
+
+def first_failure(problem, D, dt):
+    """(time, max |u| before it, step index in its segment, segment steps)
+    of the first non-finite state, stepping one step at a time: rk4_step
+    with the segment's step matrix and forcing row, the J_0 move of a
+    crossed node, the inflow write, then a finiteness check."""
+    nodes, c = problem.grid.nodes, problem.speed
+    inflow = 0 if c > 0 else problem.grid.N
+    crossings = mol._crossings(problem)
+    bounds = [0.0, *(t for t, _ in crossings), problem.t_final]
+    state = np.asarray(problem.initial(nodes), dtype=float)
+    for t0, t1, node in zip(bounds[:-1], bounds[1:], [n for _, n in crossings] + [None]):
+        nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
+        h = (t1 - t0) / nsub
+        E, forcing = mol._segment_steps(problem, D, t0, t1 - t0, nsub)
+        t_ends = t0 + np.arange(1, nsub + 1) * h
+        t_ends[-1] = t1
+        inflow_values = problem.initial(nodes[inflow] - c * t_ends)
+        for k, f in enumerate(forcing):
+            new = rk4_step(state, t0 + k * h, h, problem, D, (E, f))
+            if k == nsub - 1 and node is not None:
+                new[node] -= np.sign(c) * problem.jump0.jumps[0]
+            new[inflow] = inflow_values[k]
+            if not np.isfinite(new).all():
+                return float(t_ends[k]), float(np.max(np.abs(state))), k, nsub
+            state = new
+
+
+@pytest.mark.parametrize("profile,c,xi0,dt,T", [("gaussian", 1.0, 0.0, 0.1, 40.0),
+                                                ("kink", 0.3, -0.95, 0.1, 6.3),
+                                                ("kink", -0.5, 0.9, 0.05, 3.4)])
+def test_failure_found_at_segment_end_is_the_first_failing_step(profile, c, xi0, dt, T):
+    # evolve checks finiteness once per segment and replays a failed one; it
+    # must name the step, and the state before it, that a check after every
+    # step finds, here inside a multi-step segment
+    g = chebyshev_gauss_lobatto(-1, 1, 24)
+    if profile == "gaussian":
+        prob = AdvectionProblem(g, c, lambda x: np.exp(-((np.asarray(x, dtype=float) / 0.3) ** 2)), None, T)
+    else:
+        amp = 1e300
+        u0 = lambda x: amp * np.abs(np.asarray(x, dtype=float) - xi0)
+        prob = AdvectionProblem(g, c, u0, JumpData(xi0, [0.0, 2 * amp]), T)
+    D = derivative_matrix(g, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_fail, max_before, k, nsub = first_failure(prob, D, dt)
+        with pytest.raises(RuntimeError) as err:
+            evolve(prob, D, dt, output_every=7)
+    assert 0 <= k < nsub - 1
+    assert f"non-finite at t = {t_fail} (max |u| before failure {max_before:.3e})" in str(err.value)
