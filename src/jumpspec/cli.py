@@ -12,6 +12,7 @@ as a state that stops being finite); exits 2 and 3 write nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -61,6 +62,14 @@ def _real(value, key: str) -> float:
     if (type(value) is int and abs(value) > sys.float_info.max) or not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _positive(value, key: str) -> float:
+    """A finite config number greater than zero."""
+    x = _real(value, key)
+    if x <= 0.0:
+        raise ValueError(f"{key} must be positive, got {value!r}")
+    return x
 
 
 def _flag(value, key: str) -> bool:
@@ -140,7 +149,7 @@ _PROBLEMS = {
     "synthetic": {"left": (_list(_real), ...), "right": (_list(_real), ...), "xi": _REAL},
 }
 _PROFILE = {"xi0": _REAL, "amplitude": (_real, 1.0)}
-_INITIALS = {"kink": _PROFILE, "step": _PROFILE, "gaussian": {"center": _REAL, "width": _REAL}}
+_INITIALS = {"kink": _PROFILE, "step": _PROFILE, "gaussian": {"center": _REAL, "width": (_positive, ...)}}
 
 
 def _family(value, key: str) -> str:
@@ -478,7 +487,10 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every main
+    call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="jumpspec",
         description="Interpolation, differentiation, quadrature and advection "
@@ -489,7 +501,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=run.__doc__)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", required=True, help="output directory for result.csv and report.json")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config, encoding="utf-8") as fh:

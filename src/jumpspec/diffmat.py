@@ -33,34 +33,42 @@ def fd_weights(nodes, x0, n: int) -> np.ndarray:
         raise ValueError(f"x0 of shape {z.shape} does not match stencils of shape {x.shape}")
     out_shape = x.shape
     k = x.shape[-1]
-    x = x.reshape(-1, k)
-    z = z.reshape(-1)
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     if n >= k:
         raise ValueError(f"order {n} derivative needs at least {n + 1} stencil points, got {k}")
-    # c[m, r, j]: weight of point j of stencil r for the m-th derivative;
-    # every update below is the scalar recursion's, in its order, per (r, j)
-    c = np.zeros((n + 1, x.shape[0], k))
-    c[0, :, 0] = 1.0
-    c1 = np.ones(x.shape[0])
-    c4 = x[:, 0] - z
+    # x[j, r] and c[m, j, r]: point j of stencil r, stencil-point-major so
+    # that each block c[m, :i] is contiguous; every update below is the
+    # scalar recursion's, in its order, per (r, j)
+    x = np.ascontiguousarray(x.reshape(-1, k).T)
+    z = z.reshape(-1)
+    c = np.zeros((n + 1, k, z.size))
+    c[0, 0] = 1.0
+    scratch = np.empty((k, z.size))
+    c1 = np.ones(z.size)
+    c4 = x[0] - z
     for i in range(1, k):
         mn = min(i, n)
-        c3 = x[:, i : i + 1] - x[:, :i]
-        # the product over j < i, left to right as in the scalar c2 *= c3:
-        # accumulate fixes that order, a reduction such as np.prod does not
-        c2 = np.multiply.accumulate(c3, axis=1)[:, -1]
+        c3 = x[i] - x[:i]
+        # the product over j < i, left to right as in the scalar c2 *= c3: a
+        # multiply reduction along axis 0 takes the rows in turn, elementwise
+        # per stencil, so it keeps that order (the bitwise tests pin it)
+        c2 = np.multiply.reduce(c3, axis=0)
         c5 = c4
-        c4 = x[:, i] - z
+        c4 = x[i] - z
         for m in range(mn, 0, -1):
-            c[m, :, i] = c1 * (m * c[m - 1, :, i - 1] - c5 * c[m, :, i - 1]) / c2
-        c[0, :, i] = -c1 * c5 * c[0, :, i - 1] / c2
-        for m in range(mn, 0, -1):
-            c[m, :, :i] = (c4[:, None] * c[m, :, :i] - m * c[m - 1, :, :i]) / c3
-        c[0, :, :i] = c4[:, None] * c[0, :, :i] / c3
+            c[m, i] = c1 * (m * c[m - 1, i - 1] - c5 * c[m, i - 1]) / c2
+        c[0, i] = -c1 * c5 * c[0, i - 1] / c2
+        # c[m, :i] = (c4 * c[m, :i] - m * c[m - 1, :i]) / c3, in place
+        mc = scratch[:i]
+        for m in range(mn, -1, -1):
+            block = c[m, :i]
+            np.multiply(c4, block, out=block)
+            if m:
+                np.subtract(block, np.multiply(m, c[m - 1, :i], out=mc), out=block)
+            np.divide(block, c3, out=block)
         c1 = c2
-    return c[n].reshape(out_shape)
+    return c[n].T.reshape(out_shape)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,16 @@ class QuadRule:
         object.__setattr__(self, "weights", weights)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] (numpy's leggauss); built
+    once per point count and shared read-only."""
+    rule = np.polynomial.legendre.leggauss(npts)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def basis_integrals(w: BarycentricWeights, lo: float, hi: float) -> np.ndarray:
     """Integrals of every Lagrange basis polynomial over [lo, hi].
 
@@ -33,7 +44,7 @@ def basis_integrals(w: BarycentricWeights, lo: float, hi: float) -> np.ndarray:
     is needed and the result is exact up to rounding for any subinterval.
     """
     N = w.grid.N
-    t, gw = np.polynomial.legendre.leggauss((N + 2) // 2 + 1)
+    t, gw = _gauss_legendre((N + 2) // 2 + 1)
     mid = 0.5 * (hi + lo)
     halfspan = 0.5 * (hi - lo)
     return halfspan * (gw @ basis_matrix(w, mid + halfspan * t))

@@ -16,6 +16,7 @@ from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
 from .jumps import JumpData
+from .quadrature import _gauss_legendre
 
 __all__ = [
     "MAX_LEGENDRE_DEGREE",
@@ -96,7 +97,7 @@ def legendre_Q(l: int, x, order: int = 0):
 
 def _split_gauss_integral(value, lo: float, hi: float, xi: float, npts: int = 120) -> float:
     """Reference integral of a piecewise-smooth callable, split at xi."""
-    t, gw = np.polynomial.legendre.leggauss(npts)
+    t, gw = _gauss_legendre(npts)
     total = 0.0
     cuts = [lo, xi, hi] if lo < xi < hi else [lo, hi]
     for left, right in zip(cuts[:-1], cuts[1:]):

@@ -383,6 +383,8 @@ CONFIG_ERRORS = [
     ("interp", "grid.a", float("-inf"), "grid.a must be a finite number"),
     ("evolve", "checks", [{"kind": "final_linf_leq", "value": float("nan")}],
      "checks[0].value must be a finite number"),
+    ("evolve", "initial", {"kind": "gaussian", "center": 0.0, "width": 0}, "initial.width must be positive"),
+    ("evolve", "initial", {"kind": "gaussian", "center": 0.0, "width": -0.3}, "initial.width must be positive"),
 ]
 
 
@@ -407,6 +409,36 @@ def test_integral_float_fields_run_as_integers(tmp_path):
     code, ref, _ = run_command(tmp_path, "interp", INTERP_CFG, tag="int")
     assert code == 0
     assert (out / "result.csv").read_bytes() == (ref / "result.csv").read_bytes()
+
+
+REPEATED = [
+    ("converge", CONVERGE_CFG),
+    ("diff", {**DIFF_CFG, "export_matrix": True, "export_corrections": True}),
+    ("quad", {**DIFF_CFG, "export_weights": True}),
+    ("evolve", {**EVOLVE_CFG, "initial": {"kind": "gaussian", "center": 0.0, "width": 0.3}}),
+]
+
+
+@pytest.mark.parametrize("command,cfg", REPEATED, ids=[c for c, _ in REPEATED])
+def test_repeated_calls_write_identical_files(tmp_path, command, cfg):
+    # the parser and the quadrature rules are built on the first call and
+    # reused by the later ones
+    outs = []
+    for tag in ("a", "b", "c"):
+        code, out, _ = run_command(tmp_path, command, cfg, tag=tag)
+        assert code == 0
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert "report.json" in outs[0]
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_usage_error_after_a_run_exits_two(tmp_path):
+    code, _, _ = run_command(tmp_path, "quad", DIFF_CFG)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["quad", "--out", str(tmp_path / "usage_out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "usage_out").exists()
 
 
 NON_FINITE = re.compile(

@@ -111,6 +111,18 @@ def test_batched_fd_weights_stack_scalar_calls_bitwise():
         assert batched.tobytes() == stacked.tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("N", [48, 80])
+@pytest.mark.parametrize("n", [1, 2])
+def test_batched_fd_weights_full_grid_stencils_bitwise(N, n):
+    # the whole grid as one long stencil, as pseudospectral rows use it, at
+    # nodes, between nodes and outside the interval
+    g = chebyshev_gauss_lobatto(-1, 1.5, N)
+    x0 = np.concatenate([g.nodes[[0, 1, N // 2, N]], 0.5 * (g.nodes[:2] + g.nodes[1:3]), [-1.5, 2.0]])
+    batched = fd_weights(np.broadcast_to(g.nodes, (x0.size, N + 1)), x0, n)
+    reference = np.array([scalar_fornberg(g.nodes, x, n) for x in x0])
+    assert batched.tobytes() == reference.tobytes()
+
+
 def test_fd_weights_polynomial_exactness_off_node():
     rng = np.random.default_rng(11)
     nodes = np.sort(rng.uniform(-1, 1, 7))

@@ -3,14 +3,18 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from jumpspec import (
+    JumpData,
     barycentric_weights,
     basis_integrals,
     chebyshev_gauss_lobatto,
+    corrected_integrate,
     custom,
     equidistant,
     integrate,
     quad_weights,
 )
+from jumpspec.quadrature import _gauss_legendre
+from jumpspec.refproblems import LegendreProblem
 
 
 def exact_basis_integral(nodes, j, lo, hi):
@@ -118,3 +122,31 @@ def test_length_mismatch():
     rule = quad_weights(equidistant(0, 1, 4))
     with pytest.raises(ValueError):
         integrate(rule, np.zeros(3))
+
+
+def test_gauss_rule_is_leggauss_read_only():
+    for npts in (1, 8, 120):
+        t, gw = _gauss_legendre(npts)
+        ref_t, ref_w = np.polynomial.legendre.leggauss(npts)
+        assert t.tobytes() == ref_t.tobytes() and gw.tobytes() == ref_w.tobytes()
+        assert not t.flags.writeable and not gw.flags.writeable
+
+
+def test_gauss_rule_built_once_per_point_count(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(npts):
+        built.append(npts)
+        return leggauss(npts)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    _gauss_legendre.cache_clear()
+    g = chebyshev_gauss_lobatto(-0.8, 0.8, 12)
+    problem = LegendreProblem(2, 0.3)
+    f = problem.value(g.nodes)
+    for _ in range(3):
+        rule = quad_weights(g)
+        corrected_integrate(rule, f, JumpData(0.3, [0.0, 1.0]))
+        problem.integral(g.a, g.b)
+    assert sorted(built) == [(12 + 2) // 2 + 1, 120]
