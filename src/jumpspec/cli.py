@@ -103,6 +103,14 @@ def _list(item, unique: bool = False):
     return parse
 
 
+def _probe_count(value, key: str) -> int:
+    """A probe count: at least two, the ends of the interval."""
+    n = _integer(value, key)
+    if n < 2:
+        raise ValueError(f"{key} must be at least 2, got {n}")
+    return n
+
+
 def _jump_orders(value, key: str) -> list[int]:
     """interp's M: one jump order or a list of distinct ones."""
     return _list(_jump_order, unique=True)(value if type(value) is list else [value], key)
@@ -293,14 +301,19 @@ _GRID = (lambda cfg, key: _fields(cfg, _GRIDS, key + ".", "family", "cgl"), ...)
 _M = (_jump_order, None)  # None: the command's default
 
 
-def _interpolants(problem, g: Grid, Ms: list[int], pts: np.ndarray) -> list[np.ndarray]:
-    """Values at pts of the plain (M = -1) or jump-corrected interpolant of
-    the problem's nodal data, one array per M."""
+def _jump_table(problem, Ms: list[int]) -> dict:
+    """Each M's jump data from the problem, None for the plain M = -1."""
+    return {M: problem.jump_data(M) if M >= 0 else None for M in Ms}
+
+
+def _interpolants(problem, g: Grid, jumps: dict, pts: np.ndarray) -> list[np.ndarray]:
+    """Values at pts of the plain (None) or jump-corrected interpolant of
+    the problem's nodal data, one array per entry of jumps."""
     w = barycentric_weights(g)
     f = np.asarray(problem.value(g.nodes), dtype=float)
     return [
-        interpolate(w, f, pts) if M < 0 else corrected_interpolate(w, f, problem.jump_data(M), pts)
-        for M in Ms
+        interpolate(w, f, pts) if jd is None else corrected_interpolate(w, f, jd, pts)
+        for jd in jumps.values()
     ]
 
 
@@ -319,7 +332,7 @@ def run_interp(cfg: dict) -> tuple[dict, dict]:
     header = ["x", "f_exact"]
     max_err: dict[str, float] = {}
     max_err_near: dict[str, float] = {}
-    for M, vals in zip(Ms, _interpolants(problem, g, Ms, pts)):
+    for M, vals in zip(Ms, _interpolants(problem, g, _jump_table(problem, Ms), pts)):
         label = "lagrange" if M < 0 else f"M{M}"
         err = np.abs(vals - exact)
         cols += [vals, err]
@@ -337,11 +350,11 @@ def run_interp(cfg: dict) -> tuple[dict, dict]:
     return report, {"result.csv": (header, zip(*cols))}
 
 
-def _converge_cell(problem, g: Grid, M_list: list[int], pts: np.ndarray, exact: np.ndarray) -> dict:
+def _converge_cell(problem, g: Grid, jumps: dict, pts: np.ndarray, exact: np.ndarray) -> dict:
     """Max probe error of every M <= N on one grid of a convergence study, keyed by (N, M)."""
-    Ms = [M for M in M_list if M <= g.N]
-    vals = _interpolants(problem, g, Ms, pts)
-    return {(g.N, M): float(np.max(np.abs(v - exact))) for M, v in zip(Ms, vals)}
+    jumps = {M: jd for M, jd in jumps.items() if M <= g.N}
+    vals = _interpolants(problem, g, jumps, pts)
+    return {(g.N, M): float(np.max(np.abs(v - exact))) for M, v in zip(jumps, vals)}
 
 
 def run_converge(cfg: dict) -> tuple[dict, dict]:
@@ -354,10 +367,13 @@ def run_converge(cfg: dict) -> tuple[dict, dict]:
         _check_problem_domain(problem, g)
     pts = probe_points(a, b, problem.xi, cfg["probes"])
     exact = np.asarray(problem.value(pts), dtype=float)
+    # each M's jump data serves every grid; an M above every N is never used
+    top = max(cfg["N_list"], default=-1)
+    jumps = _jump_table(problem, [M for M in cfg["M_list"] if M <= top])
 
     errors = {}
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for cell in pool.map(lambda g: _converge_cell(problem, g, cfg["M_list"], pts, exact), grids):
+        for cell in pool.map(lambda g: _converge_cell(problem, g, jumps, pts, exact), grids):
             errors.update(cell)
 
     rows = [(N, M, errors[(N, M)]) for N, M in sorted(errors)]
@@ -470,11 +486,11 @@ def run_evolve(cfg: dict) -> tuple[dict, dict]:
 # command -> (runner, the report entries its checks may read, its key table besides "checks")
 _COMMANDS = {
     "interp": (run_interp, ("max_error", "max_error_near_xi"), {
-        "problem": _PROBLEM, "grid": _GRID, "M": (_jump_orders, None), "probes": (_integer, 1000)}),
+        "problem": _PROBLEM, "grid": _GRID, "M": (_jump_orders, None), "probes": (_probe_count, 1000)}),
     "converge": (run_converge, ("fits", "rows"), {
         "problem": _PROBLEM, "family": (_family, "chebyshev_gauss_lobatto"), "a": _REAL, "b": _REAL,
         "N_list": (_list(_integer, unique=True), ...), "M_list": (_list(_jump_order, unique=True), ...),
-        "probes": (_integer, 1000)}),
+        "probes": (_probe_count, 1000)}),
     "diff": (run_diff, ("max_error",), {
         "problem": _PROBLEM, "grid": _GRID, "n": (_integer, 1), "m": (_integer, None), "M": _M,
         "export_matrix": (_flag, False), "export_corrections": (_flag, False)}),

@@ -45,17 +45,32 @@ def barycentric_weights(grid: Grid) -> BarycentricWeights:
     return BarycentricWeights(grid, lam)
 
 
-def _ratio_matrix(w: BarycentricWeights, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lam_j / (x - x_j) per probe, plus the mask of node coincidences.
+def _ratio_matrix(
+    w: BarycentricWeights, pts: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """lam_j / (x - x_j) per probe, plus the (row, column) pairs of node coincidences.
 
-    A probe counts as coinciding with a node when the difference underflows
-    the ratio (including exact equality); such rows are served the nodal
-    value directly, so the ratios never overflow.
+    A probe counts as coinciding with node j when |x - x_j| <= |lam_j| 1e-300,
+    that is when the difference underflows the ratio (including exact
+    equality); such rows are served the nodal value directly, so the ratios
+    never overflow, and the ratio at a pair is lam_j itself. When every
+    tolerance is below half the smallest node gap, only the two nodes
+    bracketing a probe can meet it, and at most one of them does, so just
+    those are tested; otherwise the whole difference matrix is. Two full
+    passes either way: the differences, then the ratios in place.
     """
-    d = pts[:, None] - w.grid.nodes[None, :]
-    hit = np.abs(d) <= np.abs(w.lam)[None, :] * 1e-300
-    r = w.lam[None, :] / np.where(hit, 1.0, d)
-    return r, hit
+    x = w.grid.nodes
+    tol = np.abs(w.lam) * 1e-300
+    d = pts[:, None] - x[None, :]
+    if 2.0 * tol.max() < (x[1:] - x[:-1]).min():
+        # nodes x_k, x_k+1 bracket the probe (the end pair outside [x_0, x_N])
+        cand = np.searchsorted(x[1:-1], pts)[:, None] + np.array([0, 1])
+        rows, side = np.nonzero(np.abs(pts[:, None] - x[cand]) <= tol[cand])
+        cols = cand[rows, side]
+    else:
+        rows, cols = np.nonzero(np.abs(d) <= tol[None, :])
+    d[rows, cols] = 1.0
+    return np.divide(w.lam, d, out=d), (rows, cols)
 
 
 def basis_matrix(w: BarycentricWeights, pts) -> np.ndarray:
@@ -66,12 +81,11 @@ def basis_matrix(w: BarycentricWeights, pts) -> np.ndarray:
     because the true barycentric form normalizes by the same sum.
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    r, hit = _ratio_matrix(w, pts)
+    B, (rows, cols) = _ratio_matrix(w, pts)
     with np.errstate(invalid="ignore"):
-        B = r / r.sum(axis=1)[:, None]
-    rows = hit.any(axis=1)
-    if rows.any():
-        B[rows] = hit[rows].astype(float)
+        B /= B.sum(axis=1)[:, None]
+    B[rows] = 0.0
+    B[rows, cols] = 1.0
     return B
 
 
@@ -89,13 +103,12 @@ def _barycentric(w: BarycentricWeights, pts: np.ndarray, pieces, region: np.ndar
     each, and each probe keeps its own piece's value; probes coinciding with
     a node get that piece's datum exactly.
     """
-    r, hit = _ratio_matrix(w, pts)
+    r, (prow, pcol) = _ratio_matrix(w, pts)
     num = r @ pieces[0]
     for k in range(1, len(pieces)):
         num = np.where(region == k, r @ pieces[k], num)
     with np.errstate(invalid="ignore"):
         vals = num / r.sum(axis=1)
-    prow, pcol = np.nonzero(hit)
     vals[prow] = np.asarray(pieces)[region[prow], pcol]
     return vals
 

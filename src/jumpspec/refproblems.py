@@ -8,6 +8,7 @@ polynomials whose jump vector follows exactly from coefficient differences.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,10 +60,31 @@ def _polyval_derivative(coeffs: np.ndarray, x, order: int):
     return npoly.polyval(x, c)
 
 
+_TABLES = {"P": _P_COEFFS, "W": _W_COEFFS}
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_coeffs(table: str, l: int, order: int) -> np.ndarray:
+    """Coefficients of the order-th derivative of P_l (table "P") or W_l
+    ("W"), for orders below their length; built once per (table, l, order)
+    and shared read-only."""
+    coeffs = _TABLES[table][l]
+    c = npoly.polyder(coeffs, order) if order > 0 else coeffs.copy()
+    c.flags.writeable = False
+    return c
+
+
+def _legendre_derivative(table: str, l: int, x: np.ndarray, order: int) -> np.ndarray:
+    """The order-th derivative of P_l or W_l at x; zero past the degree."""
+    if order >= _TABLES[table][l].size:
+        return np.zeros_like(x)
+    return npoly.polyval(x, _legendre_coeffs(table, l, order))
+
+
 def legendre_P(l: int, x, order: int = 0):
     """Legendre polynomial of the first kind, degrees 0..5, or its order-th derivative."""
     _check_degree(l)
-    return _polyval_derivative(_P_COEFFS[l], np.asarray(x, dtype=float), order)
+    return _legendre_derivative("P", l, np.asarray(x, dtype=float), order)
 
 
 def _atanh_derivative(x, order: int):
@@ -91,8 +113,9 @@ def legendre_Q(l: int, x, order: int = 0):
         raise ValueError("second-kind Legendre values require |x| < 1")
     total = np.zeros_like(x)
     for i in range(0, min(order, l) + 1):
-        total = total + math.comb(order, i) * _polyval_derivative(_P_COEFFS[l], x, i) * _atanh_derivative(x, order - i)
-    return total - _polyval_derivative(_W_COEFFS[l], x, order)
+        P = _legendre_derivative("P", l, x, i)
+        total = total + math.comb(order, i) * P * _atanh_derivative(x, order - i)
+    return total - _legendre_derivative("W", l, x, order)
 
 
 def _split_gauss_integral(value, lo: float, hi: float, xi: float, npts: int = 120) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jumpspec.cli import main
+from jumpspec.refproblems import LegendreProblem
 
 
 def run_command(tmp_path, command, cfg, tag="run"):
@@ -139,6 +140,39 @@ def test_converge_legendre_orders(tmp_path):
     fits = {f["M"]: f for f in report["fits"]}
     assert fits[5]["algebraic_order"] >= 5.0
     assert fits[-1]["algebraic_order"] <= 1.6  # saturated by the kink
+
+
+def _count_jump_data(monkeypatch) -> list[int]:
+    """Record the order of every LegendreProblem.jump_data call."""
+    calls = []
+    original = LegendreProblem.jump_data
+
+    def counted(self, order):
+        calls.append(order)
+        return original(self, order)
+
+    monkeypatch.setattr(LegendreProblem, "jump_data", counted)
+    return calls
+
+
+def test_converge_builds_each_jump_order_once(tmp_path, monkeypatch):
+    calls = _count_jump_data(monkeypatch)
+    cfg = dict(CONVERGE_CFG, N_list=[8, 10, 12, 14], M_list=[-1, 3, 5, 20])
+    code, _, report = run_command(tmp_path, "converge", cfg)
+    assert code == 0
+    # once per M for all four grids; never for M = -1 or for an M above every N
+    assert sorted(calls) == [3, 5]
+    assert [(r["N"], r["M"]) for r in report["rows"]] == [(N, M) for N in (8, 10, 12, 14) for M in (-1, 3, 5)]
+    assert [f["M"] for f in report["fits"]] == [-1, 3, 5]
+
+
+def test_converge_without_grids_writes_an_empty_table(tmp_path, monkeypatch):
+    calls = _count_jump_data(monkeypatch)
+    code, out, report = run_command(tmp_path, "converge", dict(CONVERGE_CFG, N_list=[]))
+    assert code == 0
+    assert calls == []
+    assert report["rows"] == [] and report["fits"] == []
+    assert (out / "result.csv").read_text() == "N,M,linf_error\n"
 
 
 def test_diff_command_and_exports(tmp_path):
@@ -385,6 +419,13 @@ CONFIG_ERRORS = [
      "checks[0].value must be a finite number"),
     ("evolve", "initial", {"kind": "gaussian", "center": 0.0, "width": 0}, "initial.width must be positive"),
     ("evolve", "initial", {"kind": "gaussian", "center": 0.0, "width": -0.3}, "initial.width must be positive"),
+    # a probe set spans the interval, so it needs both ends
+    ("interp", "probes", 1, "probes must be at least 2, got 1"),
+    ("interp", "probes", 0, "probes must be at least 2, got 0"),
+    ("interp", "probes", -3, "probes must be at least 2, got -3"),
+    ("converge", "probes", 1, "probes must be at least 2, got 1"),
+    ("converge", "probes", 0, "probes must be at least 2, got 0"),
+    ("converge", "probes", -3, "probes must be at least 2, got -3"),
 ]
 
 

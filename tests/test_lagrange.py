@@ -135,3 +135,106 @@ def test_scalar_and_array_probes_agree(N, data, xq):
     scalar = interpolate(w, f, xq)
     arr = interpolate(w, f, np.array([xq]))
     assert scalar == arr[0]
+
+
+# The five-pass barycentric formula the evaluation was first written with:
+# the full difference matrix, a full hit mask, a masked copy of the
+# differences, the ratios and a nonzero search over the mask. Kept as the
+# bitwise oracle of the two-pass evaluation.
+def five_pass_ratio_matrix(w, pts):
+    d = pts[:, None] - w.grid.nodes[None, :]
+    hit = np.abs(d) <= np.abs(w.lam)[None, :] * 1e-300
+    r = w.lam[None, :] / np.where(hit, 1.0, d)
+    return r, hit
+
+
+def five_pass_barycentric(w, pts, pieces, region):
+    r, hit = five_pass_ratio_matrix(w, pts)
+    num = r @ pieces[0]
+    for k in range(1, len(pieces)):
+        num = np.where(region == k, r @ pieces[k], num)
+    with np.errstate(invalid="ignore"):
+        vals = num / r.sum(axis=1)
+    prow, pcol = np.nonzero(hit)
+    vals[prow] = np.asarray(pieces)[region[prow], pcol]
+    return vals
+
+
+def five_pass_basis_matrix(w, pts):
+    pts = np.atleast_1d(np.asarray(pts, dtype=float))
+    r, hit = five_pass_ratio_matrix(w, pts)
+    with np.errstate(invalid="ignore"):
+        B = r / r.sum(axis=1)[:, None]
+    rows = hit.any(axis=1)
+    if rows.any():
+        B[rows] = hit[rows].astype(float)
+    return B
+
+
+def _cgl_nodes_and_between():
+    g = chebyshev_gauss_lobatto(-1, 1, 16)
+    return g, np.concatenate([g.nodes, np.linspace(-1, 1, 101)]), 0.123
+
+
+def _near_zero_node():
+    g = custom(-1, 1, [-1.0, -0.5, 0.0, 0.5, 1.0])
+    return g, np.array([5e-324, -5e-324, 0.0, -0.0, 0.25, 1e-300]), 0.3
+
+
+def _non_finite():
+    g = equidistant(-1, 1, 6)
+    return g, np.array([np.nan, np.inf, -np.inf, 0.1, np.nan, 1.0]), -0.05
+
+
+def _unsorted_with_repeats():
+    g = chebyshev_gauss_lobatto(-2, 3, 9)
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([rng.uniform(-2, 3, 40), g.nodes[[0, 4, 4, 9]], [0.7, 0.7]])
+    return g, rng.permutation(pts), 0.7
+
+
+def _fallback():
+    # |lam| 1e-300 is about 5e-99, far above the 1e-101 node gap, so every
+    # probe of the interval coincides with all three nodes, not only with
+    # the two bracketing it, and the whole mask is searched
+    g = custom(0.0, 2e-101, [0.0, 1e-101, 2e-101])
+    return g, np.array([0.0, 5e-102, 1e-101, 2e-101, 1.3e-101, 0.0, 1.0]), 5e-102
+
+
+ORACLE_CASES = {
+    "nodes": _cgl_nodes_and_between,
+    "near-zero-node": _near_zero_node,
+    "non-finite": _non_finite,
+    "unsorted-repeats": _unsorted_with_repeats,
+    "fallback": _fallback,
+}
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_barycentric_matches_five_pass_formula_bitwise(case, monkeypatch):
+    from jumpspec import JumpData, corrected_interpolate, jumps, lagrange
+
+    g, pts, xi = ORACLE_CASES[case]()
+    w = barycentric_weights(g)
+    fast_path = 2.0 * (np.abs(w.lam) * 1e-300).max() < np.diff(g.nodes).min()
+    assert fast_path == (case != "fallback")
+    f = np.cos(3.0 * g.nodes / (g.b - g.a)) + g.nodes
+    jd = JumpData(xi, [0.5, -2.0, 1.5])
+    probes = np.append(pts, xi)  # a probe on the cut averages two pieces
+
+    def evaluate(basis):
+        # on the fallback grid the ratios of a row that hits every node sum
+        # to about zero; that row's quotient is overwritten by a nodal value
+        with np.errstate(divide="ignore" if case == "fallback" else "raise"):
+            return interpolate(w, f, pts), corrected_interpolate(w, f, jd, probes), basis(w, pts)
+
+    new = evaluate(basis_matrix)
+    monkeypatch.setattr(lagrange, "_barycentric", five_pass_barycentric)
+    monkeypatch.setattr(jumps, "_barycentric", five_pass_barycentric)
+    old = evaluate(five_pass_basis_matrix)
+    for a, b in zip(new, old):
+        np.testing.assert_array_equal(_bits(a), _bits(b))

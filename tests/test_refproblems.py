@@ -1,8 +1,12 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy import special
 
+from jumpspec import refproblems
 from jumpspec.refproblems import (
     LegendreProblem,
     SyntheticPiecewise,
@@ -132,6 +136,44 @@ def test_reference_integral_self_consistent():
     whole = prob.integral(-0.8, 0.8)
     split = prob.integral(-0.8, 0.1) + prob.integral(0.1, 0.8)
     assert whole == pytest.approx(split, rel=1e-13)
+
+
+# The uncached evaluation the Legendre functions were first written with:
+# derivative coefficients from npoly.polyder on every call.
+def _uncached_derivative(coeffs, x, order):
+    if order >= coeffs.size:
+        return np.zeros_like(x)
+    return npoly.polyval(x, npoly.polyder(coeffs, order) if order > 0 else coeffs)
+
+
+def _uncached_Q(l, x, order):
+    total = np.zeros_like(x)
+    for i in range(0, min(order, l) + 1):
+        P = _uncached_derivative(refproblems._P_COEFFS[l], x, i)
+        total = total + math.comb(order, i) * P * refproblems._atanh_derivative(x, order - i)
+    return total - _uncached_derivative(refproblems._W_COEFFS[l], x, order)
+
+
+def test_cached_derivative_coefficients_are_read_only_polyder():
+    for table, coeffs in refproblems._TABLES.items():
+        for l, c in coeffs.items():
+            for order in range(c.size):
+                cached = refproblems._legendre_coeffs(table, l, order)
+                assert cached is refproblems._legendre_coeffs(table, l, order)
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0] = 1.0
+                assert cached.tobytes() == npoly.polyder(c, order).tobytes()
+
+
+@pytest.mark.parametrize("l", range(6))
+def test_legendre_values_unchanged_by_coefficient_cache(l):
+    x = np.concatenate([np.linspace(-0.95, 0.95, 39), [0.0, -0.0]])
+    for order in range(16):  # past the degree included
+        P = _uncached_derivative(refproblems._P_COEFFS[l], x, order)
+        assert legendre_P(l, x, order).tobytes() == P.tobytes()
+        assert legendre_Q(l, x, order).tobytes() == _uncached_Q(l, x, order).tobytes()
+        assert float(legendre_Q(l, 0.3, order)) == float(_uncached_Q(l, np.asarray(0.3), order))
 
 
 # --- synthetic piecewise ------------------------------------------------------
