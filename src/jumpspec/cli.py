@@ -145,13 +145,14 @@ def _fields(cfg, table: dict, where: str = "", tag: str | None = None, default=N
 
 _REAL = (_real, ...)
 _SPACED = {"a": _REAL, "b": _REAL, "N": (_integer, ...)}
-# grid family -> its keys besides "family"
+# grid family -> (its keys besides "family", the Grid built from their values); a
+# builder looks its function up when called, so a wrapper on the name sees every build
 _GRIDS = {
-    "cgl": _SPACED,
-    "chebyshev_gauss_lobatto": _SPACED,
-    "equidistant": _SPACED,
-    "custom": {"a": _REAL, "b": _REAL, "nodes": (_list(_real), ...)},
+    "chebyshev_gauss_lobatto": (_SPACED, lambda a, b, N: chebyshev_gauss_lobatto(a, b, N)),
+    "equidistant": (_SPACED, lambda a, b, N: equidistant(a, b, N)),
+    "custom": ({"a": _REAL, "b": _REAL, "nodes": (_list(_real), ...)}, lambda a, b, nodes: custom(a, b, nodes)),
 }
+_GRIDS["cgl"] = _GRIDS["chebyshev_gauss_lobatto"]
 _PROBLEMS = {
     "legendre": {"l": (_integer, ...), "xi": _REAL},
     "synthetic": {"left": (_list(_real), ...), "right": (_list(_real), ...), "xi": _REAL},
@@ -168,13 +169,16 @@ def _family(value, key: str) -> str:
     return "chebyshev_gauss_lobatto" if family == "cgl" else family
 
 
-def build_grid(cfg: dict) -> Grid:
-    f = _fields(cfg, _GRIDS, "grid.", "family", "cgl")
-    if f["family"] == "custom":
-        return custom(f["a"], f["b"], f["nodes"])
-    if f["family"] == "equidistant":
-        return equidistant(f["a"], f["b"], f["N"])
-    return chebyshev_gauss_lobatto(f["a"], f["b"], f["N"])
+def _grid(cfg, key: str) -> tuple[str, Grid]:
+    """A grid config's family, by its full name, and its Grid."""
+    f = _fields(cfg, {family: keys for family, (keys, _) in _GRIDS.items()}, key + ".", "family", "cgl")
+    family = _family(f.pop("family"), key + ".family")
+    return family, _GRIDS[family][1](**f)
+
+
+def build_grid(cfg) -> Grid:
+    """The Grid of a grid config."""
+    return _grid(cfg, "grid")[1]
 
 
 def _problem(cfg, key: str):
@@ -297,8 +301,19 @@ def _run_checks(checks: list, report: dict) -> list[dict]:
 # and the CSV files to write, {file name: (header, rows)}
 
 _PROBLEM = (_problem, ...)
-_GRID = (lambda cfg, key: _fields(cfg, _GRIDS, key + ".", "family", "cgl"), ...)
-_M = (_jump_order, None)  # None: the command's default
+_GRID = (_grid, ...)
+_M = (lambda value, key: [_jump_order(value, key)], None)  # None: _setup's default
+
+
+def _setup(cfg: dict) -> tuple:
+    """An interp, diff or quad config's problem, grid, nodal data and jump
+    orders: the config's M, else N // 2, and never above N."""
+    problem, (_, g) = cfg["problem"], cfg["grid"]
+    _check_problem_domain(problem, g)
+    Ms = [g.N // 2] if cfg["M"] is None else cfg["M"]
+    if any(M > g.N for M in Ms):
+        raise ValueError(f"M={max(Ms)} exceeds the grid degree N={g.N}")
+    return problem, g, np.asarray(problem.value(g.nodes), dtype=float), Ms
 
 
 def _jump_table(problem, Ms: list[int]) -> dict:
@@ -306,11 +321,10 @@ def _jump_table(problem, Ms: list[int]) -> dict:
     return {M: problem.jump_data(M) if M >= 0 else None for M in Ms}
 
 
-def _interpolants(problem, g: Grid, jumps: dict, pts: np.ndarray) -> list[np.ndarray]:
+def _interpolants(g: Grid, f: np.ndarray, jumps: dict, pts: np.ndarray) -> list[np.ndarray]:
     """Values at pts of the plain (None) or jump-corrected interpolant of
-    the problem's nodal data, one array per entry of jumps."""
+    the nodal data f, one array per entry of jumps."""
     w = barycentric_weights(g)
-    f = np.asarray(problem.value(g.nodes), dtype=float)
     return [
         interpolate(w, f, pts) if jd is None else corrected_interpolate(w, f, jd, pts)
         for jd in jumps.values()
@@ -319,11 +333,7 @@ def _interpolants(problem, g: Grid, jumps: dict, pts: np.ndarray) -> list[np.nda
 
 def run_interp(cfg: dict) -> tuple[dict, dict]:
     """tabulate plain vs jump-corrected interpolation at dense probes"""
-    problem, g = cfg["problem"], build_grid(cfg["grid"])
-    _check_problem_domain(problem, g)
-    Ms = [g.N // 2] if cfg["M"] is None else cfg["M"]
-    if any(M > g.N for M in Ms):
-        raise ValueError(f"M={max(Ms)} exceeds the grid degree N={g.N}")
+    problem, g, f, Ms = _setup(cfg)
     pts = probe_points(g.a, g.b, problem.xi, cfg["probes"])
     exact = np.asarray(problem.value(pts), dtype=float)
     near = np.abs(pts - problem.xi) <= 0.1 * (g.b - g.a)
@@ -332,7 +342,7 @@ def run_interp(cfg: dict) -> tuple[dict, dict]:
     header = ["x", "f_exact"]
     max_err: dict[str, float] = {}
     max_err_near: dict[str, float] = {}
-    for M, vals in zip(Ms, _interpolants(problem, g, _jump_table(problem, Ms), pts)):
+    for M, vals in zip(Ms, _interpolants(g, f, _jump_table(problem, Ms), pts)):
         label = "lagrange" if M < 0 else f"M{M}"
         err = np.abs(vals - exact)
         cols += [vals, err]
@@ -342,7 +352,7 @@ def run_interp(cfg: dict) -> tuple[dict, dict]:
 
     report = {
         "N": g.N,
-        "family": _family(cfg["grid"]["family"], "family"),
+        "family": cfg["grid"][0],
         "xi": problem.xi,
         "max_error": max_err,
         "max_error_near_xi": max_err_near,
@@ -353,7 +363,7 @@ def run_interp(cfg: dict) -> tuple[dict, dict]:
 def _converge_cell(problem, g: Grid, jumps: dict, pts: np.ndarray, exact: np.ndarray) -> dict:
     """Max probe error of every M <= N on one grid of a convergence study, keyed by (N, M)."""
     jumps = {M: jd for M, jd in jumps.items() if M <= g.N}
-    vals = _interpolants(problem, g, jumps, pts)
+    vals = _interpolants(g, np.asarray(problem.value(g.nodes), dtype=float), jumps, pts)
     return {(g.N, M): float(np.max(np.abs(v - exact))) for M, v in zip(jumps, vals)}
 
 
@@ -362,7 +372,7 @@ def run_converge(cfg: dict) -> tuple[dict, dict]:
     problem, family, a, b = cfg["problem"], cfg["family"], cfg["a"], cfg["b"]
     if family == "custom":
         raise ValueError("convergence studies need an equidistant or cgl family")
-    grids = [build_grid({"family": family, "a": a, "b": b, "N": N}) for N in cfg["N_list"]]
+    grids = [_GRIDS[family][1](a, b, N) for N in cfg["N_list"]]
     for g in grids:
         _check_problem_domain(problem, g)
     pts = probe_points(a, b, problem.xi, cfg["probes"])
@@ -395,13 +405,10 @@ def run_converge(cfg: dict) -> tuple[dict, dict]:
 
 def run_diff(cfg: dict) -> tuple[dict, dict]:
     """tabulate plain vs jump-corrected derivatives at the nodes"""
-    problem, g = cfg["problem"], build_grid(cfg["grid"])
-    _check_problem_domain(problem, g)
+    problem, g, f, [M] = _setup(cfg)
     n = cfg["n"]
     m = g.N if cfg["m"] is None else cfg["m"]
-    M = g.N // 2 if cfg["M"] is None else cfg["M"]
     D = derivative_matrix(g, n, m)
-    f = np.asarray(problem.value(g.nodes), dtype=float)
     exact = np.asarray(problem.derivative(g.nodes, n), dtype=float)
     plain = apply(D, f)
     jd = problem.jump_data(M)
@@ -424,11 +431,8 @@ def run_diff(cfg: dict) -> tuple[dict, dict]:
 
 def run_quad(cfg: dict) -> tuple[dict, dict]:
     """plain vs jump-corrected integral against a reference value"""
-    problem, g = cfg["problem"], build_grid(cfg["grid"])
-    _check_problem_domain(problem, g)
-    M = g.N // 2 if cfg["M"] is None else cfg["M"]
+    problem, g, f, [M] = _setup(cfg)
     rule = quad_weights(g)
-    f = np.asarray(problem.value(g.nodes), dtype=float)
     reference = problem.integral(g.a, g.b)
     plain = integrate(rule, f)
     jd = problem.jump_data(M)
@@ -452,7 +456,7 @@ def run_quad(cfg: dict) -> tuple[dict, dict]:
 
 def run_evolve(cfg: dict) -> tuple[dict, dict]:
     """advect a profile with a moving discontinuity"""
-    g, init = build_grid(cfg["grid"]), cfg["initial"]
+    (_, g), init = cfg["grid"], cfg["initial"]
     if init["kind"] == "gaussian":
         center, width = init["center"], init["width"]
         u0 = lambda x: np.exp(-(((np.asarray(x, dtype=float) - center) / width) ** 2))
@@ -465,8 +469,7 @@ def run_evolve(cfg: dict) -> tuple[dict, dict]:
         else:
             u0 = lambda x: amp * np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5)
             jumps = np.array([amp])
-        M = len(jumps) - 1 if cfg["M"] is None else cfg["M"]
-        jump0 = JumpData(xi0, jumps[: M + 1]) if cfg["corrections"] else None
+        jump0 = JumpData(xi0, jumps) if cfg["corrections"] else None
     problem = AdvectionProblem(g, cfg["speed"], u0, jump0, cfg["t_final"])
     D = derivative_matrix(g, 1, g.N if cfg["m"] is None else cfg["m"])
     result = evolve(problem, D, cfg["dt"], cfg["output_every"])
@@ -499,7 +502,7 @@ _COMMANDS = {
     "evolve": (run_evolve, ("final_linf",), {
         "grid": _GRID, "speed": _REAL, "t_final": _REAL, "dt": _REAL, "output_every": (_integer, 1),
         "initial": (lambda cfg, key: _fields(cfg, _INITIALS, key + ".", "kind"), ...),
-        "corrections": (_flag, True), "m": (_integer, None), "M": _M}),
+        "corrections": (_flag, True), "m": (_integer, None)}),
 }
 
 

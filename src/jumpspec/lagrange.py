@@ -18,13 +18,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BarycentricWeights:
-    """Barycentric weights lam[j] = 1 / prod_{k != j} (x_j - x_k) of a grid."""
+    """Barycentric weights lam[j] = 1 / prod_{k != j} (x_j - x_k) of a grid.
+
+    A probe within |lam_j| 1e-300 of node j coincides with it (_ratio_matrix);
+    every such tolerance must be below half the smallest node gap, so that a
+    probe coincides with at most one node, one of the two bracketing it.
+    That fails only on intervals narrower than about 1e-100.
+    """
 
     grid: Grid
     lam: np.ndarray
 
     def __post_init__(self) -> None:
         lam = np.array(self.lam, dtype=float)
+        if not 2.0 * (np.abs(lam) * 1e-300).max() < np.diff(self.grid.nodes).min():
+            raise ValueError("degenerate barycentric weights; a node gap is below 2 |lam| 1e-300")
         lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
 
@@ -53,22 +61,19 @@ def _ratio_matrix(
     A probe counts as coinciding with node j when |x - x_j| <= |lam_j| 1e-300,
     that is when the difference underflows the ratio (including exact
     equality); such rows are served the nodal value directly, so the ratios
-    never overflow, and the ratio at a pair is lam_j itself. When every
-    tolerance is below half the smallest node gap, only the two nodes
-    bracketing a probe can meet it, and at most one of them does, so just
-    those are tested; otherwise the whole difference matrix is. Two full
-    passes either way: the differences, then the ratios in place.
+    never overflow, and the ratio at a pair is lam_j itself. Every tolerance
+    is below half the smallest node gap (BarycentricWeights), so only the
+    two nodes bracketing a probe can meet it, and at most one of them does;
+    just those are tested. Two full passes: the differences, then the ratios
+    in place.
     """
     x = w.grid.nodes
     tol = np.abs(w.lam) * 1e-300
     d = pts[:, None] - x[None, :]
-    if 2.0 * tol.max() < (x[1:] - x[:-1]).min():
-        # nodes x_k, x_k+1 bracket the probe (the end pair outside [x_0, x_N])
-        cand = np.searchsorted(x[1:-1], pts)[:, None] + np.array([0, 1])
-        rows, side = np.nonzero(np.abs(pts[:, None] - x[cand]) <= tol[cand])
-        cols = cand[rows, side]
-    else:
-        rows, cols = np.nonzero(np.abs(d) <= tol[None, :])
+    # nodes x_k, x_k+1 bracket the probe (the end pair outside [x_0, x_N])
+    cand = np.searchsorted(x[1:-1], pts)[:, None] + np.array([0, 1])
+    rows, side = np.nonzero(np.abs(pts[:, None] - x[cand]) <= tol[cand])
+    cols = cand[rows, side]
     d[rows, cols] = 1.0
     return np.divide(w.lam, d, out=d), (rows, cols)
 

@@ -318,7 +318,7 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     powers = _powers(problem, D)
 
     times = [0.0]
-    states = [state.copy()]
+    states = [state]
     steps_done = 0
     # an unstable dt overflows on the way to the non-finite check below,
     # which reports it; numpy's own overflow warnings would only repeat it
@@ -327,11 +327,12 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
             nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
             start = state
             steps = lambda: _segment_states(problem, D, powers, start, t0, t1, nsub, node)
+            # a segment's last step ends exactly on t1, so t_final is always recorded
             for t_new, state in steps():
                 steps_done += 1
                 if steps_done % output_every == 0 or t_new == problem.t_final:
                     times.append(t_new)
-                    states.append(state.copy())
+                    states.append(state)
             if not np.isfinite(state).all():
                 before = start
                 for t_new, state in steps():
@@ -342,10 +343,6 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
                     f"state became non-finite at t = {t_new} (max |u| before failure "
                     f"{np.max(np.abs(before)):.3e}); likely an unstable dt"
                 )
-
-    if times[-1] != problem.t_final:
-        times.append(problem.t_final)
-        states.append(state.copy())
 
     times_arr = np.asarray(times)
     states_arr = np.asarray(states)

@@ -92,7 +92,8 @@ def _atanh_derivative(x, order: int):
     if order == 0:
         return np.arctanh(x)
     sign = 1.0 if order % 2 == 1 else -1.0
-    lead = 0.5 * math.factorial(order - 1)
+    # (order - 1)! is past the float range from order 172 on
+    lead = 0.5 * math.factorial(order - 1) if order <= 171 else math.inf
     return lead * (sign / (1.0 + x) ** order + 1.0 / (1.0 - x) ** order)
 
 
@@ -160,16 +161,25 @@ class LegendreProblem:
         return th * right + (1.0 - th) * left
 
     def jump_data(self, order: int) -> JumpData:
-        """Derivative jumps through the given order, from the closed forms."""
+        """Derivative jumps through the given order, from the closed forms.
+
+        Raises ValueError naming the first order whose jump is not finite:
+        the k-th jump grows like (k - 1)!, and leaves the float range by k = 172.
+        """
         P0 = float(legendre_P(self.l, self.xi))
         Q0 = float(legendre_Q(self.l, self.xi))
-        J = np.array(
-            [
-                P0 * float(legendre_Q(self.l, self.xi, k))
-                - float(legendre_P(self.l, self.xi, k)) * Q0
-                for k in range(order + 1)
-            ]
-        )
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            J = np.array(
+                [
+                    P0 * float(legendre_Q(self.l, self.xi, k))
+                    - float(legendre_P(self.l, self.xi, k)) * Q0
+                    for k in range(order + 1)
+                ]
+            )
+        bad = np.flatnonzero(~np.isfinite(J))
+        if bad.size:
+            raise ValueError(f"the legendre jump of order {bad[0]} at xi = {self.xi} is not finite; "
+                             "use a lower jump order")
         return JumpData(self.xi, J)
 
     def integral(self, lo: float, hi: float) -> float:

@@ -302,7 +302,6 @@ NON_INTEGRAL = [
     ("diff", "M", 4.2),
     ("quad", "M", 4.2),
     ("evolve", "m", 12.5),
-    ("evolve", "M", 0.5),
     ("evolve", "output_every", 1.5),
 ]
 
@@ -337,7 +336,6 @@ BAD_JUMP_ORDERS = [
     ("interp", -2),
     ("diff", -5),
     ("quad", -2),
-    ("evolve", -2),
     ("converge", [-2, -1, 3]),
     ("converge", [-1, 3, 3]),
 ]
@@ -426,6 +424,14 @@ CONFIG_ERRORS = [
     ("converge", "probes", 1, "probes must be at least 2, got 1"),
     ("converge", "probes", 0, "probes must be at least 2, got 0"),
     ("converge", "probes", -3, "probes must be at least 2, got -3"),
+    # evolve corrects with its profile's own jumps, all of them or none
+    ("evolve", "M", 1, "unknown key M"),
+    # a jump order is at most the grid degree, in every command that takes one
+    ("diff", "M", 13, "M=13 exceeds the grid degree N=12"),
+    ("quad", "M", 13, "M=13 exceeds the grid degree N=12"),
+    # the default M = 200 reaches Legendre jumps past the float range, first at order 161
+    ("diff", "grid.N", 400, "the legendre jump of order 161 at xi = 0.3 is not finite"),
+    ("quad", "grid.N", 400, "the legendre jump of order 161 at xi = 0.3 is not finite"),
 ]
 
 

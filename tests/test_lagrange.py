@@ -193,21 +193,21 @@ def _unsorted_with_repeats():
     return g, rng.permutation(pts), 0.7
 
 
-def _fallback():
-    # |lam| 1e-300 is about 5e-99, far above the 1e-101 node gap, so every
-    # probe of the interval coincides with all three nodes, not only with
-    # the two bracketing it, and the whole mask is searched
-    g = custom(0.0, 2e-101, [0.0, 1e-101, 2e-101])
-    return g, np.array([0.0, 5e-102, 1e-101, 2e-101, 1.3e-101, 0.0, 1.0]), 5e-102
-
-
 ORACLE_CASES = {
     "nodes": _cgl_nodes_and_between,
     "near-zero-node": _near_zero_node,
     "non-finite": _non_finite,
     "unsorted-repeats": _unsorted_with_repeats,
-    "fallback": _fallback,
 }
+
+
+@pytest.mark.parametrize("nodes", [[0.0, 1e-101, 2e-101], [0.0, 1e-300]], ids=["1e-101", "1e-300"])
+def test_weights_reject_gaps_below_the_coincidence_tolerance(nodes):
+    # |lam| 1e-300 is about 5e-99 (and 1) here, above the node gaps, so a
+    # probe would coincide with several nodes and read the last one's datum:
+    # 3.0 on the first grid at the node whose datum is 2.0
+    with pytest.raises(ValueError, match="node gap is below"):
+        barycentric_weights(custom(0.0, nodes[-1], nodes))
 
 
 def _bits(a):
@@ -220,16 +220,12 @@ def test_barycentric_matches_five_pass_formula_bitwise(case, monkeypatch):
 
     g, pts, xi = ORACLE_CASES[case]()
     w = barycentric_weights(g)
-    fast_path = 2.0 * (np.abs(w.lam) * 1e-300).max() < np.diff(g.nodes).min()
-    assert fast_path == (case != "fallback")
     f = np.cos(3.0 * g.nodes / (g.b - g.a)) + g.nodes
     jd = JumpData(xi, [0.5, -2.0, 1.5])
     probes = np.append(pts, xi)  # a probe on the cut averages two pieces
 
     def evaluate(basis):
-        # on the fallback grid the ratios of a row that hits every node sum
-        # to about zero; that row's quotient is overwritten by a nodal value
-        with np.errstate(divide="ignore" if case == "fallback" else "raise"):
+        with np.errstate(divide="raise"):
             return interpolate(w, f, pts), corrected_interpolate(w, f, jd, probes), basis(w, pts)
 
     new = evaluate(basis_matrix)

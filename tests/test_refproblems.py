@@ -124,6 +124,17 @@ def test_jump_values_for_all_supported_degrees():
             assert jd.jumps[1] == pytest.approx(1.0 / (1.0 - xi * xi), rel=1e-12)
 
 
+@pytest.mark.parametrize("xi,first,order", [(0.3, 161, 200), (0.0, 172, 200), (0.9, 118, 400)])
+def test_jumps_past_the_float_range_raise(xi, first, order):
+    # the k-th jump grows like (k - 1)!; past the float range it is a
+    # ValueError naming the first such order, with no RuntimeWarning (at
+    # order 400, 0.1 ** k underflows to zero before it divides)
+    prob = LegendreProblem(2, xi)
+    assert np.all(np.isfinite(prob.jump_data(first - 1).jumps))
+    with pytest.raises(ValueError, match=f"jump of order {first} at xi = {xi} is not finite"):
+        prob.jump_data(order)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         LegendreProblem(7, 0.3)
