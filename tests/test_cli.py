@@ -424,8 +424,6 @@ CONFIG_ERRORS = [
     ("converge", "probes", 1, "probes must be at least 2, got 1"),
     ("converge", "probes", 0, "probes must be at least 2, got 0"),
     ("converge", "probes", -3, "probes must be at least 2, got -3"),
-    # evolve corrects with its profile's own jumps, all of them or none
-    ("evolve", "M", 1, "unknown key M"),
     # a jump order is at most the grid degree, in every command that takes one
     ("diff", "M", 13, "M=13 exceeds the grid degree N=12"),
     ("quad", "M", 13, "M=13 exceeds the grid degree N=12"),
@@ -444,6 +442,16 @@ def test_config_errors_exit_two_and_write_nothing(tmp_path, capsys, command, fie
     code, out, _ = run_command(tmp_path, command, edited(command, field, value))
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0.5, -2])
+def test_evolve_reports_M_as_unknown_key(tmp_path, capsys, value):
+    """evolve corrects with its profile's own jumps, all of them or none, so
+    an M is an unknown key whatever its value, integral or not, valid or not."""
+    code, out, _ = run_command(tmp_path, "evolve", edited("evolve", "M", value))
+    assert code == 2
+    assert "unknown key M" in capsys.readouterr().err
     assert not out.exists()
 
 
