@@ -112,8 +112,11 @@ def _probe_count(value, key: str) -> int:
 
 
 def _jump_orders(value, key: str) -> list[int]:
-    """interp's M: one jump order or a list of distinct ones."""
-    return _list(_jump_order, unique=True)(value if type(value) is list else [value], key)
+    """interp's M: one jump order or a nonempty list of distinct ones."""
+    Ms = _list(_jump_order, unique=True)(value if type(value) is list else [value], key)
+    if not Ms:
+        raise ValueError(f"{key} must list at least one jump order")
+    return Ms
 
 
 def _fields(cfg, table: dict, where: str = "", tag: str | None = None, default=None) -> dict:
@@ -241,7 +244,10 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[tuple[float, float], floa
 def _max_workers() -> int:
     env = os.environ.get("JUMPSPEC_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"JUMPSPEC_THREADS must be an integer, got {env!r}") from None
     return min(8, os.cpu_count() or 1)
 
 
@@ -411,7 +417,7 @@ def run_diff(cfg: dict) -> tuple[dict, dict]:
     D = derivative_matrix(g, n, m)
     exact = np.asarray(problem.derivative(g.nodes, n), dtype=float)
     plain = apply(D, f)
-    jd = problem.jump_data(M)
+    jd = _jump_table(problem, [M])[M]
     corrected = corrected_derivative(D, f, jd)
 
     header = ["x", "f", "deriv_exact", "deriv_plain", "deriv_corrected", "err_plain", "err_corrected"]
@@ -420,7 +426,7 @@ def run_diff(cfg: dict) -> tuple[dict, dict]:
     columns = [f"c{j}" for j in range(g.N + 1)]
     if cfg["export_matrix"]:
         files["derivative_matrix.csv"] = (columns, D.entries)
-    if cfg["export_corrections"] and M >= 0:
+    if cfg["export_corrections"] and jd is not None:
         files["correction_matrix.csv"] = (columns, correction_matrix(jd, g))
     max_err = {
         "plain": float(np.max(np.abs(plain - exact))),
@@ -435,8 +441,7 @@ def run_quad(cfg: dict) -> tuple[dict, dict]:
     rule = quad_weights(g)
     reference = problem.integral(g.a, g.b)
     plain = integrate(rule, f)
-    jd = problem.jump_data(M)
-    corrected = corrected_integrate(rule, f, jd)
+    corrected = corrected_integrate(rule, f, _jump_table(problem, [M])[M])
 
     header = ["integral_plain", "integral_corrected", "reference", "err_plain", "err_corrected"]
     rows = [(plain, corrected, reference, abs(plain - reference), abs(corrected - reference))]

@@ -13,9 +13,9 @@ data at the nodes left of xi gives the nodal data of the right extension
 discontinuities, and every corrected operation is the plain one applied to
 them: a probe evaluates the plain interpolant of its region's piece, node i
 applies row i of the plain derivative matrix to its own region's piece, and
-the integral sums the plain quadrature of each piece over its region. With
-no jumps enforced the only piece is the data itself, so the plain results
-come back unchanged.
+the integral sums the plain quadrature of each piece over its region. No
+correction is spelled None (or an empty sequence): the only piece is then
+the data itself, so the plain results come back unchanged.
 
 Conventions: a probe exactly at a discontinuity averages the two adjacent
 pieces, and a discontinuity must lie strictly between nodes. A
@@ -64,8 +64,9 @@ class JumpData:
     """Location of a discontinuity and the derivative jumps across it.
 
     jumps[m] is the m-th derivative jump (right limit minus left limit) at
-    xi. An empty jump array means "no correction": all operations then
-    reduce to their plain Lagrange counterparts.
+    xi, for m = 0..order; at least one is required. No correction is
+    spelled None, which every corrected operation takes in place of a
+    JumpData and answers with its plain Lagrange counterpart.
     """
 
     xi: float
@@ -75,14 +76,16 @@ class JumpData:
         if not np.isfinite(self.xi):
             raise ValueError("discontinuity location must be finite")
         jumps = np.atleast_1d(np.array(self.jumps, dtype=float))
-        if jumps.size and not np.all(np.isfinite(jumps)):
+        if not jumps.size:
+            raise ValueError("need at least one derivative jump; None means no correction")
+        if not np.all(np.isfinite(jumps)):
             raise ValueError("derivative jumps must be finite")
         jumps.flags.writeable = False
         object.__setattr__(self, "jumps", jumps)
 
     @property
     def order(self) -> int:
-        """Highest enforced jump order; -1 when no jumps are enforced."""
+        """Highest enforced jump order, at least 0."""
         return self.jumps.size - 1
 
 
@@ -95,28 +98,25 @@ def _require_interior(jump: JumpData, grid: Grid) -> None:
         raise XiOnNodeError(f"discontinuity at {jump.xi} coincides with a grid node")
 
 
-def _as_jump_tuple(jump, grid: Grid) -> tuple[JumpData, ...]:
-    """Normalize a JumpData or sequence thereof to the entries with jumps, sorted by location.
+def _as_jump_tuple(jump) -> tuple[JumpData, ...]:
+    """None, a JumpData or a sequence of them as a tuple sorted by location.
 
-    Entries without jumps are validated here; the others are validated by
-    jump_weights, which every corrected operation calls on them.
+    jump_weights, which every corrected operation calls on each entry,
+    validates the locations against the grid.
     """
-    if isinstance(jump, JumpData) and jump.order >= 0:
+    if isinstance(jump, JumpData):
         return (jump,)
-    jumps = (jump,) if isinstance(jump, JumpData) else tuple(jump)
-    for jd in jumps:
-        if jd.order < 0:
-            _require_interior(jd, grid)
-    active = tuple(sorted((jd for jd in jumps if jd.order >= 0), key=lambda jd: jd.xi))
-    if any(a.xi == b.xi for a, b in zip(active, active[1:])):
+    jumps = tuple(sorted(() if jump is None else jump, key=lambda jd: jd.xi))
+    if any(a.xi == b.xi for a, b in zip(jumps, jumps[1:])):
         raise ValueError("discontinuity locations must be pairwise distinct")
-    return active
+    return jumps
 
 
 @functools.lru_cache(maxsize=None)
 def _factorials(count: int) -> np.ndarray:
-    """0!, 1!, ..., (count - 1)! as floats; built once per length and shared read-only."""
-    out = np.array([math.factorial(m) for m in range(count)], dtype=float)
+    """0!, 1!, ..., (count - 1)! as floats, inf from 171! on, past the float
+    range; built once per length and shared read-only."""
+    out = np.array([math.factorial(m) if m <= 170 else math.inf for m in range(count)], dtype=float)
     out.flags.writeable = False
     return out
 
@@ -127,11 +127,10 @@ def jump_weights(jump: JumpData, grid: Grid) -> np.ndarray:
     Node j receives sum_m jumps[m] / m! * (x_j - xi)^m, evaluated by Horner
     for stability at higher orders. This is the amount by which the right
     extension of the data exceeds the left one at that node, as implied by
-    the enforced jumps; with no jumps enforced it is identically zero.
+    the enforced jumps. Orders past 170 contribute nothing: their m! is
+    inf in floating point.
     """
     _require_interior(jump, grid)
-    if jump.order < 0:
-        return np.zeros(grid.N + 1)
     d = grid.nodes - jump.xi
     coeff = jump.jumps / _factorials(jump.order + 1)
     g = np.full(grid.N + 1, coeff[-1])
@@ -140,17 +139,16 @@ def jump_weights(jump: JumpData, grid: Grid) -> np.ndarray:
     return g
 
 
-def _right_of(x, jumps: tuple[JumpData, ...], side: str = "left") -> np.ndarray:
+def _right_of(x, jumps: tuple[JumpData, ...]) -> np.ndarray:
     """right[k, p]: whether point p lies right of the k-th (sorted) cut.
 
-    A point exactly on a cut counts as left of it for side="left" and right
-    of it for side="right". This is the only place that decides on which
-    side of a discontinuity a node or probe lies. Cuts are sorted, so each
-    column is a run of True over a run of False; its count of True is the
-    region of the point, numbered 0..K from the left.
+    A point exactly on a cut counts as left of it. This is the only place
+    that decides on which side of a discontinuity a node or probe lies.
+    Cuts are sorted, so each column is a run of True over a run of False;
+    its count of True is the region of the point, numbered 0..K from the
+    left.
     """
-    cuts = np.array([jd.xi for jd in jumps], dtype=float)[:, None]
-    return x > cuts if side == "left" else x >= cuts
+    return x > np.array([jd.xi for jd in jumps], dtype=float)[:, None]
 
 
 def _pieces(f, jumps: tuple[JumpData, ...], grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -181,11 +179,11 @@ def reconstruct_pieces(f, jump, grid: Grid) -> tuple[np.ndarray, ...]:
     that side, and the derivative difference plus - minus at xi reproduces
     the enforced jumps and vanishes for orders above the enforced set
     through degree N. K discontinuities (a sequence of JumpData with
-    pairwise-distinct locations) give K + 1 arrays ordered left to right;
-    entries without jumps are ignored. Every corrected operation is the
-    plain one applied to these arrays.
+    pairwise-distinct locations) give K + 1 arrays ordered left to right,
+    and None gives the one array f. Every corrected operation is the plain
+    one applied to these arrays.
     """
-    jumps = _as_jump_tuple(jump, grid)
+    jumps = _as_jump_tuple(jump)
     return tuple(_pieces(_check_data(f, grid), jumps, grid)[0])
 
 
@@ -197,7 +195,7 @@ def correction_matrix(jump, grid: Grid) -> np.ndarray:
     node j left of it, -g_j for the mirrored pair, zero otherwise
     (including the whole diagonal, which preserves collocation).
     """
-    jumps = _as_jump_tuple(jump, grid)
+    jumps = _as_jump_tuple(jump)
     corrections, right = _pieces(-0.0, jumps, grid)
     return corrections[right.sum(axis=0)]
 
@@ -207,18 +205,18 @@ def corrected_interpolate(w: BarycentricWeights, f, jump, x):
 
     Each probe evaluates the plain interpolant of its region's piece; a
     probe exactly at a discontinuity averages the two adjacent pieces. jump
-    may be a single JumpData or a sequence with pairwise-distinct
+    may be None, a single JumpData or a sequence with pairwise-distinct
     locations. The result collocates f at every node exactly and carries
-    the enforced derivative jumps across each discontinuity; with empty
-    jump data it is exactly lagrange.interpolate.
+    the enforced derivative jumps across each discontinuity; with jump
+    None it is exactly lagrange.interpolate.
     """
-    jumps = _as_jump_tuple(jump, w.grid)
+    jumps = _as_jump_tuple(jump)
     pieces = _pieces(_check_data(f, w.grid), jumps, w.grid)[0]
     xs = np.asarray(x, dtype=float)
     pts = np.atleast_1d(xs)
-    region = _right_of(pts, jumps, "left").sum(axis=0)
+    region = _right_of(pts, jumps).sum(axis=0)
     vals = _barycentric(w, pts, pieces, region)
-    on = _right_of(pts, jumps, "right").sum(axis=0) != region
+    on = np.isin(pts, [jd.xi for jd in jumps])
     if on.any():
         vals[on] = 0.5 * (vals[on] + _barycentric(w, pts[on], pieces, region[on] + 1))
     return float(vals[0]) if xs.ndim == 0 else vals
@@ -233,7 +231,7 @@ def corrected_derivative(D: DerivMatrix, f, jump) -> np.ndarray:
     every discontinuity meets only unchanged data and returns the plain
     matrix-vector product bit for bit.
     """
-    jumps = _as_jump_tuple(jump, D.grid)
+    jumps = _as_jump_tuple(jump)
     pieces, right = _pieces(_check_data(f, D.grid), jumps, D.grid)
     out = D.entries @ pieces[0]
     for k, rows in enumerate(right):
@@ -250,7 +248,7 @@ def corrected_integrate(rule: QuadRule, f, jump) -> float:
     (adjacent pieces differ by exactly that series).
     """
     w = barycentric_weights(rule.grid)
-    jumps = _as_jump_tuple(jump, rule.grid)
+    jumps = _as_jump_tuple(jump)
     pieces = _pieces(_check_data(f, rule.grid), jumps, rule.grid)[0]
     total = integrate(rule, pieces[-1])
     for jd in jumps:

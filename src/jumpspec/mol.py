@@ -7,19 +7,45 @@ times are known exactly in advance; the stepper lands on each crossing,
 moves the crossed node to the branch of its new side, and restarts just
 after it, which keeps the right-hand side smooth in time within every step.
 
-Between two crossings every node stays on its side and only xi moves, so
-the semi-discrete system is linear with a forcing term known in advance: a
-Taylor expansion in xi of M + 1 corrected derivatives of zero data, built
-with the shifted jumps J[p:] at the bracket midpoint, gives the exact
-correction at any xi in the bracket. With all steps of a segment the same
-size h, one RK4 step is then one fixed matrix E and one forcing row per
-step, and both are built once per crossing-free segment (see
-_segment_steps): a step costs one matrix-vector product and two vector
-additions, y + (E y + f), corrected or not. E is a polynomial in h of the
-powers A, ..., A^4 of A = -c D, which a run builds once, so a segment
-forms it by Horner with no matrix product. The state's finiteness is
-checked once per segment; a segment that fails is replayed step by step
-to name the first failing step.
+The segment algebra. Between two crossings every node stays on its side
+and only xi moves, so the semi-discrete system y' = -c u_x is linear with a
+forcing known in advance, and all steps of a segment share one size h:
+
+- Without jumps the system is y' = A y with A = -c D, and the RK4 increment
+  of an autonomous linear system is exactly
+  E = h A + h^2/2 A^2 + h^3/6 A^3 + h^4/24 A^4. A run builds the powers
+  A, ..., A^4 once (_powers), and a segment forms E from them by Horner in
+  h, with no matrix product. E's rows sum to zero in exact arithmetic, as
+  D's do; one pass subtracts each row's floating-point sum from its
+  diagonal entry so they do so to rounding (otherwise the rounding of E
+  moves constants a little every step).
+- With jumps, no node crosses the discontinuity within the segment
+  (_bracket enforces it), so xi moves inside a node-free bracket (lo, hi).
+  Taylor-expanding the jump series about the midpoint m gives, with
+  e = m - xi and z = -0.0 at every node,
+
+      corrected_derivative(D, y, JumpData(xi, J)) = D y + sum_p e^p / p! R_p,
+      R_p = corrected_derivative(D, z, JumpData(m, J[p:])),
+
+  exactly, since the series is a polynomial in xi and every node keeps its
+  side; |e| <= (hi - lo) / 2 keeps the sum well conditioned. The forcing
+  -c sum_p e^p / p! R_p is linear in the Taylor weights at the three stage
+  times, so the RK4 stages of A run on the M + 1 columns -c R_p, placed at
+  each stage time in turn, give a map Q from the 3 (M + 1) weights of a
+  step to its forcing; with the weights of a block of steps as the rows of
+  W, their forcing rows are W Q^T, one product per block. Stage locations
+  that land exactly on a bracketing node are nudged one ulp into the open
+  interval, which puts every node on a definite side consistently with the
+  direction of motion.
+- A step is then y + (E y + f), one matrix-vector product and two vector
+  additions, or y + E y without jumps; E and the forcing rows are built
+  once per segment (_segment_steps).
+- The state's finiteness is checked once per segment, at its end. A
+  non-finite entry other than the inflow node's stays non-finite, since a
+  step adds it to its own entry and the crossed-node move adds a finite
+  J_0, and a non-finite inflow value reaches every other entry on the next
+  step. So the check misses no failure; a failed segment is replayed step
+  by step to name the first failing step.
 """
 
 from __future__ import annotations
@@ -43,8 +69,7 @@ class AdvectionProblem:
     """Setup for u_t + c u_x = 0 on a fixed grid.
 
     initial samples u(x, 0) (vectorized over x). jump0 describes the initial
-    discontinuity; pass None (or empty jumps) to run the uncorrected smooth
-    pipeline. The discontinuity path xi0 + c t must stay strictly inside the
+    discontinuity; pass None to run the uncorrected smooth pipeline. The discontinuity path xi0 + c t must stay strictly inside the
     interval up to t_final and must not start on a node. The solution is
     initial(x - c t), which supplies the inflow value and the errors.
     """
@@ -61,7 +86,7 @@ class AdvectionProblem:
         if not (np.isfinite(self.t_final) and self.t_final > 0):
             raise ValueError("t_final must be positive")
         jd = self.jump0
-        if jd is not None and jd.order >= 0:
+        if jd is not None:
             for t in (0.0, self.t_final):
                 xi = jd.xi + self.speed * t
                 if not self.grid.a < xi < self.grid.b:
@@ -130,7 +155,7 @@ _FORCING_BLOCK = 1024
 
 def _powers(problem: AdvectionProblem, D: DerivMatrix) -> np.ndarray:
     """A, A^2, A^3, A^4 with A = -c D, stacked: every step matrix of a run
-    is a polynomial in them (see _segment_steps)."""
+    is a polynomial in them (module docstring)."""
     A = -problem.speed * D.entries
     P = np.empty((4, *A.shape))
     P[0] = A
@@ -143,36 +168,9 @@ def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: floa
                    nsub: int, powers: np.ndarray | None = None) -> tuple[np.ndarray, Iterator]:
     """Step matrix E and forcing rows of nsub RK4 steps of size h = dt / nsub
     from t: step k maps y to y + (E y + f_k), with f_k the k-th item of the
-    returned iterator, or to y + E y where that item is None.
-
-    The semi-discrete system y' = -c u_x is linear. Without jumps it is
-    y' = A y with A = -c D, and the RK4 increment of an autonomous linear
-    system is exactly E = h A + h^2/2 A^2 + h^3/6 A^3 + h^4/24 A^4. powers
-    holds A, ..., A^4 (_powers; built here when None), so evolve builds them
-    once per run and a segment forms E by Horner in h, with no matrix
-    product. E's rows sum to zero in exact arithmetic, as D's do, and one
-    pass subtracts each row's floating-point sum from its diagonal entry so
-    they do so to rounding: without that, the rounding of E moves
-    constants a little every step.
-
-    With jumps, no node crosses the discontinuity in [t, t + dt] (_bracket
-    enforces it), so only xi moves, inside a node-free bracket (lo, hi).
-    Taylor-expanding the jump series about the midpoint m gives, with
-    e = m - xi and z = -0.0 at every node,
-
-        corrected_derivative(D, y, JumpData(xi, J)) = D y + sum_p e^p / p! R_p,
-        R_p = corrected_derivative(D, z, JumpData(m, J[p:])),
-
-    exactly, since the series is a polynomial in xi and every node keeps its
-    side; |e| <= (hi - lo) / 2 keeps the sum well conditioned. The forcing
-    -c sum_p e^p / p! R_p is linear in the Taylor weights at the three stage
-    times, so the RK4 stages of A run on the M + 1 columns -c R_p, placed
-    at each stage time in turn, give a map Q from the 3 (M + 1) weights of
-    a step to its forcing; with the weights of a block of steps as the rows
-    of W, their forcing rows are W Q^T, one product per block. Stage
-    locations that land exactly on a bracketing node are nudged one ulp
-    into the open interval, which puts every node on a definite side
-    consistently with the direction of motion.
+    returned iterator, or to y + E y where that item is None. powers holds
+    A, ..., A^4 (_powers; built here when None). The algebra is in the
+    module docstring.
     """
     c, jd = problem.speed, problem.jump0
     n, h = D.grid.N + 1, dt / nsub
@@ -182,7 +180,7 @@ def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: floa
         E += P[k]
         E *= h / (k + 1)
     np.fill_diagonal(E, E.diagonal() - E.sum(axis=1))
-    if jd is None or jd.order < 0:
+    if jd is None:
         return E, repeat(None, nsub)
     lo, hi = _bracket(problem, t, dt)
     mid = 0.5 * (lo + hi)
@@ -218,11 +216,10 @@ def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatr
     """One classical Runge-Kutta step from t to t + dt.
 
     step is the (E, f) pair of the step: y maps to y + (E y + f), or to
-    y + E y when f is None (see _segment_steps). By default it is built for
-    this one step, powers of -c D included, through the same code as
-    evolve's, which builds the powers once per run, E and the forcing rows
-    once per crossing-free segment, and passes each step its pair. The
-    discontinuity may touch a node only at the step endpoints.
+    y + E y when f is None. By default it is built for this one step by
+    _segment_steps, powers of -c D included; evolve passes each step its
+    segment's pair (module docstring). The discontinuity may touch a node
+    only at the step endpoints.
     """
     state = np.asarray(state, dtype=float)
     if step is None:
@@ -238,7 +235,7 @@ def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatr
 def _crossings(problem: AdvectionProblem) -> list[tuple[float, int]]:
     """(time, node index) of every node the discontinuity crosses, in time order."""
     jd = problem.jump0
-    if jd is None or jd.order < 0 or problem.speed == 0.0:
+    if jd is None or problem.speed == 0.0:
         return []
     times = (problem.grid.nodes - jd.xi) / problem.speed
     inside = np.flatnonzero((times > 0.0) & (times < problem.t_final))
@@ -275,15 +272,13 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     Time is partitioned at the exact node-crossing times of the
     discontinuity; each segment is covered with uniform Runge-Kutta steps of
     size at most dt, landing exactly on the crossing before restarting on
-    the far side. A crossed node then lies on the other side of the
-    discontinuity, so its value moves to that side's branch: the two
-    branches differ there by exactly J_0, which leaves kinks untouched.
-    After every step the inflow node is overwritten with the exact
-    solution initial(x - c t), sampled once per segment at all of its step
-    end times. The powers of -c D are built once per run (_powers), each
-    segment's step matrix and forcing rows once per segment from them
-    (_segment_steps), and every step goes through rk4_step with them.
-    States are recorded at t = 0, every output_every-th step, and t_final.
+    the far side. The crossed node's value then moves to the branch of its
+    new side, by exactly J_0, which leaves kinks untouched. After every step
+    the inflow node is overwritten with the exact solution initial(x - c t).
+    Steps, their per-segment build and the per-segment finiteness check
+    follow the module docstring. States are recorded at t = 0, every
+    output_every-th step, and t_final.
+
     Stability is the caller's business: the step matrix I + E, without the
     inflow node's row and column, must keep its spectral radius within 1.
     The inflow node is reset after each step, not within its stages, so on
@@ -292,14 +287,7 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
 
     Raises RuntimeError with a diagnostic if the state stops being finite;
     it names the failure time and the largest |u| of the state the failing
-    step started from. Finiteness is checked once per segment, at its end:
-    a non-finite entry other than the inflow node's stays non-finite, since
-    the step y + (E y + f) adds it to its own entry and the crossed-node
-    move adds a finite J_0, and a non-finite inflow value reaches every
-    other entry on the next step. So the check misses no failure, and a
-    failed segment is replayed from its start state, through the same
-    rk4_step calls, with a check after every step to find the first
-    failing one.
+    step started from.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

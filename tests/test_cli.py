@@ -430,6 +430,8 @@ CONFIG_ERRORS = [
     # the default M = 200 reaches Legendre jumps past the float range, first at order 161
     ("diff", "grid.N", 400, "the legendre jump of order 161 at xi = 0.3 is not finite"),
     ("quad", "grid.N", 400, "the legendre jump of order 161 at xi = 0.3 is not finite"),
+    # interp with no jump order at all would tabulate only the exact values
+    ("interp", "M", [], "M must list at least one jump order"),
 ]
 
 
@@ -559,3 +561,35 @@ def test_thread_cap_respected(tmp_path, monkeypatch):
     code, _, report = run_command(tmp_path, "converge", cfg)
     assert code == 0
     assert len(report["rows"]) == 3
+
+
+def test_non_integer_thread_cap_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("JUMPSPEC_THREADS", "abc")
+    code, out, _ = run_command(tmp_path, "converge", CONVERGE_CFG)
+    assert code == 2
+    assert "JUMPSPEC_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+HIGH_ORDER_CFG = {
+    "problem": {"type": "synthetic", "left": [0, 1], "right": [1, 1], "xi": 0.1234},
+    "grid": {"family": "cgl", "a": -1, "b": 1, "N": 200},
+}
+
+
+def test_jump_orders_past_170_add_nothing(tmp_path):
+    """m! is inf in floating point from m = 171 on, so those orders add
+    J_m / m! = 0; the pieces are linear, so every jump past order 1 is zero
+    and M = 180 gives M = 1's corrected results."""
+    code, out, _ = run_command(tmp_path, "interp", {**HIGH_ORDER_CFG, "M": [1, 180], "probes": 200})
+    assert code == 0
+    header, rows = read_csv(out / "result.csv")
+    np.testing.assert_array_equal(rows[:, header.index("p_M180")], rows[:, header.index("p_M1")])
+    for command, column in (("diff", "deriv_corrected"), ("quad", "integral_corrected")):
+        results = []
+        for M in (1, 180):
+            code, out, _ = run_command(tmp_path, command, {**HIGH_ORDER_CFG, "M": M}, tag=f"{command}{M}")
+            assert code == 0
+            header, rows = read_csv(out / "result.csv")
+            results.append(rows[:, header.index(column)])
+        np.testing.assert_array_equal(*results)

@@ -57,9 +57,14 @@ def test_weight_series_quadratic_term():
     assert got[1] == pytest.approx(0.75, abs=1e-15)
 
 
-def test_empty_jumps_give_zero_weights():
-    g = equidistant(-1, 1, 4)
-    np.testing.assert_array_equal(jump_weights(JumpData(0.1, []), g), np.zeros(5))
+def test_empty_jumps_are_rejected():
+    """No correction is spelled None, so jump data without a jump is an error."""
+    with pytest.raises(ValueError, match="at least one derivative jump"):
+        JumpData(0.1, [])
+    with pytest.raises(ValueError, match="at least one derivative jump"):
+        LegendreProblem(2, 0.3).jump_data(-1)
+    with pytest.raises(ValueError, match="at least one derivative jump"):
+        SyntheticPiecewise([0.0, 1.0], [1.0, 1.0], 0.1).jump_data(-1)
 
 
 def test_xi_on_node_rejected():
@@ -429,7 +434,7 @@ def test_no_jumps_match_plain_operators_bitwise(family, m, probe, jump):
     f = rng.standard_normal(11)
     f[3] = -0.0
     x = 0.45 if probe == "scalar" else np.concatenate([rng.uniform(-1, 1, 100), g.nodes])
-    jd = JumpData(0.123, []) if jump == "empty-jumpdata" else []
+    jd = None if jump == "empty-jumpdata" else []  # no jump data at all, or an empty sequence
 
     got, plain = corrected_interpolate(w, f, jd, x), interpolate(w, f, x)
     assert type(got) is type(plain)
@@ -518,3 +523,25 @@ def test_two_discontinuities_give_three_pieces():
     region = (g.nodes > -0.33).astype(int) + (g.nodes > 0.41)
     for j, r in enumerate(region):
         assert pieces[r][j] == f[j]
+
+
+def test_probe_on_each_of_two_cuts_averages_its_adjacent_pieces():
+    g = chebyshev_gauss_lobatto(-1, 1, 8)
+    w = barycentric_weights(g)
+    f = np.random.default_rng(6).standard_normal(9)
+    jds = [JumpData(0.41, [1.0, -0.5]), JumpData(-0.33, [2.0, 0.25, -1.0])]
+    pieces = reconstruct_pieces(f, jds, g)
+    # (probe, the pieces it evaluates): each cut, and a probe between them
+    probes = [(-0.33, (0, 1)), (0.05, (1,)), (0.41, (1, 2))]
+    got = corrected_interpolate(w, f, jds, np.array([x for x, _ in probes]))
+    for value, (x, used) in zip(got, probes):
+        expected = np.mean([interpolate(w, pieces[r], x) for r in used])
+        assert value == pytest.approx(expected, rel=0, abs=1e-13)
+        assert corrected_interpolate(w, f, jds, x) == value
+    # one ulp either side of a cut is that side's piece alone, a J_0 of 2 or 1 apart
+    for x, (lo, hi) in (probes[0], probes[2]):
+        below = corrected_interpolate(w, f, jds, np.nextafter(x, -1))
+        above = corrected_interpolate(w, f, jds, np.nextafter(x, 1))
+        assert below == pytest.approx(interpolate(w, pieces[lo], x), rel=0, abs=1e-13)
+        assert above == pytest.approx(interpolate(w, pieces[hi], x), rel=0, abs=1e-13)
+        assert abs(above - below) > 0.5
