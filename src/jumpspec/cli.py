@@ -400,7 +400,7 @@ def run_converge(cfg: dict) -> tuple[dict, dict]:
             fits.append({**fit_orders(Ns, [errors[(N, M)] for N in Ns]), "M": M})
 
     report = {
-        "problem": "legendre" if isinstance(problem, LegendreProblem) else "synthetic",
+        "problem": problem.name,
         "family": family,
         "probes": cfg["probes"],
         "rows": [{"N": n, "M": m, "linf_error": e} for n, m, e in rows],

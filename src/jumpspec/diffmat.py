@@ -131,13 +131,7 @@ def negative_sum_trick(M: DerivMatrix) -> DerivMatrix:
     """
     if M.n < 1:
         raise ValueError("the negative sum trick applies to derivative orders n >= 1")
-    return DerivMatrix(M.grid, M.n, M.m, _zero_row_sums(M.entries.copy()))
-
-
-def _zero_row_sums(entries: np.ndarray) -> np.ndarray:
-    """Set, in place, each diagonal entry of a square array to minus the sum
-    of its off-diagonal row, accumulated smallest magnitude first; returns
-    the array (negative_sum_trick's rebalance)."""
+    entries = M.entries.copy()
     size = entries.shape[0]
     # blocks of rows keep the sort temporaries at O(block * N)
     for lo in range(0, size, _ROW_BLOCK):
@@ -145,7 +139,7 @@ def _zero_row_sums(entries: np.ndarray) -> np.ndarray:
         off = entries[rows][rows[:, None] != np.arange(size)].reshape(rows.size, size - 1)
         off = np.take_along_axis(off, np.argsort(np.abs(off), axis=1, kind="stable"), axis=1)
         entries[rows, rows] = -off.sum(axis=1)
-    return entries
+    return DerivMatrix(M.grid, M.n, M.m, entries)
 
 
 def apply(M: DerivMatrix, f) -> np.ndarray:

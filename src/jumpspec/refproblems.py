@@ -4,13 +4,15 @@ Two families serve as oracles for the correction machinery: a kinked
 solution assembled from Legendre functions, continuous but with nonzero
 jumps in every derivative at an interior point, and synthetic piecewise
 polynomials whose jump vector follows exactly from coefficient differences.
+Each is two analytic pieces glued at xi: a problem supplies its pieces
+(`_piece`), and one glue, one split of an interval at xi and one jump check
+serve both.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -29,23 +31,40 @@ __all__ = [
 
 MAX_LEGENDRE_DEGREE = 5
 
-# First-kind polynomials P_0..P_5, power-basis coefficients, low order first.
-_P_COEFFS = {l: legendre.leg2poly(np.eye(l + 1)[l]) for l in range(MAX_LEGENDRE_DEGREE + 1)}
+
+def _derivative_table(coeffs) -> tuple[np.ndarray, ...]:
+    """Read-only power-basis coefficients, low order first, of a polynomial
+    (entry 0) and of its k-th derivative (entry k), up to its degree; each
+    entry is bit for bit what npoly.polyder returns."""
+    table = [np.array(coeffs, dtype=float)]
+    for n in range(table[0].size - 1, 0, -1):
+        table.append(np.arange(1, n + 1) * table[-1][1:])
+    for c in table:
+        c.flags.writeable = False
+    return tuple(table)
 
 
-def _build_w_coeffs() -> dict[int, np.ndarray]:
-    # Q_l(x) = P_l(x) atanh(x) - W_l(x) with the polynomial part
-    # W_l = sum_{m=1..l} P_{m-1} P_{l-m} / m (empty sum for l = 0).
-    W = {0: np.array([0.0])}
-    for l in range(1, MAX_LEGENDRE_DEGREE + 1):
-        acc = np.array([0.0])
-        for m in range(1, l + 1):
-            acc = npoly.polyadd(acc, npoly.polymul(_P_COEFFS[m - 1], _P_COEFFS[l - m]) / m)
-        W[l] = acc
-    return W
+def _polyval(table, x, order: int):
+    """The order-th derivative at x of a tabled polynomial; zero past the degree."""
+    if order >= len(table):
+        return np.zeros_like(x)
+    return npoly.polyval(x, table[order])
 
 
-_W_COEFFS = _build_w_coeffs()
+# First-kind polynomials P_0..P_5, then the polynomial part of
+# Q_l(x) = P_l(x) atanh(x) - W_l(x): W_l = sum_{m=1..l} P_{m-1} P_{l-m} / m
+# (empty sum for l = 0).
+_P = [_derivative_table(legendre.leg2poly(np.eye(l + 1)[l])) for l in range(MAX_LEGENDRE_DEGREE + 1)]
+
+
+def _w_coeffs(l: int) -> np.ndarray:
+    acc = np.array([0.0])
+    for m in range(1, l + 1):
+        acc = npoly.polyadd(acc, npoly.polymul(_P[m - 1][0], _P[l - m][0]) / m)
+    return acc
+
+
+_W = [_derivative_table(_w_coeffs(l)) for l in range(MAX_LEGENDRE_DEGREE + 1)]
 
 
 def _check_degree(l: int) -> None:
@@ -53,38 +72,10 @@ def _check_degree(l: int) -> None:
         raise ValueError(f"degree {l} unsupported; closed forms cover 0..{MAX_LEGENDRE_DEGREE}")
 
 
-def _polyval_derivative(coeffs: np.ndarray, x, order: int):
-    if order >= coeffs.size:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    c = npoly.polyder(coeffs, order) if order > 0 else coeffs
-    return npoly.polyval(x, c)
-
-
-_TABLES = {"P": _P_COEFFS, "W": _W_COEFFS}
-
-
-@functools.lru_cache(maxsize=None)
-def _legendre_coeffs(table: str, l: int, order: int) -> np.ndarray:
-    """Coefficients of the order-th derivative of P_l (table "P") or W_l
-    ("W"), for orders below their length; built once per (table, l, order)
-    and shared read-only."""
-    coeffs = _TABLES[table][l]
-    c = npoly.polyder(coeffs, order) if order > 0 else coeffs.copy()
-    c.flags.writeable = False
-    return c
-
-
-def _legendre_derivative(table: str, l: int, x: np.ndarray, order: int) -> np.ndarray:
-    """The order-th derivative of P_l or W_l at x; zero past the degree."""
-    if order >= _TABLES[table][l].size:
-        return np.zeros_like(x)
-    return npoly.polyval(x, _legendre_coeffs(table, l, order))
-
-
 def legendre_P(l: int, x, order: int = 0):
     """Legendre polynomial of the first kind, degrees 0..5, or its order-th derivative."""
     _check_degree(l)
-    return _legendre_derivative("P", l, np.asarray(x, dtype=float), order)
+    return _polyval(_P[l], np.asarray(x, dtype=float), order)
 
 
 def _atanh_derivative(x, order: int):
@@ -114,21 +105,36 @@ def legendre_Q(l: int, x, order: int = 0):
         raise ValueError("second-kind Legendre values require |x| < 1")
     total = np.zeros_like(x)
     for i in range(0, min(order, l) + 1):
-        P = _legendre_derivative("P", l, x, i)
+        P = _polyval(_P[l], x, i)
         total = total + math.comb(order, i) * P * _atanh_derivative(x, order - i)
-    return total - _legendre_derivative("W", l, x, order)
+    return total - _polyval(_W[l], x, order)
 
 
-def _split_gauss_integral(value, lo: float, hi: float, xi: float, npts: int = 120) -> float:
-    """Reference integral of a piecewise-smooth callable, split at xi."""
-    t, gw = _gauss_legendre(npts)
-    total = 0.0
-    cuts = [lo, xi, hi] if lo < xi < hi else [lo, hi]
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (left + right)
-        half = 0.5 * (right - left)
-        total += half * float(gw @ value(mid + half * t))
-    return total
+def _glue(problem, x, order: int):
+    """The order-th derivative of a problem's right piece right of xi and of
+    its left piece left of it, their mean at xi."""
+    x = np.asarray(x, dtype=float)
+    th = np.heaviside(x - problem.xi, 0.5)
+    return th * problem._piece(True, x, order) + (1.0 - th) * problem._piece(False, x, order)
+
+
+def _split_integral(xi: float, lo: float, hi: float, integrate) -> float:
+    """Sum of integrate(right, a, b) over the parts [a, b] of [lo, hi] on
+    each side of xi; right tells which piece the part lies under."""
+    parts = [(False, lo, xi), (True, xi, hi)] if lo < xi < hi else [(hi > xi, lo, hi)]
+    return sum(integrate(*part) for part in parts)
+
+
+def _checked_jumps(problem, order: int, jump) -> JumpData:
+    """JumpData of the jumps jump(k), k = 0..order; a ValueError names the
+    first order whose jump is not finite."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        J = np.array([float(jump(k)) for k in range(order + 1)])
+    bad = np.flatnonzero(~np.isfinite(J))
+    if bad.size:
+        raise ValueError(f"the {problem.name} jump of order {bad[0]} at xi = {problem.xi} is not finite; "
+                         "use a lower jump order")
+    return JumpData(problem.xi, J)
 
 
 @dataclass(frozen=True)
@@ -144,21 +150,23 @@ class LegendreProblem:
 
     l: int
     xi: float
+    name = "legendre"
 
     def __post_init__(self) -> None:
         _check_degree(self.l)
         if not -1.0 < self.xi < 1.0:
             raise ValueError("source location must satisfy |xi| < 1")
 
+    def _piece(self, right: bool, x, order: int):
+        if right:
+            return legendre_P(self.l, self.xi) * legendre_Q(self.l, x, order)
+        return legendre_P(self.l, x, order) * legendre_Q(self.l, self.xi)
+
     def value(self, x):
         return self.derivative(x, 0)
 
     def derivative(self, x, order: int = 1):
-        x = np.asarray(x, dtype=float)
-        right = legendre_P(self.l, self.xi) * legendre_Q(self.l, x, order)
-        left = legendre_P(self.l, x, order) * legendre_Q(self.l, self.xi)
-        th = np.heaviside(x - self.xi, 0.5)
-        return th * right + (1.0 - th) * left
+        return _glue(self, x, order)
 
     def jump_data(self, order: int) -> JumpData:
         """Derivative jumps through the given order, from the closed forms.
@@ -166,25 +174,20 @@ class LegendreProblem:
         Raises ValueError naming the first order whose jump is not finite:
         the k-th jump grows like (k - 1)!, and leaves the float range by k = 172.
         """
-        P0 = float(legendre_P(self.l, self.xi))
-        Q0 = float(legendre_Q(self.l, self.xi))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            J = np.array(
-                [
-                    P0 * float(legendre_Q(self.l, self.xi, k))
-                    - float(legendre_P(self.l, self.xi, k)) * Q0
-                    for k in range(order + 1)
-                ]
-            )
-        bad = np.flatnonzero(~np.isfinite(J))
-        if bad.size:
-            raise ValueError(f"the legendre jump of order {bad[0]} at xi = {self.xi} is not finite; "
-                             "use a lower jump order")
-        return JumpData(self.xi, J)
+        P0, Q0 = legendre_P(self.l, self.xi), legendre_Q(self.l, self.xi)
+        return _checked_jumps(self, order, lambda k: P0 * legendre_Q(self.l, self.xi, k)
+                              - legendre_P(self.l, self.xi, k) * Q0)
 
     def integral(self, lo: float, hi: float) -> float:
-        """Reference integral over [lo, hi], accurate to near machine precision."""
-        return _split_gauss_integral(self.value, lo, hi, self.xi)
+        """Reference integral over [lo, hi], accurate to near machine
+        precision: 120-point Gauss-Legendre on each side of xi."""
+        t, gw = _gauss_legendre(120)
+
+        def gauss(right, a, b):
+            half = 0.5 * (b - a)
+            return half * float(gw @ self._piece(right, 0.5 * (a + b) + half * t, 0))
+
+        return _split_integral(self.xi, lo, hi, gauss)
 
 
 @dataclass(frozen=True)
@@ -192,57 +195,53 @@ class SyntheticPiecewise:
     """Two polynomial pieces glued at xi; exact jumps from the coefficients.
 
     Coefficient arrays are power-basis, low order first, shared global
-    variable (not recentred at xi). The jump vector is the derivative
-    difference of the two pieces evaluated at xi.
+    variable (not recentred at xi), and nonempty. The jump vector is the
+    derivative difference of the two pieces evaluated at xi.
     """
 
     left: np.ndarray
     right: np.ndarray
     xi: float
+    # derivative tables of the left piece, the right piece (so _piece's right
+    # flag indexes its side) and right - left
+    _tables: tuple = field(init=False, repr=False, compare=False)
+    name = "synthetic"
 
     def __post_init__(self) -> None:
-        for name in ("left", "right"):
-            c = np.atleast_1d(np.array(getattr(self, name), dtype=float))
-            if c.ndim != 1 or not np.all(np.isfinite(c)):
-                raise ValueError(f"{name} piece needs a 1-D array of finite coefficients")
+        for side in ("left", "right"):
+            c = np.atleast_1d(np.array(getattr(self, side), dtype=float))
+            if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+                raise ValueError(f"{side} piece needs a nonempty 1-D array of finite coefficients")
             c.flags.writeable = False
-            object.__setattr__(self, name, c)
+            object.__setattr__(self, side, c)
         if not np.isfinite(self.xi):
             raise ValueError("xi must be finite")
+        with np.errstate(over="ignore"):  # jump_data reports an infinite difference
+            delta = npoly.polysub(self.right, self.left)
+        object.__setattr__(self, "_tables", tuple(_derivative_table(c) for c in (self.left, self.right, delta)))
+
+    def _piece(self, right: bool, x, order: int):
+        return _polyval(self._tables[right], x, order)
 
     def value(self, x):
         return self.derivative(x, 0)
 
     def derivative(self, x, order: int = 1):
-        x = np.asarray(x, dtype=float)
-        right = _polyval_derivative(self.right, x, order)
-        left = _polyval_derivative(self.left, x, order)
-        th = np.heaviside(x - self.xi, 0.5)
-        return th * right + (1.0 - th) * left
+        return _glue(self, x, order)
 
-    def jump_data(self, order: int | None = None) -> JumpData:
-        """Jumps J_m = right^(m)(xi) - left^(m)(xi) through the given order.
+    def jump_data(self, order: int) -> JumpData:
+        """Jumps J_m = right^(m)(xi) - left^(m)(xi) through the given order,
+        from the coefficient difference of the pieces.
 
-        Defaults to the highest degree present, beyond which every jump is
-        identically zero.
+        Raises ValueError naming the first order whose jump is not finite.
         """
-        if order is None:
-            order = max(self.left.size, self.right.size) - 1
-        delta = npoly.polysub(self.right, self.left)
-        J = np.array([float(_polyval_derivative(delta, self.xi, m)) for m in range(order + 1)])
-        return JumpData(self.xi, J)
+        return _checked_jumps(self, order, lambda m: _polyval(self._tables[2], self.xi, m))
 
     def integral(self, lo: float, hi: float) -> float:
-        """Exact piecewise integral over [lo, hi]."""
-        total = 0.0
-        pieces = []
-        if lo < self.xi < hi:
-            pieces = [(self.left, lo, self.xi), (self.right, self.xi, hi)]
-        elif hi <= self.xi:
-            pieces = [(self.left, lo, hi)]
-        else:
-            pieces = [(self.right, lo, hi)]
-        for coeffs, left, right in pieces:
-            anti = npoly.polyint(coeffs)
-            total += float(npoly.polyval(right, anti) - npoly.polyval(left, anti))
-        return total
+        """Exact piecewise integral over [lo, hi], from each piece's antiderivative."""
+
+        def exact(right, a, b):
+            anti = npoly.polyint(self._tables[right][0])
+            return float(npoly.polyval(b, anti) - npoly.polyval(a, anti))
+
+        return _split_integral(self.xi, lo, hi, exact)

@@ -432,6 +432,11 @@ CONFIG_ERRORS = [
     ("quad", "grid.N", 400, "the legendre jump of order 161 at xi = 0.3 is not finite"),
     # interp with no jump order at all would tabulate only the exact values
     ("interp", "M", [], "M must list at least one jump order"),
+    # a polynomial piece has at least one coefficient
+    ("quad", "problem", {"type": "synthetic", "left": [], "right": [1.0], "xi": 0.3},
+     "left piece needs a nonempty 1-D array of finite coefficients"),
+    ("interp", "problem", {"type": "synthetic", "left": [0.0, 1.0], "right": [], "xi": 0.3},
+     "right piece needs a nonempty 1-D array of finite coefficients"),
 ]
 
 

@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy import special
 
 from jumpspec import refproblems
+from jumpspec.quadrature import _gauss_legendre
 from jumpspec.refproblems import (
     LegendreProblem,
     SyntheticPiecewise,
@@ -160,31 +161,75 @@ def _uncached_derivative(coeffs, x, order):
 def _uncached_Q(l, x, order):
     total = np.zeros_like(x)
     for i in range(0, min(order, l) + 1):
-        P = _uncached_derivative(refproblems._P_COEFFS[l], x, i)
+        P = _uncached_derivative(refproblems._P[l][0], x, i)
         total = total + math.comb(order, i) * P * refproblems._atanh_derivative(x, order - i)
-    return total - _uncached_derivative(refproblems._W_COEFFS[l], x, order)
+    return total - _uncached_derivative(refproblems._W[l][0], x, order)
+
+
+def _assert_read_only_polyder(table):
+    coeffs = table[0]
+    assert len(table) == coeffs.size
+    for order, c in enumerate(table):
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = 1.0
+        assert c.tobytes() == npoly.polyder(coeffs, order).tobytes()
 
 
 def test_cached_derivative_coefficients_are_read_only_polyder():
-    for table, coeffs in refproblems._TABLES.items():
-        for l, c in coeffs.items():
-            for order in range(c.size):
-                cached = refproblems._legendre_coeffs(table, l, order)
-                assert cached is refproblems._legendre_coeffs(table, l, order)
-                assert not cached.flags.writeable
-                with pytest.raises(ValueError):
-                    cached[0] = 1.0
-                assert cached.tobytes() == npoly.polyder(c, order).tobytes()
+    for table in refproblems._P + refproblems._W:
+        _assert_read_only_polyder(table)
+    s = SyntheticPiecewise([1.0, -2.0, 0.5, 3.0], [0.25, 1.0, -1.0], 0.2)
+    for table in s._tables:
+        _assert_read_only_polyder(table)
+    assert s._tables[2][0].tobytes() == npoly.polysub(s.right, s.left).tobytes()
 
 
 @pytest.mark.parametrize("l", range(6))
 def test_legendre_values_unchanged_by_coefficient_cache(l):
     x = np.concatenate([np.linspace(-0.95, 0.95, 39), [0.0, -0.0]])
     for order in range(16):  # past the degree included
-        P = _uncached_derivative(refproblems._P_COEFFS[l], x, order)
+        P = _uncached_derivative(refproblems._P[l][0], x, order)
         assert legendre_P(l, x, order).tobytes() == P.tobytes()
         assert legendre_Q(l, x, order).tobytes() == _uncached_Q(l, x, order).tobytes()
         assert float(legendre_Q(l, 0.3, order)) == float(_uncached_Q(l, np.asarray(0.3), order))
+    # the jumps and the split Gauss integral of the glued value, as first written
+    prob = LegendreProblem(l, 0.3)
+    P0, Q0 = float(legendre_P(l, 0.3)), float(legendre_Q(l, 0.3))
+    jumps = [P0 * float(legendre_Q(l, 0.3, k)) - float(legendre_P(l, 0.3, k)) * Q0 for k in range(12)]
+    assert prob.jump_data(11).jumps.tobytes() == np.array(jumps).tobytes()
+    t, gw = _gauss_legendre(120)
+    for lo, hi in [(-0.8, 0.8), (-0.8, 0.1), (0.5, 0.8), (-0.8, 0.3), (0.3, 0.8)]:
+        cuts = [lo, 0.3, hi] if lo < 0.3 < hi else [lo, hi]
+        total = 0.0
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            total += 0.5 * (b - a) * float(gw @ prob.value(0.5 * (a + b) + 0.5 * (b - a) * t))
+        assert prob.integral(lo, hi).hex() == total.hex()
+
+
+@pytest.mark.parametrize("xi", [0.2, 1.5, -0.4])
+def test_synthetic_values_unchanged_by_coefficient_cache(xi):
+    # the uncached glue, jumps and three-branch integral the synthetic pieces
+    # were first written with
+    left, right = np.array([1.0, -2.0, 0.5, 3.0]), np.array([0.25, 1.0, -1.0])
+    s = SyntheticPiecewise(left, right, xi)
+    x = np.concatenate([np.linspace(-1.0, 1.0, 41), [xi, 0.0, -0.0]])
+    th = np.heaviside(x - xi, 0.5)
+    for order in range(6):  # past both degrees included
+        glued = th * _uncached_derivative(right, x, order) + (1.0 - th) * _uncached_derivative(left, x, order)
+        assert s.derivative(x, order).tobytes() == glued.tobytes()
+    assert s.value(x).tobytes() == s.derivative(x, 0).tobytes()
+    delta = npoly.polysub(right, left)
+    jumps = [float(_uncached_derivative(delta, np.asarray(xi), m)) for m in range(6)]
+    assert s.jump_data(5).jumps.tobytes() == np.array(jumps).tobytes()
+    for lo, hi in [(-1.0, 1.0), (-1.0, -0.5), (0.6, 1.0), (-1.0, xi), (xi, 1.0)]:
+        pieces = ([(left, lo, xi), (right, xi, hi)] if lo < xi < hi
+                  else [(left, lo, hi)] if hi <= xi else [(right, lo, hi)])
+        total = 0.0
+        for coeffs, a, b in pieces:
+            anti = npoly.polyint(coeffs)
+            total += float(npoly.polyval(b, anti) - npoly.polyval(a, anti))
+        assert s.integral(lo, hi).hex() == total.hex()
 
 
 # --- synthetic piecewise ------------------------------------------------------
@@ -192,12 +237,12 @@ def test_legendre_values_unchanged_by_coefficient_cache(l):
 
 def test_identical_pieces_have_zero_jumps():
     s = SyntheticPiecewise([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 0.2)
-    np.testing.assert_array_equal(s.jump_data().jumps, np.zeros(3))
+    np.testing.assert_array_equal(s.jump_data(2).jumps, np.zeros(3))
 
 
 def test_constant_step_jump():
     s = SyntheticPiecewise([0.0], [1.0], 0.2)
-    np.testing.assert_array_equal(s.jump_data().jumps, [1.0])
+    np.testing.assert_array_equal(s.jump_data(0).jumps, [1.0])
 
 
 def test_linear_vs_quadratic_jumps():
@@ -214,3 +259,13 @@ def test_piecewise_value_and_integral():
     assert s.integral(0.0, 1.0) == pytest.approx(0.5 + 0.75, rel=1e-15)
     assert s.integral(0.0, 0.4) == pytest.approx(0.4, rel=1e-15)
     assert s.integral(0.6, 1.0) == pytest.approx(1.0 - 0.36, rel=1e-14)
+
+
+def test_synthetic_jumps_past_the_float_range_raise():
+    # J_0 = 1e308 (1 + 0.9) overflows; J_1 = 1e308 does not
+    s = SyntheticPiecewise([0.0], [1e308, 1e308], 0.9)
+    with pytest.raises(ValueError, match="synthetic jump of order 0 at xi = 0.9 is not finite"):
+        s.jump_data(1)
+    # here the coefficient difference itself overflows
+    with pytest.raises(ValueError, match="synthetic jump of order 0 at xi = 0.1 is not finite"):
+        SyntheticPiecewise([-1e308], [1e308], 0.1).jump_data(0)
