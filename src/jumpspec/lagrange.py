@@ -18,7 +18,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BarycentricWeights:
-    """Barycentric weights lam[j] = 1 / prod_{k != j} (x_j - x_k) of a grid.
+    """Barycentric weights lam[j] = 1 / prod_{k != j} (x_j - x_k) of a grid,
+    each finite and nonzero.
 
     A probe within |lam_j| 1e-300 of node j coincides with it (_ratio_matrix);
     every such tolerance must be below half the smallest node gap, so that a
@@ -31,6 +32,8 @@ class BarycentricWeights:
 
     def __post_init__(self) -> None:
         lam = np.array(self.lam, dtype=float)
+        if not np.all(np.isfinite(lam)) or np.any(lam == 0.0):
+            raise ValueError("degenerate barycentric weights; nodes too close or interval too wide")
         if not 2.0 * (np.abs(lam) * 1e-300).max() < np.diff(self.grid.nodes).min():
             raise ValueError("degenerate barycentric weights; a node gap is below 2 |lam| 1e-300")
         lam.flags.writeable = False
@@ -47,10 +50,7 @@ def barycentric_weights(grid: Grid) -> BarycentricWeights:
     x = grid.nodes
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
-    lam = 1.0 / diff.prod(axis=1)
-    if not np.all(np.isfinite(lam)) or np.any(lam == 0.0):
-        raise ValueError("degenerate barycentric weights; nodes too close or interval too wide")
-    return BarycentricWeights(grid, lam)
+    return BarycentricWeights(grid, 1.0 / diff.prod(axis=1))
 
 
 def _ratio_matrix(

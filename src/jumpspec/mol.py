@@ -59,7 +59,7 @@ import numpy as np
 
 from .diffmat import DerivMatrix
 from .grid import Grid
-from .jumps import JumpData, corrected_derivative
+from .jumps import JumpData, _require_interior, corrected_derivative
 
 __all__ = ["AdvectionProblem", "EvolutionResult", "rk4_step", "evolve"]
 
@@ -69,8 +69,9 @@ class AdvectionProblem:
     """Setup for u_t + c u_x = 0 on a fixed grid.
 
     initial samples u(x, 0) (vectorized over x). jump0 describes the initial
-    discontinuity; pass None to run the uncorrected smooth pipeline. The discontinuity path xi0 + c t must stay strictly inside the
-    interval up to t_final and must not start on a node. The solution is
+    discontinuity; pass None to run the uncorrected smooth pipeline. The
+    discontinuity path xi0 + c t must stay strictly inside the interval up
+    to t_final and must not start on a node. The solution is
     initial(x - c t), which supplies the inflow value and the errors.
     """
 
@@ -87,12 +88,9 @@ class AdvectionProblem:
             raise ValueError("t_final must be positive")
         jd = self.jump0
         if jd is not None:
-            for t in (0.0, self.t_final):
-                xi = jd.xi + self.speed * t
-                if not self.grid.a < xi < self.grid.b:
-                    raise ValueError("discontinuity path leaves the open interval before t_final")
-            if np.any(self.grid.nodes == jd.xi):
-                raise ValueError("initial discontinuity must not sit on a node")
+            _require_interior(jd, self.grid)
+            if not self.grid.a < jd.xi + self.speed * self.t_final < self.grid.b:
+                raise ValueError("discontinuity path leaves the open interval before t_final")
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,8 @@ class EvolutionResult:
 def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, float]:
     """Node-free open interval containing the discontinuity path over [t, t + dt].
 
-    evolve asks once per crossing-free segment, rk4_step alone once per step.
+    evolve asks once per crossing-free segment (and for the first one again
+    before any step), rk4_step alone once per step.
 
     The path endpoints may touch the bracketing nodes (that is the crossing
     the stepper lands on), but no node may lie strictly inside the swept
@@ -139,7 +138,7 @@ def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, flo
     return float(nodes[i]), float(nodes[j])
 
 
-def _rk4_increment(A: np.ndarray, h: float, y: np.ndarray, b1=0.0, b2=0.0, b4=0.0) -> np.ndarray:
+def _rk4_increment(A: np.ndarray, h: float, y: np.ndarray, b1, b2, b4) -> np.ndarray:
     """Increment h/6 (k1 + 2 (k2 + k3) + k4) of one classical Runge-Kutta step
     of y' = A y + b(tt), with b = b1, b2, b4 at the stage times t, t + h/2
     and t + h. y and the b may be blocks of columns, stepped column by column."""
@@ -165,19 +164,17 @@ def _powers(problem: AdvectionProblem, D: DerivMatrix) -> np.ndarray:
 
 
 def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: float,
-                   nsub: int, powers: np.ndarray | None = None) -> tuple[np.ndarray, Iterator]:
+                   nsub: int, powers: np.ndarray) -> tuple[np.ndarray, Iterator]:
     """Step matrix E and forcing rows of nsub RK4 steps of size h = dt / nsub
     from t: step k maps y to y + (E y + f_k), with f_k the k-th item of the
     returned iterator, or to y + E y where that item is None. powers holds
-    A, ..., A^4 (_powers; built here when None). The algebra is in the
-    module docstring.
+    A, ..., A^4 (_powers). The algebra is in the module docstring.
     """
     c, jd = problem.speed, problem.jump0
     n, h = D.grid.N + 1, dt / nsub
-    P = _powers(problem, D) if powers is None else powers
-    E = P[3] * (h / 4.0)
+    E = powers[3] * (h / 4.0)
     for k in (2, 1, 0):
-        E += P[k]
+        E += powers[k]
         E *= h / (k + 1)
     np.fill_diagonal(E, E.diagonal() - E.sum(axis=1))
     if jd is None:
@@ -193,7 +190,7 @@ def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: floa
     b = np.zeros((3, n, 3, M + 1))
     for s in range(3):
         b[s, :, s] = B
-    Q = _rk4_increment(P[0], h, np.zeros((n, 3 * (M + 1))), *b.reshape(3, n, -1))
+    Q = _rk4_increment(powers[0], h, np.zeros((n, 3 * (M + 1))), *b.reshape(3, n, -1))
     lo_in, hi_in = float(np.nextafter(lo, hi)), float(np.nextafter(hi, lo))
 
     def forcing() -> Iterator[np.ndarray]:
@@ -223,7 +220,7 @@ def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatr
     """
     state = np.asarray(state, dtype=float)
     if step is None:
-        E, forcing = _segment_steps(problem, D, t, dt, 1)
+        E, forcing = _segment_steps(problem, D, t, dt, 1, _powers(problem, D))
         step = E, next(forcing)
     E, f = step
     du = E @ state
@@ -255,14 +252,12 @@ def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarra
     E, forcing = _segment_steps(problem, D, t0, t1 - t0, nsub, powers)
     t_ends = t0 + np.arange(1, nsub + 1) * h
     t_ends[-1] = t1
-    inflow_values = (problem.initial(problem.grid.nodes[inflow] - problem.speed * t_ends)
-                     if problem.speed != 0.0 else None)
+    inflow_values = problem.initial(problem.grid.nodes[inflow] - problem.speed * t_ends)
     for k, (t_new, f) in enumerate(zip(t_ends.tolist(), forcing)):
         state = rk4_step(state, t0 + k * h, h, problem, D, (E, f))
         if k == nsub - 1 and node is not None:
             state[node] -= np.sign(problem.speed) * problem.jump0.jumps[0]
-        if inflow_values is not None:
-            state[inflow] = inflow_values[k]
+        state[inflow] = inflow_values[k]
         yield t_new, state
 
 
@@ -285,6 +280,8 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     Chebyshev grids this caps dt several times below the RK4 region's
     2.8 / (|c| * max |eigenvalue|) of the inflow-reduced D.
 
+    Raises ValueError before any step if the discontinuity starts within
+    _bracket's rounding of a node and its first segment cannot be bracketed.
     Raises RuntimeError with a diagnostic if the state stops being finite;
     it names the failure time and the largest |u| of the state the failing
     step started from.
@@ -301,8 +298,11 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     crossings = _crossings(problem)
     boundaries = [0.0, *(t for t, _ in crossings), problem.t_final]
     crossed = [node for _, node in crossings] + [None]
-    track_xi = problem.jump0 is not None
-    exact = lambda x, t: problem.initial(x - problem.speed * t)
+    if problem.jump0 is not None:
+        try:  # the first segment's bracket fails only on a start within rounding of a node
+            _bracket(problem, 0.0, boundaries[1])
+        except RuntimeError:
+            raise ValueError(f"discontinuity at {problem.jump0.xi} starts within rounding of a grid node") from None
     powers = _powers(problem, D)
 
     times = [0.0]
@@ -334,12 +334,10 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
 
     times_arr = np.asarray(times)
     states_arr = np.asarray(states)
-    if track_xi:
-        xi_path = problem.jump0.xi + problem.speed * times_arr
-    else:
-        xi_path = np.full_like(times_arr, np.nan)
+    xi_path = (np.full_like(times_arr, np.nan) if problem.jump0 is None
+               else problem.jump0.xi + problem.speed * times_arr)
     err = np.array(
-        [np.max(np.abs(s - np.asarray(exact(grid.nodes, t), dtype=float)))
+        [np.max(np.abs(s - np.asarray(problem.initial(grid.nodes - problem.speed * t), dtype=float)))
          for t, s in zip(times_arr, states_arr)]
     )
     return EvolutionResult(times_arr, states_arr, xi_path, err)

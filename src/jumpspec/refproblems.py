@@ -112,10 +112,16 @@ def legendre_Q(l: int, x, order: int = 0):
 
 def _glue(problem, x, order: int):
     """The order-th derivative of a problem's right piece right of xi and of
-    its left piece left of it, their mean at xi."""
+    its left piece left of it, their mean at xi; a ValueError names the
+    first point where it is not finite."""
     x = np.asarray(x, dtype=float)
     th = np.heaviside(x - problem.xi, 0.5)
-    return th * problem._piece(True, x, order) + (1.0 - th) * problem._piece(False, x, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = th * problem._piece(True, x, order) + (1.0 - th) * problem._piece(False, x, order)
+    bad = x[~np.isfinite(out)]
+    if bad.size:
+        raise ValueError(f"the {problem.name} derivative of order {order} at x = {bad[0]} is not finite")
+    return out
 
 
 def _split_integral(xi: float, lo: float, hi: float, integrate) -> float:

@@ -39,7 +39,8 @@ INTERP_CFG = {
 
 def test_interp_outputs_and_check(tmp_path):
     cfg = dict(INTERP_CFG)
-    cfg["checks"] = [{"kind": "smallest", "label": "M6", "metric": "max_error_near_xi"}]
+    cfg["checks"] = [{"kind": "smallest", "label": "M6", "metric": "max_error_near_xi"},
+                     {"kind": "ratio_leq", "num": "M6", "den": "lagrange", "value": 1e-3}]
     code, out, report = run_command(tmp_path, "interp", cfg)
     assert code == 0
     header, rows = read_csv(out / "result.csv")
@@ -47,6 +48,7 @@ def test_interp_outputs_and_check(tmp_path):
     assert rows.shape[1] == 8
     assert report["max_error"]["M6"] < report["max_error"]["lagrange"]
     assert all(c["passed"] for c in report["checks"])
+    assert report["checks"][1]["observed"] == report["max_error"]["M6"] / report["max_error"]["lagrange"]
 
 
 def test_interp_equidistant_prefers_intermediate_jump_count(tmp_path):
@@ -133,10 +135,13 @@ def test_converge_legendre_orders(tmp_path):
         "N_list": list(range(10, 41, 2)),
         "M_list": [-1, 5],
         "probes": 600,
-        "checks": [{"kind": "order_geq", "M": 5, "value": 5.0}],
+        "checks": [{"kind": "order_geq", "M": 5, "value": 5.0},
+                   {"kind": "error_at_leq", "N": 40, "M": 5, "value": 1e-8}],
     }
     code, _, report = run_command(tmp_path, "converge", cfg)
     assert code == 0
+    assert all(c["passed"] for c in report["checks"])
+    assert report["checks"][1]["observed"] == [r for r in report["rows"] if (r["N"], r["M"]) == (40, 5)][0]["linf_error"]
     fits = {f["M"]: f for f in report["fits"]}
     assert fits[5]["algebraic_order"] >= 5.0
     assert fits[-1]["algebraic_order"] <= 1.6  # saturated by the kink
@@ -229,6 +234,25 @@ def test_evolve_command(tmp_path):
     assert rows[0, 0] == 0.0 and rows[-1, 0] == 0.25
     np.testing.assert_allclose(rows[:, -2], -0.25 + rows[:, 0], atol=1e-15)
     assert report["final_linf"] <= 1e-4
+
+
+def test_evolve_step_profile_stays_sharp(tmp_path):
+    # a step's only jump is J_0, which makes the corrected right-hand side
+    # of piecewise-constant data zero, so only rounding is left
+    cfg = {
+        "grid": {"family": "cgl", "a": -1, "b": 1, "N": 24},
+        "speed": 1.0,
+        "t_final": 0.2,
+        "dt": 1e-3,
+        "output_every": 50,
+        "initial": {"kind": "step", "xi0": -0.25, "amplitude": 2.0},
+        "checks": [{"kind": "final_linf_leq", "value": 1e-14}],
+    }
+    code, _, report = run_command(tmp_path, "evolve", cfg, tag="corrected")
+    assert code == 0
+    code, _, plain = run_command(tmp_path, "evolve", {**cfg, "corrections": False}, tag="plain")
+    assert code == 1
+    assert plain["final_linf"] > 0.5
 
 
 def test_failing_check_exits_one(tmp_path):
@@ -372,6 +396,8 @@ def test_non_boolean_flags_exit_two(tmp_path, capsys, command, field, value):
     assert not out.exists()
 
 
+OVERFLOWING = {"type": "synthetic", "left": [0.0], "right": [1e308, 1e308], "xi": 0.9}
+WIDE_GRID = {"family": "cgl", "a": -1, "b": 1, "N": 4}
 CONFIG_ERRORS = [
     ("interp", "probe", 10, "unknown key probe"),
     ("interp", "problem.amplitude", 1.0, "unknown key problem.amplitude"),
@@ -437,6 +463,23 @@ CONFIG_ERRORS = [
      "left piece needs a nonempty 1-D array of finite coefficients"),
     ("interp", "problem", {"type": "synthetic", "left": [0.0, 1.0], "right": [], "xi": 0.3},
      "right piece needs a nonempty 1-D array of finite coefficients"),
+    ("diff", "M", -2, "M must be at least -1, got -2"),
+    ("converge", "family", "custom", "convergence studies need an equidistant or cgl family"),
+    ("converge", "family", "chebyshev", "unknown grid family 'chebyshev'"),
+    ("interp", "problem.xi", 0.95, "the problem's discontinuity must lie inside the grid interval"),
+    # the second-kind Legendre functions have logarithmic singularities at -1 and 1
+    ("diff", "grid.a", -1.0, "second-kind Legendre values require |x| < 1"),
+    ("converge", "a", -1.0, "second-kind Legendre values require |x| < 1"),
+    ("evolve", "t_final", 0, "t_final must be positive"),
+    ("evolve", "t_final", -0.5, "t_final must be positive"),
+    # node 4 of this grid is 0.0; the first segment would end 2e-16 later, on it
+    ("evolve", "grid.N+speed+t_final+initial.xi0", (8, -0.5, 0.5, 1e-16),
+     "discontinuity at 1e-16 starts within rounding of a grid node"),
+    # the right piece overflows at the node x = 1
+    ("interp", "problem+grid+M", (OVERFLOWING, WIDE_GRID, [-1, 2]),
+     "the synthetic derivative of order 0 at x = 1.0 is not finite"),
+    ("diff", "problem+grid", (OVERFLOWING, WIDE_GRID), "the synthetic derivative of order 0 at x = 1.0 is not finite"),
+    ("quad", "problem+grid", (OVERFLOWING, WIDE_GRID), "the synthetic derivative of order 0 at x = 1.0 is not finite"),
 ]
 
 
@@ -550,6 +593,15 @@ def test_corrected_numerical_failure_exits_three(tmp_path, capsys):
         "initial": {"kind": "kink", "xi0": -0.95, "amplitude": 1e250},
     }
     assert 0.0 < float(failed_evolve(tmp_path, capsys, cfg)[0]) < cfg["t_final"]
+
+
+def test_overflowing_derivative_exits_three(tmp_path, capsys):
+    # the data are finite, +-1e308, but D's entries reach several units
+    cfg = {"problem": {"type": "synthetic", "left": [-1e308], "right": [1e308], "xi": 0.9}, "grid": WIDE_GRID}
+    code, out, _ = run_command(tmp_path, "diff", cfg)
+    assert code == 3
+    assert "numerical failure: the plain derivative is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_thread_cap_respected(tmp_path, monkeypatch):

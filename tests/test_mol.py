@@ -127,6 +127,23 @@ def test_zero_speed_keeps_state_constant():
     assert np.abs(res.states - res.states[0]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("speed,pinned", [(-0.5, True), (0.0, True), (0.5, False)])
+def test_start_within_rounding_of_a_node_is_rejected_before_any_step(monkeypatch, speed, pinned):
+    # node 4 is 0.0: moving toward it, or standing still, the first segment
+    # stays within _bracket's rounding of the node; moving away it does not
+    g = chebyshev_gauss_lobatto(-1, 1, 8)
+    assert g.nodes[4] == 0.0
+    prob = AdvectionProblem(g, speed, lambda x: np.abs(np.asarray(x, dtype=float) - 1e-16),
+                            JumpData(1e-16, [0.0, 2.0]), 0.5)
+    D = derivative_matrix(g, 1)
+    if pinned:
+        monkeypatch.setattr(mol, "_segment_steps", lambda *a: pytest.fail("a step was taken"))
+        with pytest.raises(ValueError, match="discontinuity at 1e-16 starts within rounding of a grid node"):
+            evolve(prob, D, 0.01)
+    else:
+        assert np.all(np.isfinite(evolve(prob, D, 0.01).states))
+
+
 def test_xi_path_is_exact_and_errors_recorded():
     prob, g = kink_problem(T=0.5)
     D = derivative_matrix(g, 1)
@@ -242,7 +259,7 @@ def test_segment_step_matches_four_stage_recursion(N, family, banded, M, seed):
     t = ((lo if c > 0 else hi) - xi0) / c + u0 * (hi - lo) / abs(c)
     dt = nsub * h
     h = dt / nsub
-    E, forcing = mol._segment_steps(prob, D, t, dt, nsub)
+    E, forcing = mol._segment_steps(prob, D, t, dt, nsub, mol._powers(prob, D))
     F = list(forcing)
     assert len(F) == nsub
     rhs = lambda tt, y: -c * corrected_derivative(D, y, JumpData(xi0 + c * tt, J))
@@ -414,8 +431,8 @@ def test_step_matrix_from_powers_matches_the_four_stages(family, N, m, speed):
     eps = np.finfo(float).eps
     off = ~np.eye(N + 1, dtype=bool)
     for h in rk4_dt_limit(D, speed) * np.logspace(-3, 0, 7):
-        E, _ = mol._segment_steps(prob, D, 0.0, h, 1)
-        diff = np.abs(E - mol._rk4_increment(A, h, np.eye(N + 1)))
+        E, _ = mol._segment_steps(prob, D, 0.0, h, 1, mol._powers(prob, D))
+        diff = np.abs(E - mol._rk4_increment(A, h, np.eye(N + 1), 0.0, 0.0, 0.0))
         Z = h * np.abs(A)
         Z2 = Z @ Z
         scale = eps * (Z + Z2 / 2 + Z2 @ Z / 6 + Z2 @ Z2 / 24)
@@ -459,7 +476,7 @@ def first_failure(problem, D, dt):
     for t0, t1, node in zip(bounds[:-1], bounds[1:], [n for _, n in crossings] + [None]):
         nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
         h = (t1 - t0) / nsub
-        E, forcing = mol._segment_steps(problem, D, t0, t1 - t0, nsub)
+        E, forcing = mol._segment_steps(problem, D, t0, t1 - t0, nsub, mol._powers(problem, D))
         t_ends = t0 + np.arange(1, nsub + 1) * h
         t_ends[-1] = t1
         inflow_values = problem.initial(nodes[inflow] - c * t_ends)

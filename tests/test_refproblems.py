@@ -269,3 +269,14 @@ def test_synthetic_jumps_past_the_float_range_raise():
     # here the coefficient difference itself overflows
     with pytest.raises(ValueError, match="synthetic jump of order 0 at xi = 0.1 is not finite"):
         SyntheticPiecewise([-1e308], [1e308], 0.1).jump_data(0)
+
+
+def test_values_past_the_float_range_raise():
+    # the right piece is 1e308 (1 + x): finite up to x = 0.7, not at x = 1
+    s = SyntheticPiecewise([0.0], [1e308, 1e308], 0.9)
+    assert np.all(np.isfinite(s.value([-1.0, 0.0, 0.7])))
+    with pytest.raises(ValueError, match=r"synthetic derivative of order 0 at x = 1\.0 is not finite"):
+        s.value([0.0, 1.0])
+    # the slope 1.6e308 x of the right piece overflows at x = 1.5
+    with pytest.raises(ValueError, match=r"synthetic derivative of order 1 at x = 1\.5 is not finite"):
+        SyntheticPiecewise([0.0], [0.0, 0.0, 8e307], 0.9).derivative([0.5, 1.0, 1.5], 1)
