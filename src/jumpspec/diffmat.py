@@ -87,9 +87,23 @@ class DerivMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=float)
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        e = self.entries
+        # a read-only float array that owns its memory has no writable alias
+        # left, so it is kept as is; anything else is copied
+        if not (type(e) is np.ndarray and e.dtype == float and e.base is None and not e.flags.writeable):
+            object.__setattr__(self, "entries", _frozen(np.array(e, dtype=float)))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _stencils(N: int, m: int) -> np.ndarray:
+    """(N+1, m+1) column indices of each row's (m+1)-point window: the window
+    holds node i, shifted to stay inside the grid; even-sized windows take
+    the extra point on the left."""
+    return np.minimum(np.maximum(np.arange(N + 1) - (m + 1) // 2, 0), N - m)[:, None] + np.arange(m + 1)
 
 
 def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
@@ -107,14 +121,12 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
     if not (0 <= n <= m <= N):
         raise ValueError(f"need 0 <= n <= m <= N, got n={n}, m={m}, N={N}")
     if n == 0:
-        return DerivMatrix(grid, 0, m, np.eye(N + 1))
+        return DerivMatrix(grid, 0, m, _frozen(np.eye(N + 1)))
     rows = np.arange(N + 1)
-    # (m+1)-point window holding node i, shifted to stay inside the grid;
-    # even-sized windows take the extra point on the left
-    cols = np.clip(rows - (m + 1) // 2, 0, N - m)[:, None] + np.arange(m + 1)
+    cols = _stencils(N, m)
     entries = np.zeros((N + 1, N + 1))
     entries[rows[:, None], cols] = fd_weights(grid.nodes[cols], grid.nodes, n)
-    return negative_sum_trick(DerivMatrix(grid, n, m, entries))
+    return negative_sum_trick(DerivMatrix(grid, n, m, _frozen(entries)))
 
 
 _ROW_BLOCK = 32
@@ -128,18 +140,37 @@ def negative_sum_trick(M: DerivMatrix) -> DerivMatrix:
     restores the property — off-diagonal entries are accumulated smallest
     magnitude first — which keeps derivatives of constant data at the level
     of one rounding of the row (Baltensperger & Trummer, SISC 24, 2003).
+
+    A banded matrix (m < N) whose entries outside the (m+1)-point windows
+    are all +0.0 sorts only the m off-diagonal window weights of each row:
+    the stable sort of the full row puts its zeros first, so those weights
+    placed at the tail of a row of N zeros are the same summands in the
+    same positions, and the sum has the same bits. Any other matrix (a -0.0
+    or a nonzero entry outside a window, or m = N) sorts the full row.
     """
     if M.n < 1:
         raise ValueError("the negative sum trick applies to derivative orders n >= 1")
     entries = M.entries.copy()
-    size = entries.shape[0]
+    N = entries.shape[0] - 1
+    m = M.m if 0 <= M.m < N else N
+    rows = np.arange(N + 1)
+    cols = _stencils(N, m)
+    # -0.0 has a nonzero bit pattern too, so equal counts in the whole matrix
+    # and in its windows leave only +0.0 outside the windows
+    bits = entries.view(np.uint64)
+    if m < N and np.count_nonzero(bits) != np.count_nonzero(bits[rows[:, None], cols]):
+        m = N
+        cols = _stencils(N, m)
     # blocks of rows keep the sort temporaries at O(block * N)
-    for lo in range(0, size, _ROW_BLOCK):
-        rows = np.arange(lo, min(lo + _ROW_BLOCK, size))
-        off = entries[rows][rows[:, None] != np.arange(size)].reshape(rows.size, size - 1)
+    padded = np.zeros((_ROW_BLOCK, N))
+    for lo in range(0, N + 1, _ROW_BLOCK):
+        block, c = rows[lo : lo + _ROW_BLOCK], cols[lo : lo + _ROW_BLOCK]
+        off = entries[block[:, None], c][c != block[:, None]].reshape(block.size, m)
         off = np.take_along_axis(off, np.argsort(np.abs(off), axis=1, kind="stable"), axis=1)
-        entries[rows, rows] = -off.sum(axis=1)
-    return DerivMatrix(M.grid, M.n, M.m, entries)
+        summands = padded[: block.size]
+        summands[:, N - m :] = off
+        entries[block, block] = -summands.sum(axis=1)
+    return DerivMatrix(M.grid, M.n, M.m, _frozen(entries))
 
 
 def apply(M: DerivMatrix, f) -> np.ndarray:

@@ -124,11 +124,17 @@ def _glue(problem, x, order: int):
     return out
 
 
-def _split_integral(xi: float, lo: float, hi: float, integrate) -> float:
+def _split_integral(problem, lo: float, hi: float, integrate) -> float:
     """Sum of integrate(right, a, b) over the parts [a, b] of [lo, hi] on
-    each side of xi; right tells which piece the part lies under."""
+    each side of xi; right tells which piece the part lies under. A
+    ValueError says when the sum is not finite."""
+    xi = problem.xi
     parts = [(False, lo, xi), (True, xi, hi)] if lo < xi < hi else [(hi > xi, lo, hi)]
-    return sum(integrate(*part) for part in parts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(integrate(*part) for part in parts)
+    if not math.isfinite(total):
+        raise ValueError(f"the {problem.name} reference integral over [{lo}, {hi}] is not finite")
+    return total
 
 
 def _checked_jumps(problem, order: int, jump) -> JumpData:
@@ -193,7 +199,7 @@ class LegendreProblem:
             half = 0.5 * (b - a)
             return half * float(gw @ self._piece(right, 0.5 * (a + b) + half * t, 0))
 
-        return _split_integral(self.xi, lo, hi, gauss)
+        return _split_integral(self, lo, hi, gauss)
 
 
 @dataclass(frozen=True)
@@ -222,9 +228,12 @@ class SyntheticPiecewise:
             object.__setattr__(self, side, c)
         if not np.isfinite(self.xi):
             raise ValueError("xi must be finite")
-        with np.errstate(over="ignore"):  # jump_data reports an infinite difference
+        # an infinite coefficient difference or derivative coefficient is
+        # reported by jump_data or _glue where it is used
+        with np.errstate(over="ignore"):
             delta = npoly.polysub(self.right, self.left)
-        object.__setattr__(self, "_tables", tuple(_derivative_table(c) for c in (self.left, self.right, delta)))
+            tables = tuple(_derivative_table(c) for c in (self.left, self.right, delta))
+        object.__setattr__(self, "_tables", tables)
 
     def _piece(self, right: bool, x, order: int):
         return _polyval(self._tables[right], x, order)
@@ -250,4 +259,4 @@ class SyntheticPiecewise:
             anti = npoly.polyint(self._tables[right][0])
             return float(npoly.polyval(b, anti) - npoly.polyval(a, anti))
 
-        return _split_integral(self.xi, lo, hi, exact)
+        return _split_integral(self, lo, hi, exact)

@@ -397,6 +397,7 @@ def test_non_boolean_flags_exit_two(tmp_path, capsys, command, field, value):
 
 
 OVERFLOWING = {"type": "synthetic", "left": [0.0], "right": [1e308, 1e308], "xi": 0.9}
+HUGE_COEFFICIENT = {"type": "synthetic", "left": [0.0], "right": [0.0, 0.0, 1e308], "xi": 0.3}
 WIDE_GRID = {"family": "cgl", "a": -1, "b": 1, "N": 4}
 CONFIG_ERRORS = [
     ("interp", "probe", 10, "unknown key probe"),
@@ -480,6 +481,14 @@ CONFIG_ERRORS = [
      "the synthetic derivative of order 0 at x = 1.0 is not finite"),
     ("diff", "problem+grid", (OVERFLOWING, WIDE_GRID), "the synthetic derivative of order 0 at x = 1.0 is not finite"),
     ("quad", "problem+grid", (OVERFLOWING, WIDE_GRID), "the synthetic derivative of order 0 at x = 1.0 is not finite"),
+    # the right piece's first derivative coefficient, 2e308, overflows
+    ("interp", "problem+grid+M", (HUGE_COEFFICIENT, WIDE_GRID, [-1, 2]),
+     "the synthetic jump of order 1 at xi = 0.3 is not finite"),
+    ("diff", "problem+grid", (HUGE_COEFFICIENT, WIDE_GRID), "the synthetic derivative of order 1 at x = -1.0 is not finite"),
+    ("quad", "problem+grid", (HUGE_COEFFICIENT, WIDE_GRID), "the synthetic jump of order 1 at xi = 0.3 is not finite"),
+    # finite pieces whose integrals differ by more than the float range
+    ("quad", "problem+grid", ({"type": "synthetic", "left": [-1e308], "right": [1e308], "xi": 0.9}, WIDE_GRID),
+     "the synthetic reference integral over [-1.0, 1.0] is not finite"),
 ]
 
 

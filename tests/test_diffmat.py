@@ -55,18 +55,25 @@ def scalar_fornberg(nodes, x0, n):
     return c[:, n]
 
 
+def sorted_row_rebalance(entries):
+    """Each diagonal entry replaced by minus the sum of its row's N
+    off-diagonal entries, summed smallest magnitude first."""
+    D = np.array(entries, dtype=float)
+    for i in range(len(D)):
+        off = np.delete(D[i], i)
+        D[i, i] = -off[np.argsort(np.abs(off), kind="stable")].sum()
+    return D
+
+
 def per_row_matrix(g, n, m):
     """The derivative matrix built one row at a time: the scalar recursion on
-    the row's window, then the diagonal from that row's N off-diagonal
-    entries, summed smallest magnitude first."""
+    the row's window, then the sorted-row rebalance of the diagonal."""
     N = g.N
     D = np.zeros((N + 1, N + 1))
     for i in range(N + 1):
         s = min(max(i - (m + 1) // 2, 0), N - m)
         D[i, s : s + m + 1] = scalar_fornberg(g.nodes[s : s + m + 1], g.nodes[i], n)
-        off = np.delete(D[i], i)
-        D[i, i] = -off[np.argsort(np.abs(off), kind="stable")].sum()
-    return D
+    return sorted_row_rebalance(D)
 
 
 def raw_pseudospectral(g, n):
@@ -202,6 +209,33 @@ def test_negative_sum_trick_fixed_point():
     np.testing.assert_allclose(D2.entries, D.entries, atol=1e-15)
 
 
+def test_off_window_entries_take_the_full_sort():
+    # row 10's window is columns 8-12; a -0.0 and a nonzero entry outside
+    # it each send the matrix to the sort of every full row
+    g = chebyshev_gauss_lobatto(-1, 1, 40)
+    for value in (-0.0, 1e-3):
+        E = derivative_matrix(g, 1, 4).entries.copy()
+        E[10, 30] = value
+        D = negative_sum_trick(DerivMatrix(g, 1, 4, E))
+        assert D.entries.tobytes() == sorted_row_rebalance(E).tobytes()
+
+
+def test_entries_are_read_only_and_unaliased():
+    g = equidistant(0, 1, 4)
+    source = np.eye(5)
+    view = source.view()
+    view.flags.writeable = False
+    built = [DerivMatrix(g, 1, 4, source), DerivMatrix(g, 1, 4, view)]
+    source[1, 1] = 9.0
+    for D in built:
+        assert D.entries[1, 1] == 1.0
+    built += [derivative_matrix(g, 1, 2), negative_sum_trick(derivative_matrix(g, 1, 4))]
+    for D in built:
+        assert not D.entries.flags.writeable
+        with pytest.raises(ValueError):
+            D.entries[0, 0] = 1.0
+
+
 def test_negative_sum_trick_rejects_identity():
     g = equidistant(0, 1, 3)
     with pytest.raises(ValueError):
@@ -255,6 +289,16 @@ def test_apply_sine_pseudospectral():
     assert np.abs(apply(D, np.sin(g.nodes)) - np.cos(g.nodes)).max() <= 1e-10
 
 
+def long_band_examples(test):
+    """Banded rows longer than 128 entries, where numpy's pairwise sum splits
+    a row: N in {160, 300, 400}, m in {2, 4, 6, 8}, n in {1, 2}."""
+    for N, family in ((160, "cgl"), (300, "equidistant"), (400, "cgl")):
+        for m in (2, 4, 6, 8):
+            for n in (1, 2):
+                test = example(family=family, N=N, n=n, m_offset=m - n, seed=0)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     family=st.sampled_from(["cgl", "equidistant", "custom"]),
@@ -266,6 +310,7 @@ def test_apply_sine_pseudospectral():
 # more than one 32-row block of the diagonal rebalancing
 @example(family="cgl", N=40, n=1, m_offset=40, seed=0)
 @example(family="custom", N=33, n=4, m_offset=3, seed=1)
+@long_band_examples
 def test_derivative_matrix_matches_per_row_build_bitwise(family, N, n, m_offset, seed):
     n = min(n, N)
     m = min(n + m_offset, N)

@@ -271,6 +271,25 @@ def test_synthetic_jumps_past_the_float_range_raise():
         SyntheticPiecewise([-1e308], [1e308], 0.1).jump_data(0)
 
 
+def test_derivative_tables_past_the_float_range_raise_where_used():
+    # the first derivative of 1e308 x^2 has the coefficient 2e308: building
+    # the piece gives no warning, and the order-1 jump and slope are reported
+    s = SyntheticPiecewise([0.0], [0.0, 0.0, 1e308], 0.3)
+    assert np.all(np.isfinite(s.value([-1.0, 0.3, 1.0])))
+    with pytest.raises(ValueError, match="synthetic jump of order 1 at xi = 0.3 is not finite"):
+        s.jump_data(1)
+    with pytest.raises(ValueError, match=r"synthetic derivative of order 1 at x = 0\.5 is not finite"):
+        s.derivative([0.5, 1.0], 1)
+
+
+def test_reference_integral_past_the_float_range_raises():
+    # each piece is finite, but the left part of the integral is -1.9e308
+    s = SyntheticPiecewise([-1e308], [1e308], 0.9)
+    with pytest.raises(ValueError, match=r"synthetic reference integral over \[-1\.0, 1\.0\] is not finite"):
+        s.integral(-1.0, 1.0)
+    assert s.integral(0.9, 1.0) == pytest.approx(1e307)
+
+
 def test_values_past_the_float_range_raise():
     # the right piece is 1e308 (1 + x): finite up to x = 0.7, not at x = 1
     s = SyntheticPiecewise([0.0], [1e308, 1e308], 0.9)
