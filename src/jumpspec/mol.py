@@ -108,6 +108,13 @@ class EvolutionResult:
     error_linf: np.ndarray
 
 
+def _rounding(*x: float) -> float:
+    """How near a node a discontinuity location at x counts as on it: a few
+    roundings, since accumulated step times reproduce crossing instants only
+    to ulp accuracy."""
+    return 1e-13 * max(1.0, *map(abs, x))
+
+
 def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, float]:
     """Node-free open interval containing the discontinuity path over [t, t + dt].
 
@@ -116,15 +123,13 @@ def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, flo
 
     The path endpoints may touch the bracketing nodes (that is the crossing
     the stepper lands on), but no node may lie strictly inside the swept
-    range. Endpoints within a few roundings of a node count as touching it,
-    since accumulated step times reproduce crossing instants only to ulp
-    accuracy.
+    range. Endpoints within _rounding of a node count as touching it.
     """
     nodes = problem.grid.nodes
     x0 = problem.jump0.xi + problem.speed * t
     x1 = problem.jump0.xi + problem.speed * (t + dt)
     lo_x, hi_x = (x0, x1) if x0 <= x1 else (x1, x0)
-    tol = 1e-13 * max(1.0, abs(lo_x), abs(hi_x))
+    tol = _rounding(lo_x, hi_x)
     i = int(np.searchsorted(nodes, lo_x + tol, side="right")) - 1
     j = int(np.searchsorted(nodes, hi_x - tol, side="left"))
     if j - i >= 2:
@@ -220,6 +225,7 @@ def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatr
     """
     state = np.asarray(state, dtype=float)
     if step is None:
+        _require_operator(problem, D)
         E, forcing = _segment_steps(problem, D, t, dt, 1, _powers(problem, D))
         step = E, next(forcing)
     E, f = step
@@ -229,14 +235,32 @@ def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatr
     return state + du
 
 
+def _require_operator(problem: AdvectionProblem, D: DerivMatrix) -> None:
+    """A ValueError unless D is a first-derivative matrix on the problem's
+    grid: the same interval and bit for bit the same nodes."""
+    g, h = problem.grid, D.grid
+    if D.n != 1 or (h.a, h.b) != (g.a, g.b) or h.nodes.tobytes() != g.nodes.tobytes():
+        raise ValueError("D must be a first-derivative matrix on the problem's grid; got order "
+                         f"{D.n} on {h.N + 1} nodes in [{h.a}, {h.b}]")
+
+
 def _crossings(problem: AdvectionProblem) -> list[tuple[float, int]]:
-    """(time, node index) of every node the discontinuity crosses, in time order."""
+    """(time, node index) of every node the discontinuity crosses, in time order.
+
+    A crossing within _rounding of the path's end lands at t_final: the last
+    segment, which ends there and moves the node, would otherwise be too
+    short for _bracket to tell from the node.
+    """
     jd = problem.jump0
     if jd is None or problem.speed == 0.0:
         return []
     times = (problem.grid.nodes - jd.xi) / problem.speed
     inside = np.flatnonzero((times > 0.0) & (times < problem.t_final))
-    return sorted(zip(times[inside].tolist(), inside.tolist()))
+    crossings = sorted(zip(times[inside].tolist(), inside.tolist()))
+    end = jd.xi + problem.speed * problem.t_final
+    if crossings and abs(end - problem.grid.nodes[crossings[-1][1]]) <= _rounding(end):
+        crossings[-1] = (problem.t_final, crossings[-1][1])
+    return crossings
 
 
 def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarray,
@@ -264,12 +288,15 @@ def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarra
 def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: int = 1) -> EvolutionResult:
     """Integrate the problem from t = 0 to t_final.
 
+    D must be a first-derivative matrix built on the problem's grid.
     Time is partitioned at the exact node-crossing times of the
     discontinuity; each segment is covered with uniform Runge-Kutta steps of
     size at most dt, landing exactly on the crossing before restarting on
     the far side. The crossed node's value then moves to the branch of its
-    new side, by exactly J_0, which leaves kinks untouched. After every step
-    the inflow node is overwritten with the exact solution initial(x - c t).
+    new side, by exactly J_0, which leaves kinks untouched; a crossing
+    within rounding of t_final is landed at t_final (_crossings). After
+    every step the inflow node is overwritten with the exact solution
+    initial(x - c t).
     Steps, their per-segment build and the per-segment finiteness check
     follow the module docstring. States are recorded at t = 0, every
     output_every-th step, and t_final.
@@ -280,8 +307,9 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     Chebyshev grids this caps dt several times below the RK4 region's
     2.8 / (|c| * max |eigenvalue|) of the inflow-reduced D.
 
-    Raises ValueError before any step if the discontinuity starts within
-    _bracket's rounding of a node and its first segment cannot be bracketed.
+    Raises ValueError before any step if D is of another order or grid, or
+    if the discontinuity starts within _bracket's rounding of a node and its
+    first segment cannot be bracketed.
     Raises RuntimeError with a diagnostic if the state stops being finite;
     it names the failure time and the largest |u| of the state the failing
     step started from.
@@ -295,9 +323,12 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     if state.shape != grid.nodes.shape:
         raise ValueError("initial sampler must return one value per node")
 
+    _require_operator(problem, D)
     crossings = _crossings(problem)
-    boundaries = [0.0, *(t for t, _ in crossings), problem.t_final]
-    crossed = [node for _, node in crossings] + [None]
+    if not crossings or crossings[-1][0] < problem.t_final:
+        crossings.append((problem.t_final, None))
+    boundaries = [0.0, *(t for t, _ in crossings)]
+    crossed = [node for _, node in crossings]
     if problem.jump0 is not None:
         try:  # the first segment's bracket fails only on a start within rounding of a node
             _bracket(problem, 0.0, boundaries[1])

@@ -113,11 +113,12 @@ def legendre_Q(l: int, x, order: int = 0):
 def _glue(problem, x, order: int):
     """The order-th derivative of a problem's right piece right of xi and of
     its left piece left of it, their mean at xi; a ValueError names the
-    first point where it is not finite."""
+    first point where it is not finite. Each side reads its own piece only,
+    so a piece that overflows leaves the other side's values finite."""
     x = np.asarray(x, dtype=float)
-    th = np.heaviside(x - problem.xi, 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = th * problem._piece(True, x, order) + (1.0 - th) * problem._piece(False, x, order)
+        right, left = problem._piece(True, x, order), problem._piece(False, x, order)
+        out = np.where(x > problem.xi, right, np.where(x < problem.xi, left, 0.5 * right + 0.5 * left))
     bad = x[~np.isfinite(out)]
     if bad.size:
         raise ValueError(f"the {problem.name} derivative of order {order} at x = {bad[0]} is not finite")

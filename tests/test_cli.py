@@ -1,11 +1,14 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import jumpspec
 from jumpspec.cli import main
 from jumpspec.refproblems import LegendreProblem
 
@@ -263,19 +266,6 @@ def test_failing_check_exits_one(tmp_path):
     assert not report["checks"][0]["passed"]
 
 
-def test_config_errors_exit_two(tmp_path):
-    code, _, _ = run_command(tmp_path, "interp", {"problem": {"type": "nope"}, "grid": {}})
-    assert code == 2
-    cfg = dict(INTERP_CFG)
-    cfg["M"] = [40]  # exceeds N
-    code, _, _ = run_command(tmp_path, "interp", cfg)
-    assert code == 2
-    cfg = dict(INTERP_CFG)
-    cfg["grid"] = {"family": "cgl", "a": -1.0, "b": 1.0, "N": 12}  # endpoints reach the log singularity
-    code, _, _ = run_command(tmp_path, "interp", cfg)
-    assert code == 2
-
-
 def test_missing_config_file_exits_two(tmp_path):
     code = main(["interp", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert code == 2
@@ -481,14 +471,25 @@ CONFIG_ERRORS = [
      "the synthetic derivative of order 0 at x = 1.0 is not finite"),
     ("diff", "problem+grid", (OVERFLOWING, WIDE_GRID), "the synthetic derivative of order 0 at x = 1.0 is not finite"),
     ("quad", "problem+grid", (OVERFLOWING, WIDE_GRID), "the synthetic derivative of order 0 at x = 1.0 is not finite"),
-    # the right piece's first derivative coefficient, 2e308, overflows
+    # the right piece's first derivative coefficient, 2e308, overflows; the
+    # left piece's slope stays 0, so diff names the first node right of xi
     ("interp", "problem+grid+M", (HUGE_COEFFICIENT, WIDE_GRID, [-1, 2]),
      "the synthetic jump of order 1 at xi = 0.3 is not finite"),
-    ("diff", "problem+grid", (HUGE_COEFFICIENT, WIDE_GRID), "the synthetic derivative of order 1 at x = -1.0 is not finite"),
+    ("diff", "problem+grid", (HUGE_COEFFICIENT, WIDE_GRID),
+     "the synthetic derivative of order 1 at x = 0.7071067811865476 is not finite"),
     ("quad", "problem+grid", (HUGE_COEFFICIENT, WIDE_GRID), "the synthetic jump of order 1 at xi = 0.3 is not finite"),
     # finite pieces whose integrals differ by more than the float range
     ("quad", "problem+grid", ({"type": "synthetic", "left": [-1e308], "right": [1e308], "xi": 0.9}, WIDE_GRID),
      "the synthetic reference integral over [-1.0, 1.0] is not finite"),
+    # diff, too, needs a coefficient in each piece
+    ("diff", "problem+grid+M", ({"type": "synthetic", "left": [], "right": [1.0], "xi": 0.3},
+                                {"family": "cgl", "a": -0.8, "b": 0.8, "N": 4}, 1),
+     "left piece needs a nonempty 1-D array of finite coefficients"),
+    # an unknown problem, a jump order above the grid degree, and a Legendre
+    # grid that reaches the logarithmic singularities
+    ("interp", "problem+grid", ({"type": "nope"}, {}), "unknown problem.type 'nope'"),
+    ("interp", "M", [40], "M=40 exceeds the grid degree N=12"),
+    ("interp", "grid.a+grid.b", (-1.0, 1.0), "second-kind Legendre values require |x| < 1"),
 ]
 
 
@@ -659,3 +660,48 @@ def test_jump_orders_past_170_add_nothing(tmp_path):
             header, rows = read_csv(out / "result.csv")
             results.append(rows[:, header.index(column)])
         np.testing.assert_array_equal(*results)
+
+
+ENTRY_POINT_RUNS = [
+    # jump orders past 170 add J_m / m! = 0 with m! = inf, with no warning
+    (0, "diff", {**HIGH_ORDER_CFG, "M": 180}),
+    (1, "interp", {**INTERP_CFG, "checks": [{"kind": "max_error_leq", "label": "lagrange", "value": 1e-12}]}),
+    (2, "diff", {"problem": OVERFLOWING, "grid": WIDE_GRID}),
+    (3, "diff", {"problem": {"type": "synthetic", "left": [-1e308], "right": [1e308], "xi": 0.9}, "grid": WIDE_GRID}),
+]
+
+
+@pytest.mark.parametrize("code,command,cfg", ENTRY_POINT_RUNS, ids=[str(c) for c, _, _ in ENTRY_POINT_RUNS])
+def test_module_entry_point_exit_status(tmp_path, code, command, cfg):
+    """python -m jumpspec exits with main's code, prints no traceback even
+    where numpy would warn, and writes nothing on a config error (2) or a
+    numerical failure (3)."""
+    cfg_path, out = tmp_path / "run.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    # the child imports the jumpspec under test, whether installed or on PYTHONPATH
+    src = os.path.dirname(os.path.dirname(jumpspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "jumpspec", command,
+         "--config", str(cfg_path), "--out", str(out)],
+        cwd=tmp_path, env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert out.exists() == (code < 2)
+
+
+def test_evolve_crossing_within_rounding_of_t_final_exits_zero(tmp_path):
+    # the kink reaches node 4, 0.0, at t = 0.1, 5e-14 before t_final: that
+    # crossing lands at t_final, since a last segment so short could not be
+    # told from the node
+    cfg = {
+        "grid": {"family": "cgl", "a": -1, "b": 1, "N": 8},
+        "speed": 1.0,
+        "t_final": 0.10000000000005,
+        "dt": 0.01,
+        "initial": {"kind": "kink", "xi0": -0.1},
+    }
+    code, _, report = run_command(tmp_path, "evolve", cfg)
+    assert code == 0
+    assert report["final_linf"] <= 1e-12

@@ -144,6 +144,44 @@ def test_start_within_rounding_of_a_node_is_rejected_before_any_step(monkeypatch
         assert np.all(np.isfinite(evolve(prob, D, 0.01).states))
 
 
+@pytest.mark.parametrize("speed", [1.0, -1.0])
+@pytest.mark.parametrize("past", [1e-15, 5e-14, 1e-13, 2e-13])
+def test_crossing_within_rounding_of_t_final_lands_there(speed, past):
+    # node 4 is 0.0, which the step reaches at t = 0.1, just before t_final;
+    # landed at t_final or not, the node moves to its new side
+    g = chebyshev_gauss_lobatto(-1, 1, 8)
+    xi0 = -0.1 * speed
+    u0 = lambda x: np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5)
+    prob = AdvectionProblem(g, speed, u0, JumpData(xi0, [1.0]), 0.1 + past)
+    res = evolve(prob, derivative_matrix(g, 1), 0.01)
+    assert res.times[-1] == prob.t_final
+    assert res.error_linf[-1] <= 1e-15
+
+
+def test_evolve_checks_its_operator_once(monkeypatch):
+    calls = []
+    check = mol._require_operator
+    monkeypatch.setattr(mol, "_require_operator", lambda *a: calls.append(a) or check(*a))
+    prob, g = kink_problem(N=24, xi0=0.1, c=0.5, T=0.5)
+    assert evolve(prob, derivative_matrix(g, 1), 1e-3).error_linf[-1] <= 1e-12
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("D,message", [
+    (derivative_matrix(chebyshev_gauss_lobatto(-3, 3, 24), 1), r"got order 1 on 25 nodes in \[-3, 3\]"),
+    (derivative_matrix(equidistant(-1, 1, 24), 1), r"got order 1 on 25 nodes in \[-1, 1\]"),
+    (derivative_matrix(chebyshev_gauss_lobatto(-1, 1, 24), 2), r"got order 2 on 25 nodes in \[-1, 1\]"),
+], ids=["wider", "equidistant", "second"])
+def test_an_operator_of_another_grid_or_order_is_rejected_before_any_step(monkeypatch, D, message):
+    prob, g = kink_problem(N=24, xi0=0.1, c=0.5, T=0.5)
+    monkeypatch.setattr(mol, "_segment_steps", lambda *a: pytest.fail("a step was taken"))
+    message = "D must be a first-derivative matrix on the problem's grid; " + message
+    with pytest.raises(ValueError, match=message):
+        evolve(prob, D, 1e-3)
+    with pytest.raises(ValueError, match=message):
+        rk4_step(prob.initial(g.nodes), 0.0, 1e-3, prob, D)
+
+
 def test_xi_path_is_exact_and_errors_recorded():
     prob, g = kink_problem(T=0.5)
     D = derivative_matrix(g, 1)

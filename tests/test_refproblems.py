@@ -282,6 +282,16 @@ def test_derivative_tables_past_the_float_range_raise_where_used():
         s.derivative([0.5, 1.0], 1)
 
 
+def test_an_overflowing_piece_leaves_the_other_side_finite():
+    # the right piece's slope is inf; the left piece's, 0, is read left of xi
+    s = SyntheticPiecewise([0.0], [0.0, 0.0, 1e308], 0.3)
+    np.testing.assert_array_equal(s.derivative([-1.0, 0.0], 1), [0.0, 0.0])
+    with pytest.raises(ValueError, match=r"synthetic derivative of order 1 at x = 0\.3 is not finite"):
+        s.derivative([0.0, 0.3], 1)
+    with pytest.raises(ValueError, match=r"synthetic derivative of order 1 at x = 0\.7 is not finite"):
+        s.derivative([0.0, 0.7], 1)
+
+
 def test_reference_integral_past_the_float_range_raises():
     # each piece is finite, but the left part of the integral is -1.9e308
     s = SyntheticPiecewise([-1e308], [1e308], 0.9)
