@@ -83,6 +83,13 @@ def _raw(value, key: str):
     return value
 
 
+def _string(value, key: str) -> str:
+    """A config string; rejects what str() would coerce (a list, a number)."""
+    if type(value) is str:
+        return value
+    raise ValueError(f"{key} must be a string, got {value!r}")
+
+
 def _at_least(lo: int):
     """Parser of a config integer no smaller than lo."""
     def parse(value, key: str) -> int:
@@ -247,8 +254,9 @@ def _max_workers() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-_LABEL = (_raw, ...)
+_LABEL = (_string, ...)
 _METRIC = (_raw, "max_error")
+_LABELLED = ("max_error", "max_error_near_xi")  # the report entries a label, num or den reads
 _ORDER = (_jump_order, ...)
 # check kind -> (the report entry it reads, None: the one its "metric" names; the test of
 # the observed value against "value", or smallest's against the entry's minimum; its keys)
@@ -270,6 +278,8 @@ def _check(cfg, where: str, command: str, entries: tuple) -> dict:
     c["entry"] = _CHECKS[c["kind"]][0] or c["metric"]
     if c["entry"] not in entries:
         raise ValueError(f"{where[:-1]} reads {c['entry']!r}, which {command} does not report")
+    if "metric" in c and c["entry"] not in _LABELLED:
+        raise ValueError(f"{where}metric must be {' or '.join(_LABELLED)}, got {c['entry']!r}")
     return c
 
 
@@ -548,7 +558,7 @@ def main(argv=None) -> int:
         report, files = run(spec)
         report.update(command=args.command, config=cfg)
         report["checks"] = _run_checks(checks, report)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"jumpspec: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -9,16 +9,16 @@ jump series
 is the gap between the two smooth extensions at node j. Adding it to the
 data at the nodes left of xi gives the nodal data of the right extension
 (plus); subtracting it at the nodes right of xi gives the left extension
-(minus). reconstruct_pieces builds these pieces, one per region between
-discontinuities, and every corrected operation is the plain one applied to
-them: a probe evaluates the plain interpolant of its region's piece, node i
-applies row i of the plain derivative matrix to its own region's piece, and
-the integral sums the plain quadrature of each piece over its region. No
-correction is spelled None (or an empty sequence): the only piece is then
-the data itself, so the plain results come back unchanged.
+(minus). reconstruct_pieces builds these two pieces, and every corrected
+operation is the plain one applied to them: a probe evaluates the plain
+interpolant of its side's piece, node i applies row i of the plain
+derivative matrix to its own side's piece, and the integral is the plain
+quadrature of plus minus the integral of the jump series left of xi. No
+correction is spelled None: the only piece is then the data itself, so the
+plain results come back unchanged.
 
-Conventions: a probe exactly at a discontinuity averages the two adjacent
-pieces, and a discontinuity must lie strictly between nodes. A
+Conventions: a probe exactly at the discontinuity averages the two
+pieces, and the discontinuity must lie strictly between nodes. A
 discontinuity sitting exactly on a node is served only by
 one_sided_derivatives_at_node, because the stored nodal value is otherwise
 ambiguous (left limit, right limit or average).
@@ -34,7 +34,7 @@ import numpy as np
 
 from .diffmat import DerivMatrix, fd_weights
 from .grid import Grid
-from .lagrange import BarycentricWeights, _barycentric, _check_data, barycentric_weights
+from .lagrange import BarycentricWeights, _barycentric, _check_data, barycentric_weights, interpolate
 from .quadrature import QuadRule, basis_integrals, integrate
 
 __all__ = [
@@ -98,20 +98,6 @@ def _require_interior(jump: JumpData, grid: Grid) -> None:
         raise XiOnNodeError(f"discontinuity at {jump.xi} coincides with a grid node")
 
 
-def _as_jump_tuple(jump) -> tuple[JumpData, ...]:
-    """None, a JumpData or a sequence of them as a tuple sorted by location.
-
-    jump_weights, which every corrected operation calls on each entry,
-    validates the locations against the grid.
-    """
-    if isinstance(jump, JumpData):
-        return (jump,)
-    jumps = tuple(sorted(() if jump is None else jump, key=lambda jd: jd.xi))
-    if any(a.xi == b.xi for a, b in zip(jumps, jumps[1:])):
-        raise ValueError("discontinuity locations must be pairwise distinct")
-    return jumps
-
-
 @functools.lru_cache(maxsize=None)
 def _factorials(count: int) -> np.ndarray:
     """0!, 1!, ..., (count - 1)! as floats, inf from 171! on, past the float
@@ -139,121 +125,103 @@ def jump_weights(jump: JumpData, grid: Grid) -> np.ndarray:
     return g
 
 
-def _right_of(x, jumps: tuple[JumpData, ...]) -> np.ndarray:
-    """right[k, p]: whether point p lies right of the k-th (sorted) cut.
+def _right_of(x, jump: JumpData) -> np.ndarray:
+    """Whether each point of x lies right of the discontinuity; a point
+    exactly on it counts as left. This is the only place that decides on
+    which side of the discontinuity a node or probe lies."""
+    return x > jump.xi
 
-    A point exactly on a cut counts as left of it. This is the only place
-    that decides on which side of a discontinuity a node or probe lies.
-    Cuts are sorted, so each column is a run of True over a run of False;
-    its count of True is the region of the point, numbered 0..K from the
-    left.
+
+def _pieces(f, jump: JumpData, grid: Grid) -> np.ndarray:
+    """The pieces' nodal data as the two rows (minus, plus) of one array.
+
+    minus is f less g at the nodes right of xi, plus is f plus g at the
+    nodes left of it, and each adds a signed zero elsewhere, so a node's
+    own side keeps its datum. The sum starts from -0.0, the exact additive
+    identity, so f = -0.0 returns the corrections bit for bit.
     """
-    return x > np.array([jd.xi for jd in jumps], dtype=float)[:, None]
-
-
-def _pieces(f, jumps: tuple[JumpData, ...], grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Piece data (row r for region r) and the nodes' side table from _right_of.
-
-    Piece r is f plus the correction c_r, which adds the jump series g_k of
-    every cut k separating a node from region r: +g_k when the node lies
-    left of the cut and the region right of it, -g_k for the mirrored case,
-    and a signed zero otherwise, so a node's own region keeps its datum.
-    The sum starts from -0.0, the exact additive identity: no cuts give the
-    single piece f bit for bit, and f = -0.0 returns the corrections bit for
-    bit.
-    """
-    right = _right_of(grid.nodes, jumps)
-    regions = np.arange(len(jumps) + 1)[:, None]
-    pieces = np.full((len(jumps) + 1, grid.N + 1), -0.0)
-    for k, jd in enumerate(jumps):
-        pieces += np.subtract(regions > k, right[k], dtype=float) * jump_weights(jd, grid)
+    pieces = np.full((2, grid.N + 1), -0.0)
+    pieces += np.subtract([[False], [True]], _right_of(grid.nodes, jump), dtype=float) * jump_weights(jump, grid)
     pieces += f
-    return pieces, right
+    return pieces
 
 
-def reconstruct_pieces(f, jump, grid: Grid) -> tuple[np.ndarray, ...]:
-    """Nodal data of the smooth extensions of f, one per region between cuts.
+def reconstruct_pieces(f, jump: JumpData | None, grid: Grid) -> tuple[np.ndarray, ...]:
+    """Nodal data of the smooth extensions of f: (minus, plus), or (f,) for None.
 
-    For a single discontinuity this is (minus, plus): interpolating either
-    array with the plain machinery gives the degree-N polynomial valid on
-    that side, and the derivative difference plus - minus at xi reproduces
-    the enforced jumps and vanishes for orders above the enforced set
-    through degree N. K discontinuities (a sequence of JumpData with
-    pairwise-distinct locations) give K + 1 arrays ordered left to right,
-    and None gives the one array f. Every corrected operation is the plain
-    one applied to these arrays.
+    Interpolating either array with the plain machinery gives the degree-N
+    polynomial valid on that side, and the derivative difference
+    plus - minus at xi reproduces the enforced jumps and vanishes for orders
+    above the enforced set through degree N. Every corrected operation is
+    the plain one applied to these arrays.
     """
-    jumps = _as_jump_tuple(jump)
-    return tuple(_pieces(_check_data(f, grid), jumps, grid)[0])
+    f = _check_data(f, grid)
+    return (f,) if jump is None else tuple(_pieces(f, jump, grid))
 
 
-def correction_matrix(jump, grid: Grid) -> np.ndarray:
+def correction_matrix(jump: JumpData | None, grid: Grid) -> np.ndarray:
     """Nodal correction table S[i, j], the correction to datum j at node i.
 
-    Row i is the piece correction of node i's region, i.e. the piece of
-    zero data there: +g_j when node i is right of the discontinuity and
-    node j left of it, -g_j for the mirrored pair, zero otherwise
-    (including the whole diagonal, which preserves collocation).
+    Row i is the piece correction of node i's side, i.e. the piece of zero
+    data there: +g_j when node i is right of the discontinuity and node j
+    left of it, -g_j for the mirrored pair, a signed zero otherwise
+    (including the whole diagonal, which preserves collocation). None gives
+    all -0.0.
     """
-    jumps = _as_jump_tuple(jump)
-    corrections, right = _pieces(-0.0, jumps, grid)
-    return corrections[right.sum(axis=0)]
+    if jump is None:
+        return np.full((grid.N + 1, grid.N + 1), -0.0)
+    minus, plus = _pieces(-0.0, jump, grid)
+    return np.where(_right_of(grid.nodes, jump)[:, None], plus, minus)
 
 
-def corrected_interpolate(w: BarycentricWeights, f, jump, x):
+def corrected_interpolate(w: BarycentricWeights, f, jump: JumpData | None, x):
     """Evaluate the jump-corrected interpolant of data f at x (scalar or array).
 
-    Each probe evaluates the plain interpolant of its region's piece; a
-    probe exactly at a discontinuity averages the two adjacent pieces. jump
-    may be None, a single JumpData or a sequence with pairwise-distinct
-    locations. The result collocates f at every node exactly and carries
-    the enforced derivative jumps across each discontinuity; with jump
-    None it is exactly lagrange.interpolate.
+    Each probe evaluates the plain interpolant of its side's piece; a probe
+    exactly at the discontinuity averages the two pieces. The result
+    collocates f at every node exactly and carries the enforced derivative
+    jumps across the discontinuity; with jump None it is lagrange.interpolate.
     """
-    jumps = _as_jump_tuple(jump)
-    pieces = _pieces(_check_data(f, w.grid), jumps, w.grid)[0]
-    xs = np.asarray(x, dtype=float)
-    pts = np.atleast_1d(xs)
-    region = _right_of(pts, jumps).sum(axis=0)
-    vals = _barycentric(w, pts, pieces, region)
-    on = np.isin(pts, [jd.xi for jd in jumps])
+    if jump is None:
+        return interpolate(w, f, x)
+    pieces = _pieces(_check_data(f, w.grid), jump, w.grid)
+    pts = np.atleast_1d(np.asarray(x, dtype=float))
+    vals = _barycentric(w, pts, pieces, _right_of(pts, jump).astype(int))
+    on = pts == jump.xi
     if on.any():
-        vals[on] = 0.5 * (vals[on] + _barycentric(w, pts[on], pieces, region[on] + 1))
-    return float(vals[0]) if xs.ndim == 0 else vals
+        vals[on] = 0.5 * (vals[on] + _barycentric(w, pts[on], pieces, np.ones(on.sum(), dtype=int)))
+    return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def corrected_derivative(D: DerivMatrix, f, jump) -> np.ndarray:
+def corrected_derivative(D: DerivMatrix, f, jump: JumpData | None) -> np.ndarray:
     """Apply a derivative matrix to jump-corrected data.
 
-    Row i is the plain matrix row applied to the piece of node i's region,
+    Row i is the plain matrix row applied to the piece of node i's side,
     which equals differentiating the corrected interpolant at every node.
     For banded composite matrices a row whose stencil stays on one side of
-    every discontinuity meets only unchanged data and returns the plain
-    matrix-vector product bit for bit.
+    the discontinuity meets only unchanged data and returns the plain
+    matrix-vector product bit for bit. With jump None it is D f.
     """
-    jumps = _as_jump_tuple(jump)
-    pieces, right = _pieces(_check_data(f, D.grid), jumps, D.grid)
-    out = D.entries @ pieces[0]
-    for k, rows in enumerate(right):
-        out = np.where(rows, D.entries @ pieces[k + 1], out)
-    return out
+    f = _check_data(f, D.grid)
+    if jump is None:
+        return D.entries @ f
+    minus, plus = _pieces(f, jump, D.grid)
+    return np.where(_right_of(D.grid.nodes, jump), D.entries @ plus, D.entries @ minus)
 
 
-def corrected_integrate(rule: QuadRule, f, jump) -> float:
+def corrected_integrate(rule: QuadRule, f, jump: JumpData | None) -> float:
     """Integrate jump-corrected data over the rule's interval.
 
-    The corrected interpolant is piece k on region k, so its integral is the
-    plain rule applied to the rightmost piece minus, for every cut, the
-    basis integrals from a to the cut applied to that cut's jump series
-    (adjacent pieces differ by exactly that series).
+    The corrected interpolant is minus left of xi and plus right of it, so
+    its integral is the plain rule applied to plus less the basis integrals
+    from a to xi applied to the jump series g = plus - minus. With jump
+    None it is quadrature.integrate.
     """
+    if jump is None:
+        return integrate(rule, f)
+    plus = _pieces(_check_data(f, rule.grid), jump, rule.grid)[1]
     w = barycentric_weights(rule.grid)
-    jumps = _as_jump_tuple(jump)
-    pieces = _pieces(_check_data(f, rule.grid), jumps, rule.grid)[0]
-    total = integrate(rule, pieces[-1])
-    for jd in jumps:
-        total -= float(basis_integrals(w, rule.grid.a, jd.xi) @ jump_weights(jd, rule.grid))
-    return total
+    return integrate(rule, plus) - float(basis_integrals(w, rule.grid.a, jump.xi) @ jump_weights(jump, rule.grid))
 
 
 def one_sided_derivatives_at_node(grid: Grid, f, node_index: int, jumps) -> tuple[float, float]:

@@ -247,20 +247,18 @@ def _require_operator(problem: AdvectionProblem, D: DerivMatrix) -> None:
 def _crossings(problem: AdvectionProblem) -> list[tuple[float, int]]:
     """(time, node index) of every node the discontinuity crosses, in time order.
 
-    A crossing within _rounding of the path's end lands at t_final: the last
-    segment, which ends there and moves the node, would otherwise be too
-    short for _bracket to tell from the node.
+    The crossed nodes are those strictly between the path's start and end;
+    only their times divide by the speed, so each is finite however small
+    the speed is.
     """
     jd = problem.jump0
-    if jd is None or problem.speed == 0.0:
+    if jd is None:
         return []
-    times = (problem.grid.nodes - jd.xi) / problem.speed
-    inside = np.flatnonzero((times > 0.0) & (times < problem.t_final))
-    crossings = sorted(zip(times[inside].tolist(), inside.tolist()))
-    end = jd.xi + problem.speed * problem.t_final
-    if crossings and abs(end - problem.grid.nodes[crossings[-1][1]]) <= _rounding(end):
-        crossings[-1] = (problem.t_final, crossings[-1][1])
-    return crossings
+    nodes = problem.grid.nodes
+    ends = sorted((jd.xi, jd.xi + problem.speed * problem.t_final))
+    inside = np.flatnonzero((nodes > ends[0]) & (nodes < ends[1]))
+    times = (nodes[inside] - jd.xi) / problem.speed
+    return sorted(zip(times.tolist(), inside.tolist()))
 
 
 def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarray,
@@ -293,9 +291,8 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     discontinuity; each segment is covered with uniform Runge-Kutta steps of
     size at most dt, landing exactly on the crossing before restarting on
     the far side. The crossed node's value then moves to the branch of its
-    new side, by exactly J_0, which leaves kinks untouched; a crossing
-    within rounding of t_final is landed at t_final (_crossings). After
-    every step the inflow node is overwritten with the exact solution
+    new side, by exactly J_0, which leaves kinks untouched. After every
+    step the inflow node is overwritten with the exact solution
     initial(x - c t).
     Steps, their per-segment build and the per-segment finiteness check
     follow the module docstring. States are recorded at t = 0, every
@@ -307,15 +304,21 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     Chebyshev grids this caps dt several times below the RK4 region's
     2.8 / (|c| * max |eigenvalue|) of the inflow-reduced D.
 
-    Raises ValueError before any step if D is of another order or grid, or
-    if the discontinuity starts within _bracket's rounding of a node and its
-    first segment cannot be bracketed.
+    Raises ValueError before any step if dt leaves t_final / dt not finite,
+    if D is of another order or grid, if the discontinuity starts within
+    _bracket's rounding of a node and its first segment cannot be
+    bracketed, or if its path ends within _rounding of a node and either
+    just crossed it, so that its last segment cannot be bracketed, or has a
+    value jump J_0: the node's side at t_final, and so the exact value
+    there, is then down to rounding. A kink may end on a node.
     Raises RuntimeError with a diagnostic if the state stops being finite;
     it names the failure time and the largest |u| of the state the failing
     step started from.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not math.isfinite(float(problem.t_final) / float(dt)):
+        raise ValueError(f"dt {dt!r} is too small: the step count t_final / dt is not finite")
     if output_every < 1:
         raise ValueError("output_every must be at least 1")
     grid = problem.grid
@@ -324,16 +327,24 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
         raise ValueError("initial sampler must return one value per node")
 
     _require_operator(problem, D)
-    crossings = _crossings(problem)
-    if not crossings or crossings[-1][0] < problem.t_final:
-        crossings.append((problem.t_final, None))
+    crossings = [*_crossings(problem), (problem.t_final, None)]
     boundaries = [0.0, *(t for t, _ in crossings)]
     crossed = [node for _, node in crossings]
-    if problem.jump0 is not None:
-        try:  # the first segment's bracket fails only on a start within rounding of a node
-            _bracket(problem, 0.0, boundaries[1])
-        except RuntimeError:
-            raise ValueError(f"discontinuity at {problem.jump0.xi} starts within rounding of a grid node") from None
+    jd = problem.jump0
+    if jd is not None:
+        end = jd.xi + problem.speed * problem.t_final
+        # the first and last segments' brackets fail only on a start, or an
+        # end past a node just crossed, within rounding of that node
+        for fault, t0, t1 in ((f"discontinuity at {jd.xi} starts", 0.0, boundaries[1]),
+                              (f"discontinuity ends at {end},", boundaries[-2], boundaries[-1])):
+            try:
+                _bracket(problem, t0, t1 - t0)
+            except RuntimeError:
+                raise ValueError(f"{fault} within rounding of a grid node") from None
+        # within rounding of a node, the node's side at t_final is down to
+        # rounding: a step's exact value there depends on it, a kink's does not
+        if jd.jumps[0] != 0.0 and np.abs(grid.nodes - end).min() <= _rounding(end):
+            raise ValueError(f"discontinuity ends at {end}, within rounding of a grid node")
     powers = _powers(problem, D)
 
     times = [0.0]
@@ -365,8 +376,7 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
 
     times_arr = np.asarray(times)
     states_arr = np.asarray(states)
-    xi_path = (np.full_like(times_arr, np.nan) if problem.jump0 is None
-               else problem.jump0.xi + problem.speed * times_arr)
+    xi_path = np.full_like(times_arr, np.nan) if jd is None else jd.xi + problem.speed * times_arr
     err = np.array(
         [np.max(np.abs(s - np.asarray(problem.initial(grid.nodes - problem.speed * t), dtype=float)))
          for t, s in zip(times_arr, states_arr)]

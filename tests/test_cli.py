@@ -490,6 +490,26 @@ CONFIG_ERRORS = [
     ("interp", "problem+grid", ({"type": "nope"}, {}), "unknown problem.type 'nope'"),
     ("interp", "M", [40], "M=40 exceeds the grid degree N=12"),
     ("interp", "grid.a+grid.b", (-1.0, 1.0), "second-kind Legendre values require |x| < 1"),
+    # a check's label, num and den are strings
+    ("interp", "checks", [{"kind": "max_error_leq", "label": ["M6"], "value": 1.0}],
+     "checks[0].label must be a string, got ['M6']"),
+    ("interp", "checks", [{"kind": "smallest", "label": {"M": 6}, "metric": "max_error"}],
+     "checks[0].label must be a string, got {'M': 6}"),
+    ("interp", "checks", [{"kind": "ratio_leq", "num": "M6", "den": [], "value": 1.0}],
+     "checks[0].den must be a string, got []"),
+    # a metric names a report entry keyed by label
+    ("evolve", "checks", [{"kind": "smallest", "label": "corrected", "metric": "final_linf"}],
+     "checks[0].metric must be max_error or max_error_near_xi, got 'final_linf'"),
+    ("converge", "checks", [{"kind": "ratio_leq", "num": "a", "den": "b", "value": 1.0, "metric": "fits"}],
+     "checks[0].metric must be max_error or max_error_near_xi, got 'fits'"),
+    # t_final / dt overflows to inf
+    ("evolve", "dt", 5e-324, "dt 5e-324 is too small: the step count t_final / dt is not finite"),
+    # node 4 of this grid is 0.0: the step ends exactly on it, and the kink
+    # crosses it 5e-14 before t_final, too short a last segment to bracket
+    ("evolve", "grid.N+initial", (8, {"kind": "step", "xi0": -0.1}),
+     "discontinuity ends at 0.0, within rounding of a grid node"),
+    ("evolve", "grid.N+t_final+initial.xi0", (8, 0.10000000000005, -0.1),
+     "discontinuity ends at 4.9987791683747673e-14, within rounding of a grid node"),
 ]
 
 
@@ -691,17 +711,12 @@ def test_module_entry_point_exit_status(tmp_path, code, command, cfg):
     assert out.exists() == (code < 2)
 
 
-def test_evolve_crossing_within_rounding_of_t_final_exits_zero(tmp_path):
-    # the kink reaches node 4, 0.0, at t = 0.1, 5e-14 before t_final: that
-    # crossing lands at t_final, since a last segment so short could not be
-    # told from the node
-    cfg = {
-        "grid": {"family": "cgl", "a": -1, "b": 1, "N": 8},
-        "speed": 1.0,
-        "t_final": 0.10000000000005,
-        "dt": 0.01,
-        "initial": {"kind": "kink", "xi0": -0.1},
-    }
-    code, _, report = run_command(tmp_path, "evolve", cfg)
+def test_evolve_tiny_speed_exits_zero_without_warnings(tmp_path):
+    # the path moves 5e-325, which rounds to nothing: no node is crossed,
+    # so no crossing time divides by the speed
+    cfg = {**EVOLVE_CFG, "speed": 5e-324, "checks": [{"kind": "final_linf_leq", "value": 1e-12}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, report = run_command(tmp_path, "evolve", cfg)
     assert code == 0
     assert report["final_linf"] <= 1e-12

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_rhs_linear_state_no_jumps():
     prob = AdvectionProblem(g, c, lambda x: np.asarray(x, dtype=float), None, 1.0)
     D = derivative_matrix(g, 1)
     tol = 1e-12 * np.abs(D.entries).max()
-    np.testing.assert_allclose(-c * corrected_derivative(D, g.nodes, []), -c, rtol=0, atol=tol)
+    np.testing.assert_allclose(-c * corrected_derivative(D, g.nodes, None), -c, rtol=0, atol=tol)
     dt = 1e-2
     np.testing.assert_allclose(rk4_step(g.nodes, 0.0, dt, prob, D), g.nodes - c * dt, rtol=0, atol=dt * tol)
 
@@ -144,18 +145,74 @@ def test_start_within_rounding_of_a_node_is_rejected_before_any_step(monkeypatch
         assert np.all(np.isfinite(evolve(prob, D, 0.01).states))
 
 
-@pytest.mark.parametrize("speed", [1.0, -1.0])
-@pytest.mark.parametrize("past", [1e-15, 5e-14, 1e-13, 2e-13])
-def test_crossing_within_rounding_of_t_final_lands_there(speed, past):
-    # node 4 is 0.0, which the step reaches at t = 0.1, just before t_final;
-    # landed at t_final or not, the node moves to its new side
-    g = chebyshev_gauss_lobatto(-1, 1, 8)
-    xi0 = -0.1 * speed
-    u0 = lambda x: np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5)
-    prob = AdvectionProblem(g, speed, u0, JumpData(xi0, [1.0]), 0.1 + past)
-    res = evolve(prob, derivative_matrix(g, 1), 0.01)
-    assert res.times[-1] == prob.t_final
-    assert res.error_linf[-1] <= 1e-15
+# CGL grids on [-1, 1] by N, each with its stencil size m (None: pseudospectral)
+# and a dt at or below a quarter of its RK4 limit at unit speed
+PATH_GRIDS = {8: (None, 0.02), 16: (None, 0.005), 24: (4, 0.003)}
+
+
+@st.composite
+def paths_ending_near_a_node(draw):
+    """(N, profile, amplitude, speed, xi0, t_final, dt) of a path that reaches
+    an interior node k ulps of time from t_final, k from a set holding 0."""
+    N = draw(st.sampled_from(sorted(PATH_GRIDS)))
+    nodes = chebyshev_gauss_lobatto(-1, 1, N).nodes
+    gap = draw(st.integers(0, N - 1))
+    xi0 = float(nodes[gap] + draw(st.floats(0.1, 0.9)) * (nodes[gap + 1] - nodes[gap]))
+    target = float(nodes[draw(st.integers(1, N - 1))])
+    speed = math.copysign(draw(st.sampled_from([1.0, 0.6])), target - xi0)
+    t_cross = (target - xi0) / speed
+    k = draw(st.sampled_from([0, 1, -1, 3, -3, 40, -40, 10**4, -10**4]))
+    profile = draw(st.sampled_from(["kink", "step"]))
+    amplitude = draw(st.sampled_from([1.0, -2.0]))
+    return N, profile, amplitude, speed, xi0, t_cross + k * math.ulp(t_cross), PATH_GRIDS[N][1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(run=paths_ending_near_a_node())
+# a step ending exactly on node 4, 0.0, once exited 0 with final_linf 0.5
+@example(run=(8, "step", 1.0, 1.0, -0.1, 0.1, 0.01))
+# a kink may end exactly on a node, which it leaves uncrossed
+@example(run=(8, "kink", 1.0, 1.0, -0.1, 0.1, 0.01))
+# a crossing within rounding of t_final once exited 3, too short a last
+# segment to bracket, and then landed at t_final
+@example(run=(8, "kink", 1.0, 1.0, -0.1, 0.10000000000005, 0.01))
+@example(run=(8, "step", 1.0, 1.0, -0.1, 0.1 + 1e-15, 0.01))
+@example(run=(8, "step", 1.0, -1.0, 0.1, 0.1 + 1e-15, 0.01))
+@example(run=(8, "step", 1.0, 1.0, -0.1, 0.1 + 5e-14, 0.01))
+@example(run=(8, "step", 1.0, -1.0, 0.1, 0.1 + 5e-14, 0.01))
+@example(run=(8, "step", 1.0, 1.0, -0.1, 0.1 + 1e-13, 0.01))
+@example(run=(8, "step", 1.0, -1.0, 0.1, 0.1 + 1e-13, 0.01))
+@example(run=(8, "step", 1.0, 1.0, -0.1, 0.1 + 2e-13, 0.01))
+@example(run=(8, "step", 1.0, -1.0, 0.1, 0.1 + 2e-13, 0.01))
+# starts within rounding of node 4: toward it or standing still, and away
+@example(run=(8, "kink", 1.0, -0.5, 1e-16, 0.5, 0.01))
+@example(run=(8, "kink", 1.0, 0.0, 1e-16, 0.5, 0.01))
+@example(run=(8, "kink", 1.0, 0.5, 1e-16, 0.5, 0.01))
+def test_a_path_near_a_node_is_rejected_before_any_step_or_exact(run):
+    """A run whose path ends (or starts) within rounding of a node either
+    raises ValueError before any step or ends at rounding error; it never
+    raises RuntimeError."""
+    N, profile, amplitude, speed, xi0, t_final, dt = run
+    g = chebyshev_gauss_lobatto(-1, 1, N)
+    if profile == "kink":
+        u0 = lambda x: amplitude * np.abs(np.asarray(x, dtype=float) - xi0)
+        jd = JumpData(xi0, [0.0, 2.0 * amplitude])
+    else:
+        u0 = lambda x: amplitude * np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5)
+        jd = JumpData(xi0, [amplitude])
+    prob = AdvectionProblem(g, speed, u0, jd, t_final)
+    D = derivative_matrix(g, 1, PATH_GRIDS[N][0])
+    built = []
+    segment_steps = mol._segment_steps
+    with mock.patch.object(mol, "_segment_steps", lambda *a: built.append(a) or segment_steps(*a)):
+        try:
+            res = evolve(prob, D, dt)
+        except ValueError as exc:
+            assert "within rounding of a grid node" in str(exc)
+            assert not built
+            return
+    assert res.times[-1] == t_final
+    assert res.error_linf[-1] <= 1e-12 * abs(amplitude)
 
 
 def test_evolve_checks_its_operator_once(monkeypatch):
