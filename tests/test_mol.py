@@ -145,6 +145,27 @@ def test_start_within_rounding_of_a_node_is_rejected_before_any_step(monkeypatch
         assert np.all(np.isfinite(evolve(prob, D, 0.01).states))
 
 
+@pytest.mark.parametrize("speed", [1.0, -1.0])
+@pytest.mark.parametrize("past", [1e-15, 5e-14, 1e-13, 2e-13])
+def test_crossing_within_rounding_of_t_final_lands_there(monkeypatch, speed, past):
+    # node 4 is 0.0, which the step reaches at t = 0.1, just before t_final;
+    # a step ending within rounding (1e-13) of the node is rejected before
+    # any step, and one ending further past it lands at t_final, exact
+    g = chebyshev_gauss_lobatto(-1, 1, 8)
+    xi0 = -0.1 * speed
+    u0 = lambda x: np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5)
+    prob = AdvectionProblem(g, speed, u0, JumpData(xi0, [1.0]), 0.1 + past)
+    D = derivative_matrix(g, 1)
+    if past < 1e-13:
+        monkeypatch.setattr(mol, "_segment_steps", lambda *a: pytest.fail("a step was taken"))
+        with pytest.raises(ValueError, match="discontinuity ends at .*, within rounding of a grid node"):
+            evolve(prob, D, 0.01)
+    else:
+        res = evolve(prob, D, 0.01)
+        assert res.times[-1] == prob.t_final
+        assert res.error_linf[-1] <= 1e-15
+
+
 # CGL grids on [-1, 1] by N, each with its stencil size m (None: pseudospectral)
 # and a dt at or below a quarter of its RK4 limit at unit speed
 PATH_GRIDS = {8: (None, 0.02), 16: (None, 0.005), 24: (4, 0.003)}
