@@ -333,14 +333,22 @@ def _jump_table(problem, Ms: list[int]) -> dict:
     return {M: problem.jump_data(M) if M >= 0 else None for M in Ms}
 
 
+def _label(M: int) -> str:
+    """The name of jump order M's columns and report entries."""
+    return "lagrange" if M < 0 else f"M{M}"
+
+
 def _interpolants(g: Grid, f: np.ndarray, jumps: dict, pts: np.ndarray) -> list[np.ndarray]:
     """Values at pts of the plain (None) or jump-corrected interpolant of
-    the nodal data f, one array per entry of jumps."""
+    the nodal data f, one array per entry of jumps; a numerical failure if
+    one is not finite."""
     w = barycentric_weights(g)
-    return [
-        interpolate(w, f, pts) if jd is None else corrected_interpolate(w, f, jd, pts)
-        for jd in jumps.values()
-    ]
+    # numpy's error state is per thread, and converge calls this on its pool's
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # _finite reports an overflow
+        values = {M: interpolate(w, f, pts) if jd is None else corrected_interpolate(w, f, jd, pts)
+                  for M, jd in jumps.items()}
+    return [_finite(v, f"the {_label(M)} interpolant on N = {g.N} is not finite; the data overflow "
+                       "its barycentric sums") for M, v in values.items()]
 
 
 def run_interp(cfg: dict) -> tuple[dict, dict]:
@@ -355,7 +363,7 @@ def run_interp(cfg: dict) -> tuple[dict, dict]:
     max_err: dict[str, float] = {}
     max_err_near: dict[str, float] = {}
     for M, vals in zip(Ms, _interpolants(g, f, _jump_table(problem, Ms), pts)):
-        label = "lagrange" if M < 0 else f"M{M}"
+        label = _label(M)
         err = np.abs(vals - exact)
         cols += [vals, err]
         header += [f"p_{label}", f"err_{label}"]
@@ -415,11 +423,12 @@ def run_converge(cfg: dict) -> tuple[dict, dict]:
     return report, {"result.csv": (["N", "M", "linf_error"], rows)}
 
 
-def _finite(deriv: np.ndarray, label: str) -> np.ndarray:
-    """deriv, unless finite data overflowed the derivative matrix's product."""
-    if not np.isfinite(deriv).all():
-        raise RuntimeError(f"the {label} derivative is not finite; the data overflow the derivative matrix")
-    return deriv
+def _finite(values: np.ndarray, failure: str) -> np.ndarray:
+    """values, unless one is not finite: then a numerical failure, described
+    by failure. Callers compute values with numpy's warnings off."""
+    if not np.isfinite(values).all():
+        raise RuntimeError(failure)
+    return values
 
 
 def run_diff(cfg: dict) -> tuple[dict, dict]:
@@ -427,10 +436,11 @@ def run_diff(cfg: dict) -> tuple[dict, dict]:
     problem, g, f, [M] = _setup(cfg)
     D = derivative_matrix(g, cfg["n"], cfg["m"])
     exact = np.asarray(problem.derivative(g.nodes, D.n), dtype=float)
+    overflow = "derivative is not finite; the data overflow the derivative matrix"
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports an overflow
-        plain = _finite(apply(D, f), "plain")
+        plain = _finite(apply(D, f), f"the plain {overflow}")
         jd = _jump_table(problem, [M])[M]
-        corrected = _finite(corrected_derivative(D, f, jd), "corrected")
+        corrected = _finite(corrected_derivative(D, f, jd), f"the corrected {overflow}")
 
     header = ["x", "f", "deriv_exact", "deriv_plain", "deriv_corrected", "err_plain", "err_corrected"]
     rows = zip(g.nodes, f, exact, plain, corrected, np.abs(plain - exact), np.abs(corrected - exact))
@@ -450,7 +460,10 @@ def run_diff(cfg: dict) -> tuple[dict, dict]:
 def run_quad(cfg: dict) -> tuple[dict, dict]:
     """plain vs jump-corrected integral against a reference value"""
     problem, g, f, [M] = _setup(cfg)
-    rule = quad_weights(g)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # _finite reports a failure
+        rule = quad_weights(g)
+    _finite(rule.weights, "the quadrature weights are not finite; the barycentric sums of the grid's "
+            "Lagrange basis cancel or overflow at a quadrature point")
     reference = problem.integral(g.a, g.b)
     plain = integrate(rule, f)
     corrected = corrected_integrate(rule, f, _jump_table(problem, [M])[M])
@@ -493,7 +506,8 @@ def run_evolve(cfg: dict) -> tuple[dict, dict]:
 
     header = ["t"] + [f"u{j}" for j in range(g.N + 1)] + ["xi", "linf_error"]
     err = result.error_linf
-    rows = ((t, *s, xi, e) for t, s, xi, e in zip(result.times, result.states, result.xi_path, err))
+    # Python floats format faster than numpy scalars, to the same text
+    rows = np.column_stack([result.times, result.states, result.xi_path, err]).tolist()
     report = {
         "N": g.N,
         "steps_recorded": int(result.times.size),

@@ -73,12 +73,12 @@ class JumpData:
     jumps: np.ndarray
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.xi):
+        if not math.isfinite(self.xi):
             raise ValueError("discontinuity location must be finite")
-        jumps = np.atleast_1d(np.array(self.jumps, dtype=float))
+        jumps = np.array(self.jumps, dtype=float, ndmin=1)
         if not jumps.size:
             raise ValueError("need at least one derivative jump; None means no correction")
-        if not np.all(np.isfinite(jumps)):
+        if not np.isfinite(jumps).all():
             raise ValueError("derivative jumps must be finite")
         jumps.flags.writeable = False
         object.__setattr__(self, "jumps", jumps)
@@ -132,16 +132,18 @@ def _right_of(x, jump: JumpData) -> np.ndarray:
     return x > jump.xi
 
 
+_SIDES = np.array([[0.0], [1.0]])  # less _right_of, the sign of g in minus and in plus
+
+
 def _pieces(f, jump: JumpData, grid: Grid) -> np.ndarray:
     """The pieces' nodal data as the two rows (minus, plus) of one array.
 
     minus is f less g at the nodes right of xi, plus is f plus g at the
     nodes left of it, and each adds a signed zero elsewhere, so a node's
-    own side keeps its datum. The sum starts from -0.0, the exact additive
-    identity, so f = -0.0 returns the corrections bit for bit.
+    own side keeps its datum. f is added last, so f = -0.0, the exact
+    additive identity, returns the corrections bit for bit.
     """
-    pieces = np.full((2, grid.N + 1), -0.0)
-    pieces += np.subtract([[False], [True]], _right_of(grid.nodes, jump), dtype=float) * jump_weights(jump, grid)
+    pieces = (_SIDES - _right_of(grid.nodes, jump)) * jump_weights(jump, grid)
     pieces += f
     return pieces
 

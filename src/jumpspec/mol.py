@@ -39,7 +39,10 @@ forcing known in advance, and all steps of a segment share one size h:
   direction of motion.
 - A step is then y + (E y + f), one matrix-vector product and two vector
   additions, or y + E y without jumps; E and the forcing rows are built
-  once per segment (_segment_steps).
+  once per segment (_segment_steps). rk4_step applies E with ndarray.dot,
+  which reaches the same BLAS gemv as E @ y with less per-call dispatch,
+  and adds y to E y + f in place: addition commutes, so the bits are those
+  of y + (E y + f).
 - The state's finiteness is checked once per segment, at its end. A
   non-finite entry other than the inflow node's stays non-finite, since a
   step adds it to its own entry and the crossed-node move adds a finite
@@ -154,7 +157,7 @@ def _rk4_increment(A: np.ndarray, h: float, y: np.ndarray, b1, b2, b4) -> np.nda
     return (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-_FORCING_BLOCK = 1024
+_FORCING_BLOCK = 1024  # steps per block of forcing rows, end times and inflow values
 
 
 def _powers(problem: AdvectionProblem, D: DerivMatrix) -> np.ndarray:
@@ -181,7 +184,8 @@ def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: floa
     for k in (2, 1, 0):
         E += powers[k]
         E *= h / (k + 1)
-    np.fill_diagonal(E, E.diagonal() - E.sum(axis=1))
+    diagonal = E.reshape(-1)[:: n + 1]  # a view: E is contiguous
+    diagonal -= E.sum(axis=1)
     if jd is None:
         return E, repeat(None, nsub)
     lo, hi = _bracket(problem, t, dt)
@@ -229,10 +233,11 @@ def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatr
         E, forcing = _segment_steps(problem, D, t, dt, 1, _powers(problem, D))
         step = E, next(forcing)
     E, f = step
-    du = E @ state
+    du = E.dot(state)
     if f is not None:
         du += f
-    return state + du
+    du += state
+    return du
 
 
 def _require_operator(problem: AdvectionProblem, D: DerivMatrix) -> None:
@@ -267,20 +272,27 @@ def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarra
     """(end time, state) after each of nsub uniform steps from t0 to t1,
     starting from state: one rk4_step with the segment's step matrix and
     forcing row (_segment_steps), then, on the last step, the move of the
-    crossed node, if any, and after every step the inflow overwrite. Each
-    yielded state is a new array that nothing writes to afterwards."""
-    h = (t1 - t0) / nsub
-    inflow = 0 if problem.speed > 0 else problem.grid.N
+    crossed node, if any, and after every step the inflow overwrite. The
+    end times and inflow values are built one block of steps at a time, so
+    memory stays O(block) however small the steps are. Each yielded state
+    is a new array that nothing writes to afterwards."""
+    c, h = problem.speed, (t1 - t0) / nsub
+    inflow = 0 if c > 0 else problem.grid.N
+    x_in = problem.grid.nodes[inflow]
     E, forcing = _segment_steps(problem, D, t0, t1 - t0, nsub, powers)
-    t_ends = t0 + np.arange(1, nsub + 1) * h
-    t_ends[-1] = t1
-    inflow_values = problem.initial(problem.grid.nodes[inflow] - problem.speed * t_ends)
-    for k, (t_new, f) in enumerate(zip(t_ends.tolist(), forcing)):
-        state = rk4_step(state, t0 + k * h, h, problem, D, (E, f))
-        if k == nsub - 1 and node is not None:
-            state[node] -= np.sign(problem.speed) * problem.jump0.jumps[0]
-        state[inflow] = inflow_values[k]
-        yield t_new, state
+    moved = -1 if node is None else nsub - 1  # the step after which the crossed node moves
+    for k0 in range(0, nsub, _FORCING_BLOCK):
+        k1 = min(k0 + _FORCING_BLOCK, nsub)
+        t_ends = t0 + np.arange(k0 + 1, k1 + 1) * h
+        if k1 == nsub:
+            t_ends[-1] = t1
+        values = np.asarray(problem.initial(x_in - c * t_ends), dtype=float).tolist()
+        for k, t_new, value, f in zip(range(k0, k1), t_ends.tolist(), values, forcing):
+            state = rk4_step(state, t0 + k * h, h, problem, D, (E, f))
+            if k == moved:
+                state[node] -= np.sign(c) * problem.jump0.jumps[0]
+            state[inflow] = value
+            yield t_new, state
 
 
 def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: int = 1) -> EvolutionResult:
@@ -305,6 +317,7 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     2.8 / (|c| * max |eigenvalue|) of the inflow-reduced D.
 
     Raises ValueError before any step if dt leaves t_final / dt not finite,
+    if the initial profile is not finite at some node (it names the first),
     if D is of another order or grid, if the discontinuity starts within
     _bracket's rounding of a node and its first segment cannot be
     bracketed, or if its path ends within _rounding of a node and either
@@ -322,9 +335,13 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     if output_every < 1:
         raise ValueError("output_every must be at least 1")
     grid = problem.grid
-    state = np.asarray(problem.initial(grid.nodes), dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite value is reported below, by its node
+        state = np.asarray(problem.initial(grid.nodes), dtype=float)
     if state.shape != grid.nodes.shape:
         raise ValueError("initial sampler must return one value per node")
+    if not np.isfinite(state).all():
+        j = int(np.flatnonzero(~np.isfinite(state))[0])
+        raise ValueError(f"the initial profile is not finite at node {j} (x = {grid.nodes[j]})")
 
     _require_operator(problem, D)
     crossings = [*_crossings(problem), (problem.t_final, None)]
@@ -349,7 +366,7 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
 
     times = [0.0]
     states = [state]
-    steps_done = 0
+    steps_done, t_final = 0, problem.t_final
     # an unstable dt overflows on the way to the non-finite check below,
     # which reports it; numpy's own overflow warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -360,7 +377,7 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
             # a segment's last step ends exactly on t1, so t_final is always recorded
             for t_new, state in steps():
                 steps_done += 1
-                if steps_done % output_every == 0 or t_new == problem.t_final:
+                if steps_done % output_every == 0 or t_new == t_final:
                     times.append(t_new)
                     states.append(state)
             if not np.isfinite(state).all():
@@ -377,8 +394,8 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     times_arr = np.asarray(times)
     states_arr = np.asarray(states)
     xi_path = np.full_like(times_arr, np.nan) if jd is None else jd.xi + problem.speed * times_arr
-    err = np.array(
-        [np.max(np.abs(s - np.asarray(problem.initial(grid.nodes - problem.speed * t), dtype=float)))
-         for t, s in zip(times_arr, states_arr)]
-    )
+    # every recorded state's exact values from one sampler call
+    shifted = grid.nodes - problem.speed * times_arr[:, None]
+    exact = np.asarray(problem.initial(shifted.ravel()), dtype=float).reshape(states_arr.shape)
+    err = np.abs(states_arr - exact).max(axis=1)
     return EvolutionResult(times_arr, states_arr, xi_path, err)

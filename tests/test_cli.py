@@ -389,6 +389,7 @@ def test_non_boolean_flags_exit_two(tmp_path, capsys, command, field, value):
 OVERFLOWING = {"type": "synthetic", "left": [0.0], "right": [1e308, 1e308], "xi": 0.9}
 HUGE_COEFFICIENT = {"type": "synthetic", "left": [0.0], "right": [0.0, 0.0, 1e308], "xi": 0.3}
 WIDE_GRID = {"family": "cgl", "a": -1, "b": 1, "N": 4}
+OVERFLOWING_KINK = (24, 0.3, 1, 1e-3, {"kind": "kink", "xi0": -0.95, "amplitude": 1.7e308})
 CONFIG_ERRORS = [
     ("interp", "probe", 10, "unknown key probe"),
     ("interp", "problem.amplitude", 1.0, "unknown key problem.amplitude"),
@@ -510,6 +511,12 @@ CONFIG_ERRORS = [
      "discontinuity ends at 0.0, within rounding of a grid node"),
     ("evolve", "grid.N+t_final+initial.xi0", (8, 0.10000000000005, -0.1),
      "discontinuity ends at 4.9987791683747673e-14, within rounding of a grid node"),
+    # a kink of amplitude 1.7e308 overflows at the nodes farther than 1.06 from
+    # xi0, the first of them node 13; its corrected twin's slope jump overflows
+    ("evolve", "grid.N+speed+t_final+dt+initial+corrections", OVERFLOWING_KINK + (False,),
+     "the initial profile is not finite at node 13 (x = 0.1305261922200517)"),
+    ("evolve", "grid.N+speed+t_final+dt+initial+corrections", OVERFLOWING_KINK + (True,),
+     "derivative jumps must be finite"),
 ]
 
 
@@ -631,6 +638,35 @@ def test_overflowing_derivative_exits_three(tmp_path, capsys):
     code, out, _ = run_command(tmp_path, "diff", cfg)
     assert code == 3
     assert "numerical failure: the plain derivative is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+HUGE_LEFT_PIECE = {"type": "synthetic", "left": [1e308], "right": [1, -1], "xi": 0.3}
+NON_FINITE_RESULTS = [
+    # the barycentric sums of 171 equidistant nodes cancel to zero at a Gauss point
+    ("quad", {"problem": {"type": "legendre", "l": 2, "xi": 0.3},
+              "grid": {"family": "equidistant", "a": -0.8, "b": 0.8, "N": 170}, "M": 3},
+     "numerical failure: the quadrature weights are not finite"),
+    # the left piece, 1e308, overflows the barycentric sums between the nodes
+    ("interp", {"problem": HUGE_LEFT_PIECE, "grid": {"family": "cgl", "a": -0.8, "b": 0.8, "N": 8},
+                "M": [3], "probes": 5},
+     "numerical failure: the M3 interpolant on N = 8 is not finite"),
+    # the same in a convergence study, whose cells run on a thread pool
+    ("converge", {"problem": HUGE_LEFT_PIECE, "family": "cgl", "a": -0.8, "b": 0.8, "N_list": [6, 8],
+                  "M_list": [-1, 3], "probes": 5},
+     "numerical failure: the lagrange interpolant on N = 6 is not finite"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,message", NON_FINITE_RESULTS, ids=[c for c, _, _ in NON_FINITE_RESULTS])
+def test_non_finite_results_exit_three_without_warnings(tmp_path, capsys, command, cfg, message):
+    # finite data and a valid grid, but a result that is not finite: a
+    # numerical failure, which writes nothing and leaks no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_command(tmp_path, command, cfg)
+    assert code == 3
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

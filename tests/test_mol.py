@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -579,11 +581,12 @@ def test_evolve_builds_the_powers_of_the_operator_once(monkeypatch, corrections)
         assert widths == ([3 * 2] * (K + 1) if corrections else [])
 
 
-def first_failure(problem, D, dt):
-    """(time, max |u| before it, step index in its segment, segment steps)
-    of the first non-finite state, stepping one step at a time: rk4_step
-    with the segment's step matrix and forcing row, the J_0 move of a
-    crossed node, the inflow write, then a finiteness check."""
+def replayed_steps(problem, D, dt):
+    """(end time, state before, state after, step index in its segment,
+    segment steps) of every step, taken one at a time: rk4_step with the
+    segment's step matrix and forcing row, the J_0 move of a crossed node,
+    then the inflow write. A segment's end times and inflow values are
+    built all at once."""
     nodes, c = problem.grid.nodes, problem.speed
     inflow = 0 if c > 0 else problem.grid.N
     crossings = mol._crossings(problem)
@@ -601,9 +604,16 @@ def first_failure(problem, D, dt):
             if k == nsub - 1 and node is not None:
                 new[node] -= np.sign(c) * problem.jump0.jumps[0]
             new[inflow] = inflow_values[k]
-            if not np.isfinite(new).all():
-                return float(t_ends[k]), float(np.max(np.abs(state))), k, nsub
+            yield float(t_ends[k]), state, new, k, nsub
             state = new
+
+
+def first_failure(problem, D, dt):
+    """(time, max |u| before it, step index in its segment, segment steps)
+    of the first non-finite state, checking after every replayed step."""
+    for t_end, before, after, k, nsub in replayed_steps(problem, D, dt):
+        if not np.isfinite(after).all():
+            return t_end, float(np.max(np.abs(before))), k, nsub
 
 
 @pytest.mark.parametrize("profile,c,xi0,dt,T", [("gaussian", 1.0, 0.0, 0.1, 40.0),
@@ -627,3 +637,78 @@ def test_failure_found_at_segment_end_is_the_first_failing_step(profile, c, xi0,
             evolve(prob, D, dt, output_every=7)
     assert 0 <= k < nsub - 1
     assert f"non-finite at t = {t_fail} (max |u| before failure {max_before:.3e})" in str(err.value)
+
+
+def advected(case, speed=1.3, T=0.5):
+    """(problem, D) of one corrected test run: a kink on a CGL grid with
+    the pseudospectral D or on an equidistant grid with a banded one, or a
+    step on a CGL grid."""
+    family, m, profile = {"cgl-kink": ("cgl", None, "kink"), "equidistant-banded-kink": ("equidistant", 2, "kink"),
+                          "cgl-step": ("cgl", None, "step")}[case]
+    g = chebyshev_gauss_lobatto(-1, 1, 24) if family == "cgl" else equidistant(-1, 1, 40)
+    xi0, amp = -0.43 * np.sign(speed), 1.7
+    if profile == "kink":
+        u0, J = lambda x: amp * np.abs(np.asarray(x, dtype=float) - xi0), [0.0, 2.0 * amp]
+    else:
+        u0, J = lambda x: amp * np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5), [amp]
+    return AdvectionProblem(g, speed, u0, JumpData(xi0, J), T), derivative_matrix(g, 1, m)
+
+
+@pytest.mark.parametrize("block", [mol._FORCING_BLOCK, 7])
+@pytest.mark.parametrize("speed", [1.3, -0.7])
+@pytest.mark.parametrize("case", ["cgl-kink", "equidistant-banded-kink", "cgl-step"])
+def test_corrected_evolve_is_the_step_by_step_replay_bitwise(monkeypatch, case, speed, block):
+    # evolve's loop, its blocks of end times and inflow values and its
+    # in-place step add nothing to and reorder nothing in the arithmetic of
+    # one rk4_step after another
+    monkeypatch.setattr(mol, "_FORCING_BLOCK", block)
+    prob, D = advected(case, speed)
+    assert len(mol._crossings(prob)) >= 3
+    res = evolve(prob, D, 2e-3, output_every=1)
+    steps = list(replayed_steps(prob, D, 2e-3))
+    assert res.times.tobytes() == np.array([0.0] + [t for t, *_ in steps]).tobytes()
+    assert res.states.tobytes() == np.array([steps[0][1]] + [after for _, _, after, _, _ in steps]).tobytes()
+    assert res.error_linf[-1] <= 1e-11
+
+
+@pytest.mark.parametrize("case", ["cgl-kink", "equidistant-banded-kink", "cgl-step", "gaussian"])
+def test_error_is_the_per_state_max_error_bitwise(case):
+    # one sampler call over every recorded state gives each state's own
+    # max |s - initial(x - c t)|, bit for bit
+    if case == "gaussian":
+        g = chebyshev_gauss_lobatto(-1, 1, 20)
+        u0 = lambda x: np.exp(-(((np.asarray(x, dtype=float) - 0.1) / 0.3) ** 2))
+        prob, D = AdvectionProblem(g, -0.7, u0, None, 0.4), derivative_matrix(g, 1)
+    else:
+        prob, D = advected(case)
+    res = evolve(prob, D, 2e-3, output_every=9)
+    want = [np.max(np.abs(s - np.asarray(prob.initial(prob.grid.nodes - prob.speed * t), dtype=float)))
+            for t, s in zip(res.times, res.states)]
+    assert res.error_linf.tobytes() == np.array(want).tobytes()
+    assert res.error_linf.max() > 0.0
+
+
+def test_inflow_values_are_sampled_one_block_at_a_time(monkeypatch):
+    # a segment's end times and inflow values are built per block of steps,
+    # so memory stays O(block) however small dt is
+    prob, g = kink_problem(N=24, xi0=-0.45, T=0.3)
+    sizes, initial = [], prob.initial
+    prob = dataclasses.replace(prob, initial=lambda x: sizes.append(np.size(x)) or initial(x))
+    monkeypatch.setattr(mol, "_FORCING_BLOCK", 5)
+    res = evolve(prob, derivative_matrix(g, 1), 1e-3, output_every=1)
+    # the first call samples the nodes, the last the exact values of every recorded state
+    assert sizes[0] == g.N + 1
+    assert sizes[-1] == res.times.size * (g.N + 1)
+    assert max(sizes[1:-1]) <= 5
+    assert sum(sizes[1:-1]) == res.times.size - 1  # one inflow value per step
+
+
+def test_non_finite_initial_profile_is_rejected_before_any_step(monkeypatch):
+    # a kink of amplitude 1.7e308 overflows at the nodes farther than 1.06
+    # from xi0; the first of them is named, and no warning leaks
+    g = chebyshev_gauss_lobatto(-1, 1, 24)
+    prob = AdvectionProblem(g, 0.3, lambda x: 1.7e308 * np.abs(np.asarray(x, dtype=float) + 0.95), None, 1.0)
+    monkeypatch.setattr(mol, "_segment_steps", lambda *a: pytest.fail("a step was taken"))
+    first = int(np.flatnonzero(g.nodes + 0.95 > sys.float_info.max / 1.7e308)[0])
+    with pytest.raises(ValueError, match=rf"initial profile is not finite at node {first} \(x = "):
+        evolve(prob, derivative_matrix(g, 1), 1e-3)
