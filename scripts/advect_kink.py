@@ -13,11 +13,7 @@ discontinuity path and max-norm errors against the translated exact
 solution.
 """
 
-import argparse
-import json
-import os
-
-from jumpspec.cli import main as jumpspec_main
+import _study
 
 BASE = {
     "grid": {"family": "chebyshev_gauss_lobatto", "a": -1.0, "b": 1.0, "N": 32},
@@ -28,28 +24,9 @@ BASE = {
     "initial": {"kind": "kink", "xi0": -0.5},
 }
 
-
-def run(outdir: str) -> int:
-    worst = 0
-    for name, corrections in (("corrected", True), ("uncorrected", False)):
-        cfg = dict(BASE)
-        cfg["corrections"] = corrections
-        if corrections:
-            cfg["checks"] = [{"kind": "final_linf_leq", "value": 1e-10}]
-        exp_dir = os.path.join(outdir, name)
-        os.makedirs(exp_dir, exist_ok=True)
-        cfg_path = os.path.join(exp_dir, "config.json")
-        with open(cfg_path, "w") as fh:
-            json.dump(cfg, fh, indent=2)
-        code = jumpspec_main(["evolve", "--config", cfg_path, "--out", exp_dir])
-        worst = max(worst, code)
-        with open(os.path.join(exp_dir, "report.json")) as fh:
-            report = json.load(fh)
-        print(f"{name}: final max-norm error {report['final_linf']:.3e}")
-    return worst
-
-
 if __name__ == "__main__":
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--out", default="out/advect_kink")
-    raise SystemExit(run(p.parse_args().out))
+    _study.run(__doc__, "evolve", "out/advect_kink",
+               [("corrected", {**BASE, "corrections": True,
+                               "checks": [{"kind": "final_linf_leq", "value": 1e-10}]}),
+                ("uncorrected", {**BASE, "corrections": False})],
+               lambda name, report: f"{name}: final max-norm error {report['final_linf']:.3e}")

@@ -8,43 +8,25 @@ order at the kink, enforcing M jumps buys roughly order M, and overly large
 M wastes effort without converging faster than the intermediate choice.
 """
 
-import argparse
-import json
-import os
+import _study
 
-from jumpspec.cli import main as jumpspec_main
-
-
-def run(outdir: str) -> int:
-    cfg = {
-        "problem": {"type": "legendre", "l": 2, "xi": -0.55},
-        "family": "chebyshev_gauss_lobatto",
-        "a": -0.9,
-        "b": 0.9,
-        "N_list": list(range(10, 41)),
-        "M_list": [-1, 5, 15],
-        "probes": 1000,
-        "checks": [
-            {"kind": "order_geq", "M": 5, "value": 5.0},
-            {"kind": "error_at_leq", "M": 15, "N": 40, "value": 1e-10},
-        ],
-    }
-    os.makedirs(outdir, exist_ok=True)
-    cfg_path = os.path.join(outdir, "config.json")
-    with open(cfg_path, "w") as fh:
-        json.dump(cfg, fh, indent=2)
-    code = jumpspec_main(["converge", "--config", cfg_path, "--out", outdir])
-    with open(os.path.join(outdir, "report.json")) as fh:
-        report = json.load(fh)
-    for fit in report["fits"]:
-        print(
-            f"M={fit['M']:>3}: fitted order {fit['algebraic_order']:6.2f}"
-            f"  exponential regime: {fit['exponential_regime']}"
-        )
-    return code
-
+CONFIG = {
+    "problem": {"type": "legendre", "l": 2, "xi": -0.55},
+    "family": "chebyshev_gauss_lobatto",
+    "a": -0.9,
+    "b": 0.9,
+    "N_list": list(range(10, 41)),
+    "M_list": [-1, 5, 15],
+    "probes": 1000,
+    "checks": [
+        {"kind": "order_geq", "M": 5, "value": 5.0},
+        {"kind": "error_at_leq", "M": 15, "N": 40, "value": 1e-10},
+    ],
+}
 
 if __name__ == "__main__":
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--out", default="out/convergence_study")
-    raise SystemExit(run(p.parse_args().out))
+    # one experiment, written straight into --out
+    _study.run(__doc__, "converge", "out/convergence_study", [("", CONFIG)],
+               lambda _, report: "\n".join(
+                   f"M={fit['M']:>3}: fitted order {fit['algebraic_order']:6.2f}"
+                   f"  exponential regime: {fit['exponential_regime']}" for fit in report["fits"]))

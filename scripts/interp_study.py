@@ -7,42 +7,20 @@ generated config plus result.csv / report.json; the CSV columns are dense
 probes of the exact function, every interpolant and its pointwise error.
 """
 
-import argparse
-import json
-import os
-
-from jumpspec.cli import main as jumpspec_main
+import _study
 
 BASE = {
     "problem": {"type": "legendre", "l": 2, "xi": -0.55},
     "M": [-1, 6, 12],
     "probes": 2000,
 }
-
-
-def run(outdir: str) -> int:
-    worst = 0
-    for family in ("chebyshev_gauss_lobatto", "equidistant"):
-        cfg = dict(BASE)
-        cfg["grid"] = {"family": family, "a": -0.9, "b": 0.9, "N": 12}
-        if family == "chebyshev_gauss_lobatto":
-            cfg["checks"] = [{"kind": "ratio_leq", "num": "M6", "den": "lagrange", "value": 0.01}]
-        else:
-            cfg["checks"] = [{"kind": "ratio_leq", "num": "M6", "den": "M12", "value": 1.0}]
-        exp_dir = os.path.join(outdir, family)
-        os.makedirs(exp_dir, exist_ok=True)
-        cfg_path = os.path.join(exp_dir, "config.json")
-        with open(cfg_path, "w") as fh:
-            json.dump(cfg, fh, indent=2)
-        code = jumpspec_main(["interp", "--config", cfg_path, "--out", exp_dir])
-        worst = max(worst, code)
-        with open(os.path.join(exp_dir, "report.json")) as fh:
-            report = json.load(fh)
-        print(f"{family}: max errors {report['max_error']}")
-    return worst
-
+CHECKS = {
+    "chebyshev_gauss_lobatto": {"kind": "ratio_leq", "num": "M6", "den": "lagrange", "value": 0.01},
+    "equidistant": {"kind": "ratio_leq", "num": "M6", "den": "M12", "value": 1.0},
+}
 
 if __name__ == "__main__":
-    p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--out", default="out/interp_study")
-    raise SystemExit(run(p.parse_args().out))
+    _study.run(__doc__, "interp", "out/interp_study",
+               [(family, {**BASE, "grid": {"family": family, "a": -0.9, "b": 0.9, "N": 12},
+                          "checks": [check]}) for family, check in CHECKS.items()],
+               lambda family, report: f"{family}: max errors {report['max_error']}")

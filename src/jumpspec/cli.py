@@ -31,7 +31,7 @@ from .jumps import (
     corrected_interpolate,
     correction_matrix,
 )
-from .lagrange import barycentric_weights, interpolate
+from .lagrange import barycentric_weights
 from .mol import AdvectionProblem, evolve
 from .quadrature import integrate, quad_weights
 from .refproblems import LegendreProblem, SyntheticPiecewise
@@ -345,8 +345,7 @@ def _interpolants(g: Grid, f: np.ndarray, jumps: dict, pts: np.ndarray) -> list[
     w = barycentric_weights(g)
     # numpy's error state is per thread, and converge calls this on its pool's
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # _finite reports an overflow
-        values = {M: interpolate(w, f, pts) if jd is None else corrected_interpolate(w, f, jd, pts)
-                  for M, jd in jumps.items()}
+        values = {M: corrected_interpolate(w, f, jd, pts) for M, jd in jumps.items()}
     return [_finite(v, f"the {_label(M)} interpolant on N = {g.N} is not finite; the data overflow "
                        "its barycentric sums") for M, v in values.items()]
 

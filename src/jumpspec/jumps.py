@@ -39,7 +39,6 @@ from .quadrature import QuadRule, basis_integrals, integrate
 
 __all__ = [
     "JumpData",
-    "XiOnNodeError",
     "jump_weights",
     "correction_matrix",
     "reconstruct_pieces",
@@ -48,15 +47,6 @@ __all__ = [
     "corrected_integrate",
     "one_sided_derivatives_at_node",
 ]
-
-
-class XiOnNodeError(ValueError):
-    """The discontinuity coincides exactly with a grid node.
-
-    The general correction path cannot decide which side the stored nodal
-    value belongs to; route on-node discontinuities to
-    one_sided_derivatives_at_node instead.
-    """
 
 
 @dataclass(frozen=True)
@@ -95,7 +85,7 @@ def _require_interior(jump: JumpData, grid: Grid) -> None:
             f"discontinuity at {jump.xi} lies outside the open interval ({grid.a}, {grid.b})"
         )
     if (grid.nodes == jump.xi).any():
-        raise XiOnNodeError(f"discontinuity at {jump.xi} coincides with a grid node")
+        raise ValueError(f"discontinuity at {jump.xi} coincides with a grid node")
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,10 +178,11 @@ def corrected_interpolate(w: BarycentricWeights, f, jump: JumpData | None, x):
         return interpolate(w, f, x)
     pieces = _pieces(_check_data(f, w.grid), jump, w.grid)
     pts = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = _barycentric(w, pts, pieces, _right_of(pts, jump).astype(int))
+    minus, plus = _barycentric(w, pts, pieces)
+    vals = np.where(_right_of(pts, jump), plus, minus)
     on = pts == jump.xi
-    if on.any():
-        vals[on] = 0.5 * (vals[on] + _barycentric(w, pts[on], pieces, np.ones(on.sum(), dtype=int)))
+    if on.any():  # their plus values come from a product over their rows alone, as the outputs pin
+        vals[on] = 0.5 * (vals[on] + _barycentric(w, pts[on], pieces[1:])[0])
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 

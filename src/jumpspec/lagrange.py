@@ -101,20 +101,16 @@ def _check_data(f, grid: Grid) -> np.ndarray:
     return f
 
 
-def _barycentric(w: BarycentricWeights, pts: np.ndarray, pieces, region: np.ndarray) -> np.ndarray:
-    """Barycentric value at pts[p] of the interpolant of the data pieces[region[p]].
+def _barycentric(w: BarycentricWeights, pts: np.ndarray, pieces) -> np.ndarray:
+    """Barycentric values at pts of the interpolant of each data row of pieces.
 
-    Every data vector is evaluated at every probe, one matrix-vector product
-    each, and each probe keeps its own piece's value; probes coinciding with
-    a node get that piece's datum exactly.
+    Row k holds the interpolant of pieces[k], one matrix-vector product
+    each; probes coinciding with a node get that row's datum exactly.
     """
     r, (prow, pcol) = _ratio_matrix(w, pts)
-    num = r @ pieces[0]
-    for k in range(1, len(pieces)):
-        num = np.where(region == k, r @ pieces[k], num)
     with np.errstate(invalid="ignore"):
-        vals = num / r.sum(axis=1)
-    vals[prow] = np.asarray(pieces)[region[prow], pcol]
+        vals = np.array([r @ f for f in pieces]) / r.sum(axis=1)
+    vals[:, prow] = np.asarray(pieces)[:, pcol]
     return vals
 
 
@@ -128,5 +124,5 @@ def interpolate(w: BarycentricWeights, f, x):
     f = _check_data(f, w.grid)
     xs = np.asarray(x, dtype=float)
     pts = np.atleast_1d(xs)
-    vals = _barycentric(w, pts, (f,), np.zeros(pts.size, dtype=int))
+    vals = _barycentric(w, pts, (f,))[0]
     return float(vals[0]) if xs.ndim == 0 else vals

@@ -148,15 +148,12 @@ def five_pass_ratio_matrix(w, pts):
     return r, hit
 
 
-def five_pass_barycentric(w, pts, pieces, region):
+def five_pass_barycentric(w, pts, pieces):
     r, hit = five_pass_ratio_matrix(w, pts)
-    num = r @ pieces[0]
-    for k in range(1, len(pieces)):
-        num = np.where(region == k, r @ pieces[k], num)
     with np.errstate(invalid="ignore"):
-        vals = num / r.sum(axis=1)
+        vals = np.array([r @ f for f in pieces]) / r.sum(axis=1)
     prow, pcol = np.nonzero(hit)
-    vals[prow] = np.asarray(pieces)[region[prow], pcol]
+    vals[:, prow] = np.asarray(pieces)[:, pcol]
     return vals
 
 
