@@ -114,6 +114,8 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
     fully one-sided at the boundary rows. n = 0 returns the identity. For
     n >= 1 the diagonal is then rebalanced so rows sum to zero (see
     negative_sum_trick). All rows come from one batched fd_weights call.
+    Raises ValueError when the build leaves the normal float range, which
+    happens on nodes too close or an interval too wide for the stencils.
     """
     N = grid.N
     if m is None:
@@ -125,8 +127,15 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
     rows = np.arange(N + 1)
     cols = _stencils(N, m)
     entries = np.zeros((N + 1, N + 1))
-    entries[rows[:, None], cols] = fd_weights(grid.nodes[cols], grid.nodes, n)
-    return negative_sum_trick(DerivMatrix(grid, n, m, _frozen(entries)))
+    # stencil products that leave the float range, or its normal range, leave
+    # weights that are wrong, finite or not, so any such event rejects the grid
+    try:
+        with np.errstate(all="raise"):
+            entries[rows[:, None], cols] = fd_weights(grid.nodes[cols], grid.nodes, n)
+            return negative_sum_trick(DerivMatrix(grid, n, m, _frozen(entries)))
+    except FloatingPointError:
+        raise ValueError(f"the grid on [{grid.a}, {grid.b}] with {N + 1} nodes has no order-{n} derivative "
+                         f"matrix at m = {m}; nodes too close or interval too wide for its stencil weights") from None
 
 
 _ROW_BLOCK = 32

@@ -28,7 +28,7 @@ class Grid:
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("a grid needs at least two nodes (N >= 1)")
         if not np.all(np.isfinite(nodes)):
-            raise ValueError("grid nodes must be finite")
+            raise ValueError(f"the nodes of the grid on [{self.a}, {self.b}] must be finite")
         if np.any(np.diff(nodes) <= 0.0):
             raise ValueError("grid nodes must be strictly increasing and distinct")
         if nodes[0] < self.a or nodes[-1] > self.b:
@@ -69,8 +69,9 @@ def _symmetrize(a: float, b: float, x: np.ndarray) -> None:
 def equidistant(a: float, b: float, N: int) -> Grid:
     """Uniformly spaced nodes x_i = a + i (b - a) / N."""
     _check_args(a, b, N)
-    x = a + (b - a) * np.arange(N + 1) / N
-    _symmetrize(a, b, x)
+    with np.errstate(all="ignore"):  # Grid rejects the nodes of a span b - a past the float range
+        x = a + (b - a) * np.arange(N + 1) / N
+        _symmetrize(a, b, x)
     return Grid(a, b, x)
 
 
@@ -82,8 +83,9 @@ def chebyshev_gauss_lobatto(a: float, b: float, N: int) -> Grid:
     """
     _check_args(a, b, N)
     i = np.arange(N + 1)
-    x = 0.5 * (a + b) + 0.5 * (a - b) * np.cos(np.pi * i / N)
-    _symmetrize(a, b, x)
+    with np.errstate(all="ignore"):  # as in equidistant
+        x = 0.5 * (a + b) + 0.5 * (a - b) * np.cos(np.pi * i / N)
+        _symmetrize(a, b, x)
     return Grid(a, b, x)
 
 

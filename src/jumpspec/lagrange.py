@@ -32,10 +32,12 @@ class BarycentricWeights:
 
     def __post_init__(self) -> None:
         lam = np.array(self.lam, dtype=float)
+        g = self.grid
+        where = f"the grid on [{g.a}, {g.b}] with {g.N + 1} nodes has degenerate barycentric weights"
         if not np.all(np.isfinite(lam)) or np.any(lam == 0.0):
-            raise ValueError("degenerate barycentric weights; nodes too close or interval too wide")
-        if not 2.0 * (np.abs(lam) * 1e-300).max() < np.diff(self.grid.nodes).min():
-            raise ValueError("degenerate barycentric weights; a node gap is below 2 |lam| 1e-300")
+            raise ValueError(f"{where}; nodes too close or interval too wide")
+        if not 2.0 * (np.abs(lam) * 1e-300).max() < np.diff(g.nodes).min():
+            raise ValueError(f"{where}; a node gap is below 2 |lam| 1e-300")
         lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
 
@@ -48,9 +50,11 @@ def barycentric_weights(grid: Grid) -> BarycentricWeights:
     degrees (Berrut & Trefethen, SIAM Review 46, 2004).
     """
     x = grid.nodes
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return BarycentricWeights(grid, 1.0 / diff.prod(axis=1))
+    with np.errstate(all="ignore"):  # BarycentricWeights rejects weights past the float range
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, 1.0)
+        lam = 1.0 / diff.prod(axis=1)
+    return BarycentricWeights(grid, lam)
 
 
 def _ratio_matrix(
@@ -104,8 +108,9 @@ def _check_data(f, grid: Grid) -> np.ndarray:
 def _barycentric(w: BarycentricWeights, pts: np.ndarray, pieces) -> np.ndarray:
     """Barycentric values at pts of the interpolant of each data row of pieces.
 
-    Row k holds the interpolant of pieces[k], one matrix-vector product
-    each; probes coinciding with a node get that row's datum exactly.
+    Row k holds the values of the interpolant of pieces[k], one
+    matrix-vector product each; probes coinciding with a node get that
+    row's datum exactly.
     """
     r, (prow, pcol) = _ratio_matrix(w, pts)
     with np.errstate(invalid="ignore"):

@@ -46,9 +46,10 @@ forcing known in advance, and all steps of a segment share one size h:
 - The state's finiteness is checked once per segment, at its end. A
   non-finite entry other than the inflow node's stays non-finite, since a
   step adds it to its own entry and the crossed-node move adds a finite
-  J_0, and a non-finite inflow value reaches every other entry on the next
-  step. So the check misses no failure; a failed segment is replayed step
-  by step to name the first failing step.
+  J_0, and the inflow values are checked one block of steps at a time,
+  before the block is stepped: a non-finite one is an exact solution past
+  the float range, not an unstable step. So the check misses no failure; a
+  failed segment is replayed step by step to name the first failing step.
 """
 
 from __future__ import annotations
@@ -274,8 +275,10 @@ def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarra
     forcing row (_segment_steps), then, on the last step, the move of the
     crossed node, if any, and after every step the inflow overwrite. The
     end times and inflow values are built one block of steps at a time, so
-    memory stays O(block) however small the steps are. Each yielded state
-    is a new array that nothing writes to afterwards."""
+    memory stays O(block) however small the steps are; a block with an
+    inflow value that is not finite is a RuntimeError before its first
+    step. Each yielded state is a new array that nothing writes to
+    afterwards."""
     c, h = problem.speed, (t1 - t0) / nsub
     inflow = 0 if c > 0 else problem.grid.N
     x_in = problem.grid.nodes[inflow]
@@ -286,7 +289,12 @@ def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarra
         t_ends = t0 + np.arange(k0 + 1, k1 + 1) * h
         if k1 == nsub:
             t_ends[-1] = t1
-        values = np.asarray(problem.initial(x_in - c * t_ends), dtype=float).tolist()
+        values = np.asarray(problem.initial(x_in - c * t_ends), dtype=float)
+        if not np.isfinite(values).all():
+            t_bad = t_ends[np.flatnonzero(~np.isfinite(values))[0]]
+            raise RuntimeError(f"the exact inflow value initial(x - c t) at node {inflow} (x = {x_in}) "
+                               f"is not finite at t = {t_bad}")
+        values = values.tolist()
         for k, t_new, value, f in zip(range(k0, k1), t_ends.tolist(), values, forcing):
             state = rk4_step(state, t0 + k * h, h, problem, D, (E, f))
             if k == moved:
@@ -326,7 +334,9 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     there, is then down to rounding. A kink may end on a node.
     Raises RuntimeError with a diagnostic if the state stops being finite;
     it names the failure time and the largest |u| of the state the failing
-    step started from.
+    step started from. Raises RuntimeError before stepping a block whose
+    exact inflow value initial(x - c t) is not finite at some step's end;
+    it names the inflow node and the first such time.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -390,6 +392,30 @@ OVERFLOWING = {"type": "synthetic", "left": [0.0], "right": [1e308, 1e308], "xi"
 HUGE_COEFFICIENT = {"type": "synthetic", "left": [0.0], "right": [0.0, 0.0, 1e308], "xi": 0.3}
 WIDE_GRID = {"family": "cgl", "a": -1, "b": 1, "N": 4}
 OVERFLOWING_KINK = (24, 0.3, 1, 1e-3, {"kind": "kink", "xi0": -0.95, "amplitude": 1.7e308})
+
+
+def grid_scale_rows() -> list:
+    """CONFIG_ERRORS rows of N = 8 grids whose scale leaves the float range:
+    their nodes overflow, or their barycentric weights (interp, quad) or
+    stencil weights (diff, evolve) do."""
+    rows = []
+    for family, a, b in (("equidistant", -1e308, 1e308), ("cgl", 0.0, 1e40), ("cgl", 0.0, 1e-200)):
+        grid = {"family": family, "a": a, "b": b, "N": 8}
+        xi = 0.37 * b + 0.63 * a
+        problem = {"type": "synthetic", "left": [0.0, 1.0], "right": [1.0, -1.0], "xi": xi}
+        too = "nodes too close or interval too wide"
+        weights = f"the grid on [{a}, {b}] with 9 nodes has degenerate barycentric weights; {too}"
+        stencils = f"the grid on [{a}, {b}] with 9 nodes has no order-1 derivative matrix at m = 8; {too}"
+        if family == "equidistant":
+            weights = stencils = f"the nodes of the grid on [{a}, {b}] must be finite"
+        rows += [("interp", "problem+grid+M", (problem, grid, [-1, 4]), weights),
+                 ("diff", "problem+grid", (problem, grid), stencils),
+                 ("quad", "problem+grid", (problem, grid), weights),
+                 ("evolve", "grid+speed+t_final+dt+initial",
+                  (grid, b - a, 0.1, 1e-3, {"kind": "kink", "xi0": xi}), stencils)]
+    return rows
+
+
 CONFIG_ERRORS = [
     ("interp", "probe", 10, "unknown key probe"),
     ("interp", "problem.amplitude", 1.0, "unknown key problem.amplitude"),
@@ -517,6 +543,7 @@ CONFIG_ERRORS = [
      "the initial profile is not finite at node 13 (x = 0.1305261922200517)"),
     ("evolve", "grid.N+speed+t_final+dt+initial+corrections", OVERFLOWING_KINK + (True,),
      "derivative jumps must be finite"),
+    *grid_scale_rows(),
 ]
 
 
@@ -670,6 +697,41 @@ def test_non_finite_results_exit_three_without_warnings(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("right", [[1e308], [0.0, sys.float_info.max]], ids=["value", "slope"])
+def test_overflowing_quadrature_sum_exits_three(tmp_path, capsys, right):
+    # the pieces and the reference integral are finite, but the corrected
+    # piece's data (value) or its jump series (slope) overflow the weighted sum
+    problem = {"type": "synthetic", "left": [0.0, 1.0], "right": right, "xi": 0.3}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_command(tmp_path, "quad", {"problem": problem, "grid": WIDE_GRID})
+    assert code == 3
+    assert "numerical failure: the corrected integral is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("amplitude", [9e307, 9.8e307])
+def test_overflowing_inflow_value_is_no_unstable_dt(tmp_path, capsys, amplitude):
+    """The exact inflow value amplitude * |-1 - 0.9 t| of this uncorrected
+    kink passes the float maximum at t = 0.927 for the larger amplitude, at
+    a dt about a tenth of the stability limit: a numerical failure that names
+    the inflow node and the first step end past it, not the dt."""
+    cfg = {"grid": {"family": "cgl", "a": -1, "b": 1, "N": 24}, "speed": 0.9, "t_final": 1, "dt": 1e-3,
+           "initial": {"kind": "kink", "xi0": 0, "amplitude": amplitude}, "corrections": False}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, report = run_command(tmp_path, "evolve", cfg)
+    err = capsys.readouterr().err
+    if amplitude < 9.5e307:
+        assert code == 0 and err == "" and math.isfinite(report["final_linf"])
+        return
+    assert code == 3
+    assert ("numerical failure: the exact inflow value initial(x - c t) at node 0 (x = -1.0) "
+            "is not finite at t = 0.928") in err
+    assert "unstable dt" not in err
+    assert not out.exists()
+
+
 def test_thread_cap_respected(tmp_path, monkeypatch):
     monkeypatch.setenv("JUMPSPEC_THREADS", "1")
     cfg = {
@@ -756,3 +818,75 @@ def test_evolve_tiny_speed_exits_zero_without_warnings(tmp_path):
         code, _, report = run_command(tmp_path, "evolve", cfg)
     assert code == 0
     assert report["final_linf"] <= 1e-12
+
+
+# the exit contract, by generation: one small valid config per command, one
+# leaf at a time set to each of these values
+FUZZ_VALUES = [0, 1, 2, 3, -1, 170, 171, 0.5, -0.0, 5e-324, 1e-300, 1e308, -1e308, sys.float_info.max,
+               10**400, -10**400, True, None, "x", "", [], [0], [1e308], [[1]], {}, {"a": 1}]
+SYNTHETIC = {"type": "synthetic", "left": [0.0, 1.0], "right": [1.0, -1.0], "xi": 0.3}
+LEGENDRE = {"type": "legendre", "l": 2, "xi": 0.3}
+FUZZ_BASES = {
+    "interp": {"problem": SYNTHETIC, "grid": {"family": "cgl", "a": -1.0, "b": 1.0, "N": 8}, "M": [-1, 2],
+               "probes": 20, "checks": [{"kind": "max_error_leq", "label": "M2", "value": 1.0}]},
+    "converge": {"problem": LEGENDRE, "family": "cgl", "a": -0.8, "b": 0.8, "N_list": [6, 8], "M_list": [-1, 2],
+                 "probes": 20, "checks": [{"kind": "order_geq", "M": 2, "value": 0.0}]},
+    "diff": {"problem": LEGENDRE, "grid": {"family": "equidistant", "a": -0.8, "b": 0.8, "N": 8}, "n": 1, "m": 4,
+             "M": 2, "export_matrix": True, "export_corrections": True,
+             "checks": [{"kind": "ratio_leq", "num": "corrected", "den": "plain", "value": 1.0, "metric": "max_error"}]},
+    "quad": {"problem": SYNTHETIC, "grid": {"family": "custom", "a": -1.0, "b": 1.0, "nodes": [-1.0, -0.5, 0.0, 0.5, 1.0]},
+             "M": 1, "export_weights": True, "checks": [{"kind": "smallest", "label": "corrected", "metric": "max_error"}]},
+    "evolve": {"grid": {"family": "cgl", "a": -1.0, "b": 1.0, "N": 8}, "speed": 1.0, "t_final": 0.1, "dt": 0.01,
+               "output_every": 2, "initial": {"kind": "kink", "xi0": -0.25, "amplitude": 1.0}, "corrections": True,
+               "m": 8, "checks": [{"kind": "final_linf_leq", "value": 1.0}]},
+}
+SIZE_KEYS = {"N", "N_list", "probes"}
+
+
+def leaf_paths(cfg, path=()):
+    """Every path into cfg through dict keys and list indices, containers included."""
+    items = cfg.items() if type(cfg) is dict else enumerate(cfg) if type(cfg) is list else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from leaf_paths(value, path + (key,))
+
+
+def unbounded(cfg, path, value) -> bool:
+    """Whether the edit asks for more than 400 nodes or probes, or for more
+    than 1e4 steps, which a run would try to allocate or step through."""
+    numbers = [v for v in (value if type(value) is list else [value]) if type(v) in (int, float)]
+    if SIZE_KEYS & set(path) and any(v > 400 for v in numbers):
+        return True
+    t, dt = cfg.get("t_final"), cfg.get("dt")
+    return all(type(v) in (int, float) for v in (t, dt)) and 0 < dt and dt * 10**4 < t
+
+
+def test_one_leaf_edits_keep_the_exit_contract(tmp_path, capsys):
+    """Each edit exits 0-3, raises nothing (a RuntimeWarning included), and
+    writes nothing on a config error (2) or a numerical failure (3)."""
+    cfg_path, out = tmp_path / "fuzz.json", tmp_path / "out"
+    broken = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for command, base in FUZZ_BASES.items():
+            for path in leaf_paths(base):
+                for value in FUZZ_VALUES:
+                    cfg = json.loads(json.dumps(base))
+                    target = cfg
+                    for key in path[:-1]:
+                        target = target[key]
+                    target[path[-1]] = value
+                    if unbounded(cfg, path, value):
+                        continue
+                    cfg_path.write_text(json.dumps(cfg))
+                    try:
+                        code = main([command, "--config", str(cfg_path), "--out", str(out)])
+                    except Exception as exc:
+                        code = f"{type(exc).__name__}: {exc}"
+                    wrote = out.exists()
+                    shutil.rmtree(out, ignore_errors=True)
+                    if code not in (0, 1, 2, 3) or (code in (2, 3) and wrote):
+                        where = ".".join(map(str, path))
+                        broken.append(f"{command} {where} = {value!r}: exit {code}, wrote {wrote}")
+    capsys.readouterr()
+    assert not broken, "\n".join(broken[:20] + [f"{len(broken)} edits broke the contract"])
