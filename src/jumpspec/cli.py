@@ -6,7 +6,8 @@ Only after the run and its checks is anything written: result.csv, any
 exports and report.json. Identical configs produce byte-identical outputs.
 The process exits 0 only when the run completes and all checks pass (1 for
 failed checks, 2 for config or usage errors, 3 for a numerical failure such
-as a state that stops being finite); exits 2 and 3 write nothing.
+as a state that stops being finite, 4 for a program fault, any other
+exception, whose traceback goes to stderr); exits 2, 3 and 4 write nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import operator
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,6 +28,7 @@ from .diffmat import apply, derivative_matrix
 from .grid import Grid, chebyshev_gauss_lobatto, custom, equidistant
 from .jumps import (
     JumpData,
+    _require_interior,
     corrected_derivative,
     corrected_integrate,
     corrected_interpolate,
@@ -161,12 +164,30 @@ _GRIDS = {
     "custom": ({"a": _REAL, "b": _REAL, "nodes": (_list(_real), ...)}, lambda a, b, nodes: custom(a, b, nodes)),
 }
 _GRIDS["cgl"] = _GRIDS["chebyshev_gauss_lobatto"]
+# problem type -> (its keys besides "type", the problem built from their values)
 _PROBLEMS = {
-    "legendre": {"l": (_integer, ...), "xi": _REAL},
-    "synthetic": {"left": (_list(_real), ...), "right": (_list(_real), ...), "xi": _REAL},
+    "legendre": ({"l": (_integer, ...), "xi": _REAL}, LegendreProblem),
+    "synthetic": ({"left": (_list(_real), ...), "right": (_list(_real), ...), "xi": _REAL}, SyntheticPiecewise),
 }
 _PROFILE = {"xi0": _REAL, "amplitude": (_real, 1.0)}
-_INITIALS = {"kink": _PROFILE, "step": _PROFILE, "gaussian": {"center": _REAL, "width": (_positive, ...)}}
+# initial profile kind -> (its keys besides "kind", the profile u0 and its (xi0, jumps) at
+# t = 0, None when smooth, from their values)
+_INITIALS = {
+    "kink": (_PROFILE, lambda xi0, amplitude: (
+        lambda x: amplitude * np.abs(np.asarray(x, dtype=float) - xi0), (xi0, [0.0, 2.0 * amplitude]))),
+    "step": (_PROFILE, lambda xi0, amplitude: (
+        lambda x: amplitude * np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5), (xi0, [amplitude]))),
+    "gaussian": ({"center": _REAL, "width": (_positive, ...)}, lambda center, width: (
+        lambda x: np.exp(-(((np.asarray(x, dtype=float) - center) / width) ** 2)), None)),
+}
+
+
+def _tagged(cfg, key: str, tag: str, table: dict, default=None) -> tuple:
+    """A tagged config object's tag value and what its builder makes of its
+    other values: table maps each tag value to (its key table, builder)."""
+    f = _fields(cfg, {name: keys for name, (keys, _) in table.items()}, key + ".", tag, default)
+    name = f.pop(tag)
+    return name, table[name][1](**f)
 
 
 def _family(value, key: str) -> str:
@@ -179,21 +200,13 @@ def _family(value, key: str) -> str:
 
 def _grid(cfg, key: str) -> tuple[str, Grid]:
     """A grid config's family, by its full name, and its Grid."""
-    f = _fields(cfg, {family: keys for family, (keys, _) in _GRIDS.items()}, key + ".", "family", "cgl")
-    family = _family(f.pop("family"), key + ".family")
-    return family, _GRIDS[family][1](**f)
+    family, g = _tagged(cfg, key, "family", _GRIDS, "cgl")
+    return _family(family, key + ".family"), g
 
 
 def build_grid(cfg) -> Grid:
     """The Grid of a grid config."""
     return _grid(cfg, "grid")[1]
-
-
-def _problem(cfg, key: str):
-    f = _fields(cfg, _PROBLEMS, key + ".", "type")
-    if f["type"] == "legendre":
-        return LegendreProblem(f["l"], f["xi"])
-    return SyntheticPiecewise(f["left"], f["right"], f["xi"])
 
 
 def _check_problem_domain(problem, g: Grid) -> None:
@@ -313,7 +326,7 @@ def _run_checks(checks: list, report: dict) -> list[dict]:
 # subcommands: each takes its parsed config and returns its report entries
 # and the CSV files to write, {file name: (header, rows)}
 
-_PROBLEM = (_problem, ...)
+_PROBLEM = (lambda cfg, key: _tagged(cfg, key, "type", _PROBLEMS)[1], ...)
 _GRID = (_grid, ...)
 _M = (lambda value, key: [_jump_order(value, key)], None)  # None: _setup's default
 
@@ -339,16 +352,27 @@ def _label(M: int) -> str:
     return "lagrange" if M < 0 else f"M{M}"
 
 
+def _finite(compute, failure: str):
+    """compute(), run with numpy's warnings off, unless a value of it is not
+    finite: then a numerical failure, described by failure. numpy's error
+    state is per thread, so this holds on converge's pool threads too."""
+    with np.errstate(all="ignore"):
+        values = compute()
+    if not np.isfinite(values).all():
+        raise RuntimeError(failure)
+    return values
+
+
 def _interpolants(g: Grid, f: np.ndarray, jumps: dict, pts: np.ndarray) -> list[np.ndarray]:
     """Values at pts of the plain (None) or jump-corrected interpolant of
     the nodal data f, one array per entry of jumps; a numerical failure if
     one is not finite."""
     w = barycentric_weights(g)
-    # numpy's error state is per thread, and converge calls this on its pool's
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # _finite reports an overflow
-        values = {M: corrected_interpolate(w, f, jd, pts) for M, jd in jumps.items()}
-    return [_finite(v, f"the {_label(M)} interpolant on N = {g.N} is not finite; the data overflow "
-                       "its barycentric sums") for M, v in values.items()]
+    for jd in filter(None, jumps.values()):  # a discontinuity on a node is a config error, checked first
+        _require_interior(jd, g)
+    overflow = f"interpolant on N = {g.N} is not finite; the data overflow its barycentric sums"
+    return [_finite(lambda: corrected_interpolate(w, f, jd, pts), f"the {_label(M)} {overflow}")
+            for M, jd in jumps.items()]
 
 
 def run_interp(cfg: dict) -> tuple[dict, dict]:
@@ -423,24 +447,15 @@ def run_converge(cfg: dict) -> tuple[dict, dict]:
     return report, {"result.csv": (["N", "M", "linf_error"], rows)}
 
 
-def _finite(values: np.ndarray, failure: str) -> np.ndarray:
-    """values, unless one is not finite: then a numerical failure, described
-    by failure. Callers compute values with numpy's warnings off."""
-    if not np.isfinite(values).all():
-        raise RuntimeError(failure)
-    return values
-
-
 def run_diff(cfg: dict) -> tuple[dict, dict]:
     """tabulate plain vs jump-corrected derivatives at the nodes"""
     problem, g, f, [M] = _setup(cfg)
     D = derivative_matrix(g, cfg["n"], cfg["m"])
     exact = np.asarray(problem.derivative(g.nodes, D.n), dtype=float)
     overflow = "derivative is not finite; the data overflow the derivative matrix"
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports an overflow
-        plain = _finite(apply(D, f), f"the plain {overflow}")
-        jd = _jump_table(problem, [M])[M]
-        corrected = _finite(corrected_derivative(D, f, jd), f"the corrected {overflow}")
+    plain = _finite(lambda: apply(D, f), f"the plain {overflow}")
+    jd = _jump_table(problem, [M])[M]
+    corrected = _finite(lambda: corrected_derivative(D, f, jd), f"the corrected {overflow}")
 
     header = ["x", "f", "deriv_exact", "deriv_plain", "deriv_corrected", "err_plain", "err_corrected"]
     rows = zip(g.nodes, f, exact, plain, corrected, np.abs(plain - exact), np.abs(corrected - exact))
@@ -462,14 +477,13 @@ def run_quad(cfg: dict) -> tuple[dict, dict]:
     problem, g, f, [M] = _setup(cfg)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # _finite reports a failure
         rule = quad_weights(g)
-    _finite(rule.weights, "the quadrature weights are not finite; the barycentric sums of the grid's "
-            "Lagrange basis cancel or overflow at a quadrature point")
+    _finite(lambda: rule.weights, "the quadrature weights are not finite; the barycentric sums of the "
+            "grid's Lagrange basis cancel or overflow at a quadrature point")
     reference = problem.integral(g.a, g.b)
     jd = _jump_table(problem, [M])[M]
     overflow = "integral is not finite; the data or their jump series overflow the quadrature sum"
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports an overflow
-        plain = _finite(integrate(rule, f), f"the plain {overflow}")
-        corrected = _finite(corrected_integrate(rule, f, jd), f"the corrected {overflow}")
+    plain = _finite(lambda: integrate(rule, f), f"the plain {overflow}")
+    corrected = _finite(lambda: corrected_integrate(rule, f, jd), f"the corrected {overflow}")
 
     header = ["integral_plain", "integral_corrected", "reference", "err_plain", "err_corrected"]
     rows = [(plain, corrected, reference, abs(plain - reference), abs(corrected - reference))]
@@ -489,20 +503,8 @@ def run_quad(cfg: dict) -> tuple[dict, dict]:
 
 def run_evolve(cfg: dict) -> tuple[dict, dict]:
     """advect a profile with a moving discontinuity"""
-    (_, g), init = cfg["grid"], cfg["initial"]
-    if init["kind"] == "gaussian":
-        center, width = init["center"], init["width"]
-        u0 = lambda x: np.exp(-(((np.asarray(x, dtype=float) - center) / width) ** 2))
-        jump0 = None
-    else:
-        xi0, amp = init["xi0"], init["amplitude"]
-        if init["kind"] == "kink":
-            u0 = lambda x: amp * np.abs(np.asarray(x, dtype=float) - xi0)
-            jumps = np.array([0.0, 2.0 * amp])
-        else:
-            u0 = lambda x: amp * np.heaviside(np.asarray(x, dtype=float) - xi0, 0.5)
-            jumps = np.array([amp])
-        jump0 = JumpData(xi0, jumps) if cfg["corrections"] else None
+    (_, g), (u0, jumps) = cfg["grid"], cfg["initial"]
+    jump0 = JumpData(*jumps) if jumps is not None and cfg["corrections"] else None
     problem = AdvectionProblem(g, cfg["speed"], u0, jump0, cfg["t_final"])
     D = derivative_matrix(g, 1, cfg["m"])
     result = evolve(problem, D, cfg["dt"], cfg["output_every"])
@@ -535,7 +537,7 @@ _COMMANDS = {
         "problem": _PROBLEM, "grid": _GRID, "M": _M, "export_weights": (_flag, False)}),
     "evolve": (run_evolve, ("final_linf",), {
         "grid": _GRID, "speed": _REAL, "t_final": _REAL, "dt": _REAL, "output_every": (_integer, 1),
-        "initial": (lambda cfg, key: _fields(cfg, _INITIALS, key + ".", "kind"), ...),
+        "initial": (lambda cfg, key: _tagged(cfg, key, "kind", _INITIALS)[1], ...),
         "corrections": (_flag, True), "m": (_integer, None)}),
 }
 
@@ -581,6 +583,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"jumpspec: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        traceback.print_exc()
+        return 4
 
     os.makedirs(args.out, exist_ok=True)
     for name, (header, rows) in files.items():

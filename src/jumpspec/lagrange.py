@@ -19,7 +19,8 @@ __all__ = [
 @dataclass(frozen=True)
 class BarycentricWeights:
     """Barycentric weights lam[j] = 1 / prod_{k != j} (x_j - x_k) of a grid,
-    each finite and nonzero.
+    each in the normal float range, as derivative_matrix requires of its
+    stencil weights: a subnormal weight has lost its relative precision.
 
     A probe within |lam_j| 1e-300 of node j coincides with it (_ratio_matrix);
     every such tolerance must be below half the smallest node gap, so that a
@@ -34,7 +35,7 @@ class BarycentricWeights:
         lam = np.array(self.lam, dtype=float)
         g = self.grid
         where = f"the grid on [{g.a}, {g.b}] with {g.N + 1} nodes has degenerate barycentric weights"
-        if not np.all(np.isfinite(lam)) or np.any(lam == 0.0):
+        if not np.all((np.abs(lam) >= np.finfo(float).tiny) & (np.abs(lam) <= np.finfo(float).max)):
             raise ValueError(f"{where}; nodes too close or interval too wide")
         if not 2.0 * (np.abs(lam) * 1e-300).max() < np.diff(g.nodes).min():
             raise ValueError(f"{where}; a node gap is below 2 |lam| 1e-300")

@@ -38,11 +38,11 @@ forcing known in advance, and all steps of a segment share one size h:
   interval, which puts every node on a definite side consistently with the
   direction of motion.
 - A step is then y + (E y + f), one matrix-vector product and two vector
-  additions, or y + E y without jumps; E and the forcing rows are built
-  once per segment (_segment_steps). rk4_step applies E with ndarray.dot,
-  which reaches the same BLAS gemv as E @ y with less per-call dispatch,
-  and adds y to E y + f in place: addition commutes, so the bits are those
-  of y + (E y + f).
+  additions, or y + E y without jumps; E is built once per segment and the
+  forcing rows one block of steps at a time (_segment_steps). rk4_step
+  applies E with ndarray.dot, which reaches the same BLAS gemv as E @ y
+  with less per-call dispatch, and adds y to E y + f in place: addition
+  commutes, so the bits are those of y + (E y + f).
 - The state's finiteness is checked once per segment, at its end. A
   non-finite entry other than the inflow node's stays non-finite, since a
   step adds it to its own entry and the crossed-node move adds a finite
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -112,11 +111,13 @@ class EvolutionResult:
     error_linf: np.ndarray
 
 
-def _rounding(*x: float) -> float:
-    """How near a node a discontinuity location at x counts as on it: a few
-    roundings, since accumulated step times reproduce crossing instants only
-    to ulp accuracy."""
-    return 1e-13 * max(1.0, *map(abs, x))
+def _rounding(grid: Grid) -> float:
+    """How near a node of grid a discontinuity location counts as on it: a
+    few hundred roundings at the grid's scale, since accumulated step times
+    reproduce crossing instants only to ulp accuracy. Relative to the scale
+    max(|a|, |b|), which bounds the rounding of every node and location, so
+    that an interval [-s, s] is judged as its unit-scale twin for any s."""
+    return 1e-13 * max(abs(grid.a), abs(grid.b))
 
 
 def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, float]:
@@ -133,7 +134,7 @@ def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, flo
     x0 = problem.jump0.xi + problem.speed * t
     x1 = problem.jump0.xi + problem.speed * (t + dt)
     lo_x, hi_x = (x0, x1) if x0 <= x1 else (x1, x0)
-    tol = _rounding(lo_x, hi_x)
+    tol = _rounding(problem.grid)
     i = int(np.searchsorted(nodes, lo_x + tol, side="right")) - 1
     j = int(np.searchsorted(nodes, hi_x - tol, side="left"))
     if j - i >= 2:
@@ -173,11 +174,12 @@ def _powers(problem: AdvectionProblem, D: DerivMatrix) -> np.ndarray:
 
 
 def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: float,
-                   nsub: int, powers: np.ndarray) -> tuple[np.ndarray, Iterator]:
-    """Step matrix E and forcing rows of nsub RK4 steps of size h = dt / nsub
-    from t: step k maps y to y + (E y + f_k), with f_k the k-th item of the
-    returned iterator, or to y + E y where that item is None. powers holds
-    A, ..., A^4 (_powers). The algebra is in the module docstring.
+                   nsub: int, powers: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """Step matrix E of nsub RK4 steps of size h = dt / nsub from t, and
+    forcing(k0, k1), the forcing rows f_k of steps k0 <= k < k1 as one
+    array, or a None per step without jumps: step k maps y to y + (E y + f_k),
+    or to y + E y where f_k is None. powers holds A, ..., A^4 (_powers).
+    The algebra is in the module docstring.
     """
     c, jd = problem.speed, problem.jump0
     n, h = D.grid.N + 1, dt / nsub
@@ -188,7 +190,7 @@ def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: floa
     diagonal = E.reshape(-1)[:: n + 1]  # a view: E is contiguous
     diagonal -= E.sum(axis=1)
     if jd is None:
-        return E, repeat(None, nsub)
+        return E, lambda k0, k1: [None] * (k1 - k0)
     lo, hi = _bracket(problem, t, dt)
     mid = 0.5 * (lo + hi)
     M = jd.order
@@ -203,19 +205,16 @@ def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: floa
     Q = _rk4_increment(powers[0], h, np.zeros((n, 3 * (M + 1))), *b.reshape(3, n, -1))
     lo_in, hi_in = float(np.nextafter(lo, hi)), float(np.nextafter(hi, lo))
 
-    def forcing() -> Iterator[np.ndarray]:
-        # blocks of steps keep W and the rows at O(block) memory however small h is
-        for k in range(0, nsub, _FORCING_BLOCK):
-            starts = t + np.arange(k, min(k + _FORCING_BLOCK, nsub)) * h
-            tt = starts[:, None] + np.array([0.0, 0.5 * h, h])
-            e = mid - np.clip(jd.xi + c * tt, lo_in, hi_in)
-            W = np.empty((*e.shape, M + 1))
-            W[..., 0] = 1.0
-            for p in range(1, M + 1):
-                W[..., p] = W[..., p - 1] * (e / p)
-            yield from W.reshape(len(e), -1) @ Q.T
+    def forcing(k0: int, k1: int) -> np.ndarray:
+        tt = (t + np.arange(k0, k1) * h)[:, None] + np.array([0.0, 0.5 * h, h])
+        e = mid - np.clip(jd.xi + c * tt, lo_in, hi_in)
+        W = np.empty((*e.shape, M + 1))
+        W[..., 0] = 1.0
+        for p in range(1, M + 1):
+            W[..., p] = W[..., p - 1] * (e / p)
+        return W.reshape(len(e), -1) @ Q.T
 
-    return E, forcing()
+    return E, forcing
 
 
 def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatrix,
@@ -232,7 +231,7 @@ def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatr
     if step is None:
         _require_operator(problem, D)
         E, forcing = _segment_steps(problem, D, t, dt, 1, _powers(problem, D))
-        step = E, next(forcing)
+        step = E, forcing(0, 1)[0]
     E, f = step
     du = E.dot(state)
     if f is not None:
@@ -250,21 +249,24 @@ def _require_operator(problem: AdvectionProblem, D: DerivMatrix) -> None:
                          f"{D.n} on {h.N + 1} nodes in [{h.a}, {h.b}]")
 
 
-def _crossings(problem: AdvectionProblem) -> list[tuple[float, int]]:
-    """(time, node index) of every node the discontinuity crosses, in time order.
+def _segments(problem: AdvectionProblem) -> list[tuple[float, float, int | None]]:
+    """(start, end, crossed node or None) of every time segment, in time
+    order: each but the last ends when the discontinuity crosses a node,
+    the last at t_final.
 
     The crossed nodes are those strictly between the path's start and end;
     only their times divide by the speed, so each is finite however small
     the speed is.
     """
-    jd = problem.jump0
-    if jd is None:
-        return []
-    nodes = problem.grid.nodes
-    ends = sorted((jd.xi, jd.xi + problem.speed * problem.t_final))
-    inside = np.flatnonzero((nodes > ends[0]) & (nodes < ends[1]))
-    times = (nodes[inside] - jd.xi) / problem.speed
-    return sorted(zip(times.tolist(), inside.tolist()))
+    jd, crossings = problem.jump0, []
+    if jd is not None:
+        nodes = problem.grid.nodes
+        ends = sorted((jd.xi, jd.xi + problem.speed * problem.t_final))
+        inside = np.flatnonzero((nodes > ends[0]) & (nodes < ends[1]))
+        times = (nodes[inside] - jd.xi) / problem.speed
+        crossings = sorted(zip(times.tolist(), inside.tolist()))
+    starts = [0.0, *(t for t, _ in crossings)]
+    return [(t0, t1, node) for t0, (t1, node) in zip(starts, [*crossings, (problem.t_final, None)])]
 
 
 def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarray,
@@ -274,11 +276,11 @@ def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarra
     starting from state: one rk4_step with the segment's step matrix and
     forcing row (_segment_steps), then, on the last step, the move of the
     crossed node, if any, and after every step the inflow overwrite. The
-    end times and inflow values are built one block of steps at a time, so
-    memory stays O(block) however small the steps are; a block with an
-    inflow value that is not finite is a RuntimeError before its first
-    step. Each yielded state is a new array that nothing writes to
-    afterwards."""
+    forcing rows, end times and inflow values are built one block of steps
+    at a time, so memory stays O(block) however small the steps are; a
+    block with an inflow value that is not finite is a RuntimeError before
+    its first step. Each yielded state is a new array that nothing writes
+    to afterwards."""
     c, h = problem.speed, (t1 - t0) / nsub
     inflow = 0 if c > 0 else problem.grid.N
     x_in = problem.grid.nodes[inflow]
@@ -294,8 +296,7 @@ def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarra
             t_bad = t_ends[np.flatnonzero(~np.isfinite(values))[0]]
             raise RuntimeError(f"the exact inflow value initial(x - c t) at node {inflow} (x = {x_in}) "
                                f"is not finite at t = {t_bad}")
-        values = values.tolist()
-        for k, t_new, value, f in zip(range(k0, k1), t_ends.tolist(), values, forcing):
+        for k, t_new, value, f in zip(range(k0, k1), t_ends.tolist(), values.tolist(), forcing(k0, k1)):
             state = rk4_step(state, t0 + k * h, h, problem, D, (E, f))
             if k == moved:
                 state[node] -= np.sign(c) * problem.jump0.jumps[0]
@@ -354,23 +355,21 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
         raise ValueError(f"the initial profile is not finite at node {j} (x = {grid.nodes[j]})")
 
     _require_operator(problem, D)
-    crossings = [*_crossings(problem), (problem.t_final, None)]
-    boundaries = [0.0, *(t for t, _ in crossings)]
-    crossed = [node for _, node in crossings]
+    segments = _segments(problem)
     jd = problem.jump0
     if jd is not None:
         end = jd.xi + problem.speed * problem.t_final
         # the first and last segments' brackets fail only on a start, or an
         # end past a node just crossed, within rounding of that node
-        for fault, t0, t1 in ((f"discontinuity at {jd.xi} starts", 0.0, boundaries[1]),
-                              (f"discontinuity ends at {end},", boundaries[-2], boundaries[-1])):
+        for fault, (t0, t1, _) in ((f"discontinuity at {jd.xi} starts", segments[0]),
+                                   (f"discontinuity ends at {end},", segments[-1])):
             try:
                 _bracket(problem, t0, t1 - t0)
             except RuntimeError:
                 raise ValueError(f"{fault} within rounding of a grid node") from None
         # within rounding of a node, the node's side at t_final is down to
         # rounding: a step's exact value there depends on it, a kink's does not
-        if jd.jumps[0] != 0.0 and np.abs(grid.nodes - end).min() <= _rounding(end):
+        if jd.jumps[0] != 0.0 and np.abs(grid.nodes - end).min() <= _rounding(grid):
             raise ValueError(f"discontinuity ends at {end}, within rounding of a grid node")
     powers = _powers(problem, D)
 
@@ -380,7 +379,7 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     # an unstable dt overflows on the way to the non-finite check below,
     # which reports it; numpy's own overflow warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0, t1, node in zip(boundaries[:-1], boundaries[1:], crossed):
+        for t0, t1, node in segments:
             nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
             start = state
             steps = lambda: _segment_states(problem, D, powers, start, t0, t1, nsub, node)

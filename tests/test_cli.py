@@ -416,6 +416,10 @@ def grid_scale_rows() -> list:
     return rows
 
 
+SMALL_PIECES = {"type": "synthetic", "left": [0.0, 1.0], "right": [1.0, -1.0], "xi": 0.3}
+FLOAT_MAX_PAIR = {"family": "cgl", "a": -1, "b": sys.float_info.max, "N": 1}
+FLOAT_MAX_PAIR_WEIGHTS = (f"the grid on [-1.0, {sys.float_info.max}] with 2 nodes has degenerate barycentric "
+                          "weights; nodes too close or interval too wide")
 CONFIG_ERRORS = [
     ("interp", "probe", 10, "unknown key probe"),
     ("interp", "problem.amplitude", 1.0, "unknown key problem.amplitude"),
@@ -544,6 +548,9 @@ CONFIG_ERRORS = [
     ("evolve", "grid.N+speed+t_final+dt+initial+corrections", OVERFLOWING_KINK + (True,),
      "derivative jumps must be finite"),
     *grid_scale_rows(),
+    # two nodes near the float max: the weights +-1/(float max + 1) are subnormal
+    ("interp", "problem+grid+M", (SMALL_PIECES, FLOAT_MAX_PAIR, [-1, 1]), FLOAT_MAX_PAIR_WEIGHTS),
+    ("quad", "problem+grid", (SMALL_PIECES, FLOAT_MAX_PAIR), FLOAT_MAX_PAIR_WEIGHTS),
 ]
 
 
@@ -730,6 +737,36 @@ def test_overflowing_inflow_value_is_no_unstable_dt(tmp_path, capsys, amplitude)
             "is not finite at t = 0.928") in err
     assert "unstable dt" not in err
     assert not out.exists()
+
+
+def test_program_fault_exits_four_with_its_traceback(tmp_path, capsys, monkeypatch):
+    # an exception that is neither a config error nor a numerical failure is
+    # a fault of the program: exit 4, with the traceback, and nothing written
+    def fault(grid):
+        raise KeyError("injected")
+
+    monkeypatch.setattr("jumpspec.cli.quad_weights", fault)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run_command(tmp_path, "quad", DIFF_CFG)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("Traceback") and "KeyError: 'injected'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e-14, 1e-20])
+def test_evolve_on_a_small_interval_is_scale_free(tmp_path, capsys, scale):
+    """The kink starts a quarter of the interval from any node at every
+    scale; rounding near a node is relative to the grid's scale, so each run
+    exits 0 with an error at rounding of the profile."""
+    cfg = {"grid": {"family": "cgl", "a": -scale, "b": scale, "N": 12}, "speed": scale, "t_final": 0.5,
+           "dt": 1e-3, "initial": {"kind": "kink", "xi0": -0.27 * scale}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, report = run_command(tmp_path, "evolve", cfg)
+    assert code == 0, capsys.readouterr().err
+    assert report["final_linf"] <= 1e-14 * scale
 
 
 def test_thread_cap_respected(tmp_path, monkeypatch):

@@ -377,7 +377,7 @@ def test_segment_step_matches_four_stage_recursion(N, family, banded, M, seed):
     dt = nsub * h
     h = dt / nsub
     E, forcing = mol._segment_steps(prob, D, t, dt, nsub, mol._powers(prob, D))
-    F = list(forcing)
+    F = forcing(0, nsub)
     assert len(F) == nsub
     rhs = lambda tt, y: -c * corrected_derivative(D, y, JumpData(xi0 + c * tt, J))
     y = rng.uniform(-1, 1, N + 1) * 10.0 ** rng.uniform(-2, 2)
@@ -487,7 +487,7 @@ def test_piecewise_cubic_advects_to_rounding_with_three_jump_orders(family, N, m
     g = chebyshev_gauss_lobatto(-1, 1, N) if family == "cgl" else equidistant(-1, 1, N)
     u0 = lambda x: np.where(np.asarray(x, dtype=float) < xi0, left(x), right(x))
     prob = AdvectionProblem(g, c, u0, JumpData(xi0, J), T)
-    assert len(mol._crossings(prob)) >= 3
+    assert len(mol._segments(prob)) >= 4  # three crossings
     res = evolve(prob, derivative_matrix(g, 1, m), 1e-3, output_every=100)
     assert res.error_linf.max() <= 1e-9
 
@@ -531,7 +531,7 @@ def test_corrected_kink_stays_at_rounding_at_half_the_stability_limit(family, N,
     prob = AdvectionProblem(g, speed, u0, JumpData(xi0, [0.0, 2.0 * amp]), 1.2 / abs(speed))
     D = derivative_matrix(g, 1, m)
     res = evolve(prob, D, 0.5 * rk4_dt_limit(D, speed), output_every=100)
-    assert len(mol._crossings(prob)) >= 5
+    assert len(mol._segments(prob)) >= 6  # five crossings
     assert res.error_linf[-1] <= 4e-12 * amp
 
 
@@ -585,20 +585,21 @@ def replayed_steps(problem, D, dt):
     segment steps) of every step, taken one at a time: rk4_step with the
     segment's step matrix and forcing row, the J_0 move of a crossed node,
     then the inflow write. A segment's end times and inflow values are
-    built all at once."""
+    built all at once, its forcing rows one block of steps at a time, as
+    evolve builds them."""
     nodes, c = problem.grid.nodes, problem.speed
     inflow = 0 if c > 0 else problem.grid.N
-    crossings = mol._crossings(problem)
-    bounds = [0.0, *(t for t, _ in crossings), problem.t_final]
     state = np.asarray(problem.initial(nodes), dtype=float)
-    for t0, t1, node in zip(bounds[:-1], bounds[1:], [n for _, n in crossings] + [None]):
+    for t0, t1, node in mol._segments(problem):
         nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
         h = (t1 - t0) / nsub
         E, forcing = mol._segment_steps(problem, D, t0, t1 - t0, nsub, mol._powers(problem, D))
+        rows = [f for k0 in range(0, nsub, mol._FORCING_BLOCK)
+                for f in forcing(k0, min(k0 + mol._FORCING_BLOCK, nsub))]
         t_ends = t0 + np.arange(1, nsub + 1) * h
         t_ends[-1] = t1
         inflow_values = problem.initial(nodes[inflow] - c * t_ends)
-        for k, f in enumerate(forcing):
+        for k, f in enumerate(rows):
             new = rk4_step(state, t0 + k * h, h, problem, D, (E, f))
             if k == nsub - 1 and node is not None:
                 new[node] -= np.sign(c) * problem.jump0.jumps[0]
@@ -662,7 +663,7 @@ def test_corrected_evolve_is_the_step_by_step_replay_bitwise(monkeypatch, case, 
     # one rk4_step after another
     monkeypatch.setattr(mol, "_FORCING_BLOCK", block)
     prob, D = advected(case, speed)
-    assert len(mol._crossings(prob)) >= 3
+    assert len(mol._segments(prob)) >= 4  # three crossings
     res = evolve(prob, D, 2e-3, output_every=1)
     steps = list(replayed_steps(prob, D, 2e-3))
     assert res.times.tobytes() == np.array([0.0] + [t for t, *_ in steps]).tobytes()
