@@ -7,7 +7,11 @@ exports and report.json. Identical configs produce byte-identical outputs.
 The process exits 0 only when the run completes and all checks pass (1 for
 failed checks, 2 for config or usage errors, 3 for a numerical failure such
 as a state that stops being finite, 4 for a program fault, any other
-exception, whose traceback goes to stderr); exits 2, 3 and 4 write nothing.
+exception, whose traceback goes to stderr); exits 2, 3 and 4 write nothing,
+except that an --out that cannot be written also exits 2, and a failure
+partway through writing can leave the files written before it. Every
+config fault is found before the first numerical result, so it exits 2
+even where a numerical failure would follow.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .jumps import (
     corrected_interpolate,
     correction_matrix,
 )
-from .lagrange import barycentric_weights
+from .lagrange import BarycentricWeights, barycentric_weights
 from .mol import AdvectionProblem, evolve
 from .quadrature import integrate, quad_weights
 from .refproblems import LegendreProblem, SyntheticPiecewise
@@ -342,9 +346,18 @@ def _setup(cfg: dict) -> tuple:
     return problem, g, np.asarray(problem.value(g.nodes), dtype=float), Ms
 
 
-def _jump_table(problem, Ms: list[int]) -> dict:
-    """Each M's jump data from the problem, None for the plain M = -1."""
-    return {M: problem.jump_data(M) if M >= 0 else None for M in Ms}
+def _jump_table(problem, Ms: list[int], grids: list[Grid]) -> dict:
+    """Each M's jump data from the problem, None for the plain M = -1. Its
+    discontinuity must lie strictly between the nodes of every grid it
+    corrects on, those of degree N >= M. Every runner calls this after its
+    exact values and before its first numerical result, so a config fault
+    wins over a numerical failure."""
+    jumps = {M: problem.jump_data(M) if M >= 0 else None for M in Ms}
+    for g in grids:
+        for M, jd in jumps.items():
+            if jd is not None and M <= g.N:
+                _require_interior(jd, g)
+    return jumps
 
 
 def _label(M: int) -> str:
@@ -363,14 +376,11 @@ def _finite(compute, failure: str):
     return values
 
 
-def _interpolants(g: Grid, f: np.ndarray, jumps: dict, pts: np.ndarray) -> list[np.ndarray]:
+def _interpolants(w: BarycentricWeights, f: np.ndarray, jumps: dict, pts: np.ndarray) -> list[np.ndarray]:
     """Values at pts of the plain (None) or jump-corrected interpolant of
     the nodal data f, one array per entry of jumps; a numerical failure if
     one is not finite."""
-    w = barycentric_weights(g)
-    for jd in filter(None, jumps.values()):  # a discontinuity on a node is a config error, checked first
-        _require_interior(jd, g)
-    overflow = f"interpolant on N = {g.N} is not finite; the data overflow its barycentric sums"
+    overflow = f"interpolant on N = {w.grid.N} is not finite; the data overflow its barycentric sums"
     return [_finite(lambda: corrected_interpolate(w, f, jd, pts), f"the {_label(M)} {overflow}")
             for M, jd in jumps.items()]
 
@@ -386,7 +396,8 @@ def run_interp(cfg: dict) -> tuple[dict, dict]:
     header = ["x", "f_exact"]
     max_err: dict[str, float] = {}
     max_err_near: dict[str, float] = {}
-    for M, vals in zip(Ms, _interpolants(g, f, _jump_table(problem, Ms), pts)):
+    jumps = _jump_table(problem, Ms, [g])
+    for M, vals in zip(Ms, _interpolants(barycentric_weights(g), f, jumps, pts)):
         label = _label(M)
         err = np.abs(vals - exact)
         cols += [vals, err]
@@ -404,11 +415,12 @@ def run_interp(cfg: dict) -> tuple[dict, dict]:
     return report, {"result.csv": (header, zip(*cols))}
 
 
-def _converge_cell(problem, g: Grid, jumps: dict, pts: np.ndarray, exact: np.ndarray) -> dict:
-    """Max probe error of every M <= N on one grid of a convergence study, keyed by (N, M)."""
-    jumps = {M: jd for M, jd in jumps.items() if M <= g.N}
-    vals = _interpolants(g, np.asarray(problem.value(g.nodes), dtype=float), jumps, pts)
-    return {(g.N, M): float(np.max(np.abs(v - exact))) for M, v in zip(jumps, vals)}
+def _converge_cell(w: BarycentricWeights, f: np.ndarray, jumps: dict, pts: np.ndarray, exact: np.ndarray) -> dict:
+    """Max probe error of every M <= N on one grid of a convergence study,
+    from the grid's weights and nodal data f, keyed by (N, M)."""
+    jumps = {M: jd for M, jd in jumps.items() if M <= w.grid.N}
+    vals = _interpolants(w, f, jumps, pts)
+    return {(w.grid.N, M): float(np.max(np.abs(v - exact))) for M, v in zip(jumps, vals)}
 
 
 def run_converge(cfg: dict) -> tuple[dict, dict]:
@@ -423,11 +435,13 @@ def run_converge(cfg: dict) -> tuple[dict, dict]:
     exact = np.asarray(problem.value(pts), dtype=float)
     # each M's jump data serves every grid; an M above every N is never used
     top = max(cfg["N_list"], default=-1)
-    jumps = _jump_table(problem, [M for M in cfg["M_list"] if M <= top])
+    jumps = _jump_table(problem, [M for M in cfg["M_list"] if M <= top], grids)
+    # each grid's nodal data and weights, whose faults are config errors too, before the pool
+    cells = [(barycentric_weights(g), np.asarray(problem.value(g.nodes), dtype=float)) for g in grids]
 
     errors = {}
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for cell in pool.map(lambda g: _converge_cell(problem, g, jumps, pts, exact), grids):
+        for cell in pool.map(lambda c: _converge_cell(*c, jumps, pts, exact), cells):
             errors.update(cell)
 
     rows = [(N, M, errors[(N, M)]) for N, M in sorted(errors)]
@@ -452,9 +466,9 @@ def run_diff(cfg: dict) -> tuple[dict, dict]:
     problem, g, f, [M] = _setup(cfg)
     D = derivative_matrix(g, cfg["n"], cfg["m"])
     exact = np.asarray(problem.derivative(g.nodes, D.n), dtype=float)
+    jd = _jump_table(problem, [M], [g])[M]
     overflow = "derivative is not finite; the data overflow the derivative matrix"
     plain = _finite(lambda: apply(D, f), f"the plain {overflow}")
-    jd = _jump_table(problem, [M])[M]
     corrected = _finite(lambda: corrected_derivative(D, f, jd), f"the corrected {overflow}")
 
     header = ["x", "f", "deriv_exact", "deriv_plain", "deriv_corrected", "err_plain", "err_corrected"]
@@ -477,10 +491,10 @@ def run_quad(cfg: dict) -> tuple[dict, dict]:
     problem, g, f, [M] = _setup(cfg)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # _finite reports a failure
         rule = quad_weights(g)
+    reference = problem.integral(g.a, g.b)
+    jd = _jump_table(problem, [M], [g])[M]
     _finite(lambda: rule.weights, "the quadrature weights are not finite; the barycentric sums of the "
             "grid's Lagrange basis cancel or overflow at a quadrature point")
-    reference = problem.integral(g.a, g.b)
-    jd = _jump_table(problem, [M])[M]
     overflow = "integral is not finite; the data or their jump series overflow the quadrature sum"
     plain = _finite(lambda: integrate(rule, f), f"the plain {overflow}")
     corrected = _finite(lambda: corrected_integrate(rule, f, jd), f"the corrected {overflow}")
@@ -565,7 +579,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError or UnicodeDecodeError is a ValueError
         print(f"jumpspec: cannot read config: {exc}", file=sys.stderr)
         return 2
 
@@ -587,12 +601,16 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return 4
 
-    os.makedirs(args.out, exist_ok=True)
-    for name, (header, rows) in files.items():
-        write_csv(os.path.join(args.out, name), header, rows)
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for name, (header, rows) in files.items():
+            write_csv(os.path.join(args.out, name), header, rows)
+        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True, default=float)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"jumpspec: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
 
     failed = [c for c in report["checks"] if not c["passed"]]
     for c in failed:

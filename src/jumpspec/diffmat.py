@@ -112,8 +112,10 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
     Row i holds the stencil weights for f^(n)(x_i): the whole grid when
     m = N (pseudospectral), otherwise the m+1 nodes nearest to i, becoming
     fully one-sided at the boundary rows. n = 0 returns the identity. For
-    n >= 1 the diagonal is then rebalanced so rows sum to zero (see
-    negative_sum_trick). All rows come from one batched fd_weights call.
+    n >= 1 each diagonal entry is minus the sum of its row's other stencil
+    weights (the negative sum trick), computed from the (N+1, m+1) weights
+    themselves; the build fills one zero (N+1)^2 array with them. All rows
+    come from one batched fd_weights call.
     Raises ValueError when the build leaves the normal float range, which
     happens on nodes too close or an interval too wide for the stencils.
     """
@@ -124,21 +126,45 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
         raise ValueError(f"need 0 <= n <= m <= N, got n={n}, m={m}, N={N}")
     if n == 0:
         return DerivMatrix(grid, 0, m, _frozen(np.eye(N + 1)))
-    rows = np.arange(N + 1)
     cols = _stencils(N, m)
     entries = np.zeros((N + 1, N + 1))
     # stencil products that leave the float range, or its normal range, leave
     # weights that are wrong, finite or not, so any such event rejects the grid
     try:
         with np.errstate(all="raise"):
-            entries[rows[:, None], cols] = fd_weights(grid.nodes[cols], grid.nodes, n)
-            return negative_sum_trick(DerivMatrix(grid, n, m, _frozen(entries)))
+            weights = fd_weights(grid.nodes[cols], grid.nodes, n)
+            np.put_along_axis(entries, cols, weights, axis=1)
+            np.fill_diagonal(entries, _balanced_diagonal(weights, cols))
     except FloatingPointError:
         raise ValueError(f"the grid on [{grid.a}, {grid.b}] with {N + 1} nodes has no order-{n} derivative "
                          f"matrix at m = {m}; nodes too close or interval too wide for its stencil weights") from None
+    return DerivMatrix(grid, n, m, _frozen(entries))
 
 
 _ROW_BLOCK = 32
+
+
+def _balanced_diagonal(weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Minus the sum of each row's off-diagonal weights, smallest magnitude first.
+
+    weights[i] are row i's entries in the columns cols[i], a window that
+    holds column i; outside it the row is +0.0. Each row's other window
+    weights, stably sorted by magnitude, are summed at the tail of a row of
+    N zeros: the stable sort of the full row puts its +0.0 entries first, so
+    these are the full row's summands in the same positions, and the sum
+    has its bits. Blocks of rows keep the sort temporaries at O(block * N).
+    """
+    N, k = cols.shape[0] - 1, cols.shape[1]
+    diagonal = np.empty(N + 1)
+    padded = np.zeros((_ROW_BLOCK, N))
+    for lo in range(0, N + 1, _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        off = weights[block][cols[block] != np.arange(N + 1)[block, None]].reshape(-1, k - 1)
+        off = np.take_along_axis(off, np.argsort(np.abs(off), axis=1, kind="stable"), axis=1)
+        summands = padded[: off.shape[0]]
+        summands[:, N + 1 - k :] = off
+        diagonal[block] = -summands.sum(axis=1)
+    return diagonal
 
 
 def negative_sum_trick(M: DerivMatrix) -> DerivMatrix:
@@ -149,36 +175,15 @@ def negative_sum_trick(M: DerivMatrix) -> DerivMatrix:
     restores the property — off-diagonal entries are accumulated smallest
     magnitude first — which keeps derivatives of constant data at the level
     of one rounding of the row (Baltensperger & Trummer, SISC 24, 2003).
-
-    A banded matrix (m < N) whose entries outside the (m+1)-point windows
-    are all +0.0 sorts only the m off-diagonal window weights of each row:
-    the stable sort of the full row puts its zeros first, so those weights
-    placed at the tail of a row of N zeros are the same summands in the
-    same positions, and the sum has the same bits. Any other matrix (a -0.0
-    or a nonzero entry outside a window, or m = N) sorts the full row.
+    This is the full-row rule, for any matrix: every off-diagonal entry of
+    a row is a summand. derivative_matrix applies the same rule to its
+    stencil windows as it builds, to the same bits.
     """
     if M.n < 1:
         raise ValueError("the negative sum trick applies to derivative orders n >= 1")
     entries = M.entries.copy()
     N = entries.shape[0] - 1
-    m = M.m if 0 <= M.m < N else N
-    rows = np.arange(N + 1)
-    cols = _stencils(N, m)
-    # -0.0 has a nonzero bit pattern too, so equal counts in the whole matrix
-    # and in its windows leave only +0.0 outside the windows
-    bits = entries.view(np.uint64)
-    if m < N and np.count_nonzero(bits) != np.count_nonzero(bits[rows[:, None], cols]):
-        m = N
-        cols = _stencils(N, m)
-    # blocks of rows keep the sort temporaries at O(block * N)
-    padded = np.zeros((_ROW_BLOCK, N))
-    for lo in range(0, N + 1, _ROW_BLOCK):
-        block, c = rows[lo : lo + _ROW_BLOCK], cols[lo : lo + _ROW_BLOCK]
-        off = entries[block[:, None], c][c != block[:, None]].reshape(block.size, m)
-        off = np.take_along_axis(off, np.argsort(np.abs(off), axis=1, kind="stable"), axis=1)
-        summands = padded[: block.size]
-        summands[:, N - m :] = off
-        entries[block, block] = -summands.sum(axis=1)
+    np.fill_diagonal(entries, _balanced_diagonal(entries, _stencils(N, N)))
     return DerivMatrix(M.grid, M.n, M.m, _frozen(entries))
 
 

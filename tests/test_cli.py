@@ -273,6 +273,26 @@ def test_missing_config_file_exits_two(tmp_path):
     assert code == 2
 
 
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_bytes(b"\xff")
+    code = main(["quad", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "jumpspec: cannot read config: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_naming_a_regular_file_exits_two(tmp_path, capsys):
+    cfg_path, out = tmp_path / "run.json", tmp_path / "taken"
+    cfg_path.write_text(json.dumps({"problem": {"type": "legendre", "l": 2, "xi": 0.3},
+                                    "grid": {"family": "cgl", "a": -0.8, "b": 0.8, "N": 12}}))
+    out.write_text("kept\n")
+    code = main(["quad", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert "jumpspec: cannot write outputs: " in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
 CONVERGE_CFG = {
     "problem": {"type": "legendre", "l": 2, "xi": 0.3},
     "family": "cgl",
@@ -418,6 +438,9 @@ def grid_scale_rows() -> list:
 
 SMALL_PIECES = {"type": "synthetic", "left": [0.0, 1.0], "right": [1.0, -1.0], "xi": 0.3}
 FLOAT_MAX_PAIR = {"family": "cgl", "a": -1, "b": sys.float_info.max, "N": 1}
+ORDER_ZERO_OVERFLOW = {"type": "synthetic", "left": [-1e308], "right": [1e308]}
+EQUIDISTANT_170 = {"family": "equidistant", "a": -1, "b": 1, "N": 170}
+NODE_AT_HALF = {"type": "synthetic", "left": [1e308], "right": [1, -1], "xi": 0.5}
 FLOAT_MAX_PAIR_WEIGHTS = (f"the grid on [-1.0, {sys.float_info.max}] with 2 nodes has degenerate barycentric "
                           "weights; nodes too close or interval too wide")
 CONFIG_ERRORS = [
@@ -551,6 +574,21 @@ CONFIG_ERRORS = [
     # two nodes near the float max: the weights +-1/(float max + 1) are subnormal
     ("interp", "problem+grid+M", (SMALL_PIECES, FLOAT_MAX_PAIR, [-1, 1]), FLOAT_MAX_PAIR_WEIGHTS),
     ("quad", "problem+grid", (SMALL_PIECES, FLOAT_MAX_PAIR), FLOAT_MAX_PAIR_WEIGHTS),
+    # config faults come before the first numerical result: D's product and
+    # quad's weights would not be finite, nor would converge's N = 3
+    # interpolant, but the order-0 jump 2e308 is not finite, or xi is a node
+    # (node 85 of 171 is 0.0, node 3 of equidistant N = 4 is 0.5), whatever
+    # the order of N_list
+    ("diff", "problem+grid+M", ({**ORDER_ZERO_OVERFLOW, "xi": 0.0}, WIDE_GRID, 0),
+     "the synthetic jump of order 0 at xi = 0.0 is not finite"),
+    ("diff", "problem+grid+M", ({**ORDER_ZERO_OVERFLOW, "xi": 0.3}, WIDE_GRID, 0),
+     "the synthetic jump of order 0 at xi = 0.3 is not finite"),
+    ("quad", "problem+grid+M", ({**SMALL_PIECES, "xi": 0.0}, EQUIDISTANT_170, 1),
+     "discontinuity at 0.0 coincides with a grid node"),
+    ("quad", "problem+grid+M", ({**ORDER_ZERO_OVERFLOW, "xi": 0.3}, EQUIDISTANT_170, 0),
+     "the synthetic jump of order 0 at xi = 0.3 is not finite"),
+    *[("converge", "problem+family+a+b+N_list+M_list", (NODE_AT_HALF, "equidistant", -1, 1, N_list, [1]),
+       "discontinuity at 0.5 coincides with a grid node") for N_list in ([3, 4], [4, 3])],
 ]
 
 
@@ -667,8 +705,10 @@ def test_corrected_numerical_failure_exits_three(tmp_path, capsys):
 
 
 def test_overflowing_derivative_exits_three(tmp_path, capsys):
-    # the data are finite, +-1e308, but D's entries reach several units
-    cfg = {"problem": {"type": "synthetic", "left": [-1e308], "right": [1e308], "xi": 0.9}, "grid": WIDE_GRID}
+    # the data are finite, +-1e308, but D's entries reach several units; the
+    # plain M = -1, since their order-0 jump is not finite, a config error
+    cfg = {"problem": {"type": "synthetic", "left": [-1e308], "right": [1e308], "xi": 0.9}, "grid": WIDE_GRID,
+           "M": -1}
     code, out, _ = run_command(tmp_path, "diff", cfg)
     assert code == 3
     assert "numerical failure: the plain derivative is not finite" in capsys.readouterr().err
@@ -822,7 +862,8 @@ ENTRY_POINT_RUNS = [
     (0, "diff", {**HIGH_ORDER_CFG, "M": 180}),
     (1, "interp", {**INTERP_CFG, "checks": [{"kind": "max_error_leq", "label": "lagrange", "value": 1e-12}]}),
     (2, "diff", {"problem": OVERFLOWING, "grid": WIDE_GRID}),
-    (3, "diff", {"problem": {"type": "synthetic", "left": [-1e308], "right": [1e308], "xi": 0.9}, "grid": WIDE_GRID}),
+    (3, "diff", {"problem": {"type": "synthetic", "left": [-1e308], "right": [1e308], "xi": 0.9}, "grid": WIDE_GRID,
+                 "M": -1}),
 ]
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -324,6 +326,20 @@ def test_derivative_matrix_matches_per_row_build_bitwise(family, N, n, m_offset,
         g = custom(-1, 1.5, np.concatenate([[-1.0], interior, [1.5]]))
     D = derivative_matrix(g, n, m)
     assert D.entries.tobytes() == per_row_matrix(g, n, m).tobytes()
+
+
+def test_banded_build_allocates_one_dense_array():
+    # the rebalance works on the (N+1, m+1) stencil weights, so the build's
+    # peak is one (N+1)^2 array plus temporaries of O(N m) and O(32 N)
+    g = chebyshev_gauss_lobatto(-1, 1, 400)
+    derivative_matrix(g, 1, 4)
+    tracemalloc.start()
+    try:
+        derivative_matrix(g, 1, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 401**2 * 8
 
 
 def test_pseudospectral_build_at_n256():
