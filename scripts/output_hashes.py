@@ -1,16 +1,17 @@
-"""Hash the outputs of the benchmark's jobs, to show that a change keeps
-them byte-identical.
+"""Hash the outputs of the benchmark's jobs and of the experiment scripts,
+to show that a change keeps them byte-identical.
 
     python scripts/output_hashes.py [TREE ...]
 
 For each TREE, a source checkout of jumpspec (default: this one), a fresh
 Python process with TREE/src first on its path and RuntimeWarning raised as
 an error runs, in process through jumpspec.cli.main, every job that this
-checkout's bench/workloads.py generates for seeds 0-3. It prints a SHA-256
-per workload, and one over them all, of each job's command, exit code,
-stderr and output files. Given two or more trees, it exits 1 when their
-hashes differ and names the workloads that do. To compare a change with
-its parent commit:
+checkout's bench/workloads.py generates for seeds 0-3, and then this
+checkout's three scripts/ studies. It prints a SHA-256 per workload, of each
+job's command, exit code, stderr and output files; one for the studies,
+"studies", of each study's exit code, stdout and output files; and one over
+them all. Given two or more trees, it exits 1 when their hashes differ and
+names the entries that do. To compare a change with its parent commit:
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C ..
     python scripts/output_hashes.py . ../parent
@@ -22,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -29,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(4)
+STUDIES = ("interp_study", "convergence_study", "advect_kink")
 
 
 def _field(h, data) -> None:
@@ -37,9 +40,37 @@ def _field(h, data) -> None:
     h.update(b"%d:" % len(data) + data)
 
 
+def _hash_files(h, root: Path) -> None:
+    """Hash the path, relative to root, and the bytes of each file under root."""
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        _field(h, path.relative_to(root).as_posix())
+        _field(h, path.read_bytes())
+
+
+def _hash_studies() -> str:
+    """SHA-256 of each scripts/ study's exit code, stdout and output files,
+    run in process, in the current directory."""
+    h = hashlib.sha256()
+    for study in STUDIES:
+        out = Path("studies") / study
+        sys.argv = [f"{study}.py", "--out", str(out)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            try:
+                runpy.run_path(str(ROOT / "scripts" / f"{study}.py"), run_name="__main__")
+                code = 0
+            except SystemExit as exc:
+                code = exc.code
+        for value in (study, code, stdout.getvalue()):
+            _field(h, value)
+        _hash_files(h, out)
+    return h.hexdigest()
+
+
 def _hash_jobs(src: Path) -> dict:
-    """{workload: SHA-256} of the jobs of seeds 0-3, run with the jumpspec of src."""
-    sys.path[:0] = [str(src), str(ROOT / "bench")]
+    """{workload: SHA-256} of the jobs of seeds 0-3, and {"studies": SHA-256}
+    of the scripts/ studies, run with the jumpspec of src."""
+    sys.path[:0] = [str(src), str(ROOT / "bench"), str(ROOT / "scripts")]
     import jumpspec
     import workloads
     from jumpspec.cli import main
@@ -61,11 +92,9 @@ def _hash_jobs(src: Path) -> dict:
                         code = main([command, "--config", str(job / "config.json"), "--out", str(job / "out")])
                     for value in (command, code, err.getvalue()):
                         _field(h, value)
-                    outputs = sorted((job / "out").iterdir()) if (job / "out").is_dir() else []
-                    for path in outputs:
-                        _field(h, path.name)
-                        _field(h, path.read_bytes())
+                    _hash_files(h, job / "out")
             hashes[workload] = h.hexdigest()
+        hashes["studies"] = _hash_studies()
         os.chdir(ROOT)
     total = hashlib.sha256()
     for workload, digest in hashes.items():

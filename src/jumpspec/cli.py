@@ -213,11 +213,6 @@ def build_grid(cfg) -> Grid:
     return _grid(cfg, "grid")[1]
 
 
-def _check_problem_domain(problem, g: Grid) -> None:
-    if not g.a < problem.xi < g.b:
-        raise ValueError("the problem's discontinuity must lie inside the grid interval")
-
-
 def probe_points(a: float, b: float, xi: float | None, count: int) -> np.ndarray:
     """Deterministic probe set: equispaced points plus the two one-sided
     limits at the discontinuity (the method's accuracy claim includes the
@@ -339,25 +334,30 @@ def _setup(cfg: dict) -> tuple:
     """An interp, diff or quad config's problem, grid, nodal data and jump
     orders: the config's M, else N // 2, and never above N."""
     problem, (_, g) = cfg["problem"], cfg["grid"]
-    _check_problem_domain(problem, g)
     Ms = [g.N // 2] if cfg["M"] is None else cfg["M"]
     if any(M > g.N for M in Ms):
         raise ValueError(f"M={max(Ms)} exceeds the grid degree N={g.N}")
     return problem, g, np.asarray(problem.value(g.nodes), dtype=float), Ms
 
 
-def _jump_table(problem, Ms: list[int], grids: list[Grid]) -> dict:
-    """Each M's jump data from the problem, None for the plain M = -1. Its
-    discontinuity must lie strictly between the nodes of every grid it
-    corrects on, those of degree N >= M. Every runner calls this after its
-    exact values and before its first numerical result, so a config fault
-    wins over a numerical failure."""
-    jumps = {M: problem.jump_data(M) if M >= 0 else None for M in Ms}
+def _jump_table(problem, Ms: list[int], grids: list[Grid]) -> list[dict]:
+    """One {M: jump data} table per grid, of the Ms that grid can use
+    (M <= N), None for the plain M = -1. The problem's discontinuity must
+    lie inside every grid's interval, and strictly between the nodes of
+    every grid it corrects on. Each M's jump data is built once, and only
+    if some grid can use it. Every runner calls this after its exact values
+    and before its first numerical result, so a config fault wins over a
+    numerical failure."""
     for g in grids:
-        for M, jd in jumps.items():
-            if jd is not None and M <= g.N:
-                _require_interior(jd, g)
-    return jumps
+        if not g.a < problem.xi < g.b:
+            raise ValueError("the problem's discontinuity must lie inside the grid interval")
+    top = max((g.N for g in grids), default=-1)
+    jumps = {M: problem.jump_data(M) if M >= 0 else None for M in Ms if M <= top}
+    tables = [{M: jd for M, jd in jumps.items() if M <= g.N} for g in grids]
+    for g, table in zip(grids, tables):
+        for jd in filter(None, table.values()):  # the plain M = -1 corrects nothing
+            _require_interior(jd, g)
+    return tables
 
 
 def _label(M: int) -> str:
@@ -390,13 +390,13 @@ def run_interp(cfg: dict) -> tuple[dict, dict]:
     problem, g, f, Ms = _setup(cfg)
     pts = probe_points(g.a, g.b, problem.xi, cfg["probes"])
     exact = np.asarray(problem.value(pts), dtype=float)
-    near = np.abs(pts - problem.xi) <= 0.1 * (g.b - g.a)
+    [jumps] = _jump_table(problem, Ms, [g])
+    near = np.abs(pts - problem.xi) <= 0.1 * (g.b - g.a)  # after the table, which puts xi inside (a, b)
 
     cols = [pts, exact]
     header = ["x", "f_exact"]
     max_err: dict[str, float] = {}
     max_err_near: dict[str, float] = {}
-    jumps = _jump_table(problem, Ms, [g])
     for M, vals in zip(Ms, _interpolants(barycentric_weights(g), f, jumps, pts)):
         label = _label(M)
         err = np.abs(vals - exact)
@@ -416,9 +416,9 @@ def run_interp(cfg: dict) -> tuple[dict, dict]:
 
 
 def _converge_cell(w: BarycentricWeights, f: np.ndarray, jumps: dict, pts: np.ndarray, exact: np.ndarray) -> dict:
-    """Max probe error of every M <= N on one grid of a convergence study,
-    from the grid's weights and nodal data f, keyed by (N, M)."""
-    jumps = {M: jd for M, jd in jumps.items() if M <= w.grid.N}
+    """Max probe error on one grid of a convergence study of each jump
+    order in the grid's table jumps, from its weights and nodal data f,
+    keyed by (N, M)."""
     vals = _interpolants(w, f, jumps, pts)
     return {(w.grid.N, M): float(np.max(np.abs(v - exact))) for M, v in zip(jumps, vals)}
 
@@ -429,25 +429,22 @@ def run_converge(cfg: dict) -> tuple[dict, dict]:
     if family == "custom":
         raise ValueError("convergence studies need an equidistant or cgl family")
     grids = [_GRIDS[family][1](a, b, N) for N in cfg["N_list"]]
-    for g in grids:
-        _check_problem_domain(problem, g)
     pts = probe_points(a, b, problem.xi, cfg["probes"])
     exact = np.asarray(problem.value(pts), dtype=float)
-    # each M's jump data serves every grid; an M above every N is never used
-    top = max(cfg["N_list"], default=-1)
-    jumps = _jump_table(problem, [M for M in cfg["M_list"] if M <= top], grids)
-    # each grid's nodal data and weights, whose faults are config errors too, before the pool
-    cells = [(barycentric_weights(g), np.asarray(problem.value(g.nodes), dtype=float)) for g in grids]
+    tables = _jump_table(problem, cfg["M_list"], grids)
+    # each grid's weights and nodal data, whose faults are config errors too, before the pool
+    cells = [(barycentric_weights(g), np.asarray(problem.value(g.nodes), dtype=float), table)
+             for g, table in zip(grids, tables)]
 
     errors = {}
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for cell in pool.map(lambda c: _converge_cell(*c, jumps, pts, exact), cells):
+        for cell in pool.map(lambda c: _converge_cell(*c, pts, exact), cells):
             errors.update(cell)
 
     rows = [(N, M, errors[(N, M)]) for N, M in sorted(errors)]
     fits = []
     for M in sorted(cfg["M_list"]):
-        Ns = [N for N in sorted(cfg["N_list"]) if M <= N]
+        Ns = sorted(g.N for g, table in zip(grids, tables) if M in table)
         if len(Ns) >= 2:
             fits.append({**fit_orders(Ns, [errors[(N, M)] for N in Ns]), "M": M})
 
@@ -466,7 +463,7 @@ def run_diff(cfg: dict) -> tuple[dict, dict]:
     problem, g, f, [M] = _setup(cfg)
     D = derivative_matrix(g, cfg["n"], cfg["m"])
     exact = np.asarray(problem.derivative(g.nodes, D.n), dtype=float)
-    jd = _jump_table(problem, [M], [g])[M]
+    jd = _jump_table(problem, [M], [g])[0][M]
     overflow = "derivative is not finite; the data overflow the derivative matrix"
     plain = _finite(lambda: apply(D, f), f"the plain {overflow}")
     corrected = _finite(lambda: corrected_derivative(D, f, jd), f"the corrected {overflow}")
@@ -492,7 +489,7 @@ def run_quad(cfg: dict) -> tuple[dict, dict]:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # _finite reports a failure
         rule = quad_weights(g)
     reference = problem.integral(g.a, g.b)
-    jd = _jump_table(problem, [M], [g])[M]
+    jd = _jump_table(problem, [M], [g])[0][M]
     _finite(lambda: rule.weights, "the quadrature weights are not finite; the barycentric sums of the "
             "grid's Lagrange basis cancel or overflow at a quadrature point")
     overflow = "integral is not finite; the data or their jump series overflow the quadrature sum"

@@ -164,12 +164,17 @@ _FORCING_BLOCK = 1024  # steps per block of forcing rows, end times and inflow v
 
 def _powers(problem: AdvectionProblem, D: DerivMatrix) -> np.ndarray:
     """A, A^2, A^3, A^4 with A = -c D, stacked: every step matrix of a run
-    is a polynomial in them (module docstring)."""
-    A = -problem.speed * D.entries
-    P = np.empty((4, *A.shape))
-    P[0] = A
-    for k in range(1, 4):
-        P[k] = P[k - 1] @ A
+    is a polynomial in them (module docstring). A ValueError, before any
+    step, if one leaves the float range: the step matrices would too."""
+    with np.errstate(all="ignore"):
+        A = -problem.speed * D.entries
+        P = np.empty((4, *A.shape))
+        P[0] = A
+        for k in range(1, 4):
+            P[k] = P[k - 1] @ A
+    if not np.isfinite(P).all():
+        raise ValueError(f"speed {problem.speed} is too large for the grid of N = {D.grid.N}: "
+                         "the powers of -speed * D leave the float range")
     return P
 
 
@@ -332,7 +337,9 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     bracketed, or if its path ends within _rounding of a node and either
     just crossed it, so that its last segment cannot be bracketed, or has a
     value jump J_0: the node's side at t_final, and so the exact value
-    there, is then down to rounding. A kink may end on a node.
+    there, is then down to rounding. A kink may end on a node. Also raises
+    ValueError, naming the speed and N, if a power of -c D that the steps
+    are built from leaves the float range.
     Raises RuntimeError with a diagnostic if the state stops being finite;
     it names the failure time and the largest |u| of the state the failing
     step started from. Raises RuntimeError before stepping a block whose

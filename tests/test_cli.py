@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -589,6 +590,15 @@ CONFIG_ERRORS = [
      "the synthetic jump of order 0 at xi = 0.3 is not finite"),
     *[("converge", "problem+family+a+b+N_list+M_list", (NODE_AT_HALF, "equidistant", -1, 1, N_list, [1]),
        "discontinuity at 0.5 coincides with a grid node") for N_list in ([3, 4], [4, 3])],
+    # near the float range: node order, which a difference of nodes would
+    # overflow, and the powers of -c D that evolve's steps are built from
+    *[("quad", "problem+grid", (SMALL_PIECES, {"family": "custom", "a": -1e308, "b": 1e308, "nodes": nodes}), message)
+      for nodes, message in (([1e308, -1e308, 0, 0.5, 1], "grid nodes must be strictly increasing and distinct"),
+                             ([-1e308, 1e308], "the grid on [-1e+308, 1e+308] with 2 nodes has degenerate "
+                              "barycentric weights"))],
+    ("evolve", "grid+speed+t_final+dt+initial", ({"family": "cgl", "a": -1, "b": 1, "N": 16}, 1e308, 5e-324, 1e-3,
+                                                  {"kind": "gaussian", "center": 0.0, "width": 0.3}),
+     "speed 1e+308 is too large for the grid of N = 16: the powers of -speed * D leave the float range"),
 ]
 
 
@@ -921,12 +931,12 @@ FUZZ_BASES = {
 SIZE_KEYS = {"N", "N_list", "probes"}
 
 
-def leaf_paths(cfg, path=()):
-    """Every path into cfg through dict keys and list indices, containers included."""
+def leaves(cfg, path=()):
+    """Every (path, value) in cfg through dict keys and list indices, containers included."""
     items = cfg.items() if type(cfg) is dict else enumerate(cfg) if type(cfg) is list else ()
     for key, value in items:
-        yield path + (key,)
-        yield from leaf_paths(value, path + (key,))
+        yield path + (key,), value
+        yield from leaves(value, path + (key,))
 
 
 def unbounded(cfg, path, value) -> bool:
@@ -939,32 +949,76 @@ def unbounded(cfg, path, value) -> bool:
     return all(type(v) in (int, float) for v in (t, dt)) and 0 < dt and dt * 10**4 < t
 
 
-def test_one_leaf_edits_keep_the_exit_contract(tmp_path, capsys):
-    """Each edit exits 0-3, raises nothing (a RuntimeWarning included), and
-    writes nothing on a config error (2) or a numerical failure (3)."""
+def edit_leaves(base, edits) -> dict:
+    """A copy of base with each (path, value) of edits set."""
+    cfg = json.loads(json.dumps(base))
+    for path, value in edits:
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return cfg
+
+
+def contract_breaks(tmp_path, runs) -> list[str]:
+    """The runs, (command, config, description) triples, that break the exit
+    contract: each must exit 0-3, raise nothing (a RuntimeWarning included),
+    and write nothing on a config error (2) or a numerical failure (3)."""
     cfg_path, out = tmp_path / "fuzz.json", tmp_path / "out"
     broken = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for command, base in FUZZ_BASES.items():
-            for path in leaf_paths(base):
-                for value in FUZZ_VALUES:
-                    cfg = json.loads(json.dumps(base))
-                    target = cfg
-                    for key in path[:-1]:
-                        target = target[key]
-                    target[path[-1]] = value
-                    if unbounded(cfg, path, value):
-                        continue
-                    cfg_path.write_text(json.dumps(cfg))
-                    try:
-                        code = main([command, "--config", str(cfg_path), "--out", str(out)])
-                    except Exception as exc:
-                        code = f"{type(exc).__name__}: {exc}"
-                    wrote = out.exists()
-                    shutil.rmtree(out, ignore_errors=True)
-                    if code not in (0, 1, 2, 3) or (code in (2, 3) and wrote):
-                        where = ".".join(map(str, path))
-                        broken.append(f"{command} {where} = {value!r}: exit {code}, wrote {wrote}")
+        for command, cfg, description in runs:
+            cfg_path.write_text(json.dumps(cfg))
+            try:
+                code = main([command, "--config", str(cfg_path), "--out", str(out)])
+            except Exception as exc:
+                code = f"{type(exc).__name__}: {exc}"
+            wrote = out.exists()
+            shutil.rmtree(out, ignore_errors=True)
+            if code not in (0, 1, 2, 3) or (code in (2, 3) and wrote):
+                broken.append(f"{command} {description}: exit {code}, wrote {wrote}")
+    return broken
+
+
+def bounded_runs(edit_lists):
+    """(command, config, description) of each (command, edits) whose edited
+    config stays within the size caps."""
+    for command, edits in edit_lists:
+        cfg = edit_leaves(FUZZ_BASES[command], edits)
+        if not any(unbounded(cfg, path, value) for path, value in edits):
+            yield command, cfg, ", ".join(f"{'.'.join(map(str, path))} = {value!r}" for path, value in edits)
+
+
+def test_one_leaf_edits_keep_the_exit_contract(tmp_path, capsys):
+    edits = [(command, [(path, value)]) for command, base in FUZZ_BASES.items()
+             for path, _ in leaves(base) for value in FUZZ_VALUES]
+    broken = contract_breaks(tmp_path, bounded_runs(edits))
+    capsys.readouterr()
+    assert not broken, "\n".join(broken[:20] + [f"{len(broken)} edits broke the contract"])
+
+
+# two numeric leaves at a time, each set to one of these values, and configs
+# that once broke the contract: speed 1e308 overflows -c D before any step,
+# and a difference of nodes near the float range overflows
+PAIR_VALUES = [0, 5e-324, 1e308, -1e308]
+PAIR_EXAMPLES = [
+    ("evolve", {"grid": {"family": "cgl", "a": -1, "b": 1, "N": 16}, "speed": 1e308, "t_final": 5e-324,
+                "dt": 1e-3, "initial": {"kind": "gaussian", "center": 0.0, "width": 0.3}}),
+    ("quad", {**FUZZ_BASES["quad"], "grid": {"family": "custom", "a": -1e308, "b": 1e308,
+                                             "nodes": [1e308, -1e308, 0, 0.5, 1]}}),
+    ("quad", {**FUZZ_BASES["quad"], "grid": {"family": "custom", "a": -1e308, "b": 1e308,
+                                             "nodes": [-1e308, 1e308]}}),
+]
+
+
+def test_two_leaf_edits_keep_the_exit_contract(tmp_path, capsys):
+    edits = []
+    for command, base in FUZZ_BASES.items():
+        numeric = [path for path, value in leaves(base) if type(value) in (int, float)]
+        edits += [(command, [(p, u), (q, v)]) for p, q in itertools.combinations(numeric, 2)
+                  for u in PAIR_VALUES for v in PAIR_VALUES]
+    runs = [*bounded_runs(edits), *((command, cfg, "example") for command, cfg in PAIR_EXAMPLES)]
+    broken = contract_breaks(tmp_path, runs)
     capsys.readouterr()
     assert not broken, "\n".join(broken[:20] + [f"{len(broken)} edits broke the contract"])

@@ -100,6 +100,11 @@ def test_fd_weights_order_too_high():
         fd_weights([0.0, 1.0], 0.0, 2)
 
 
+def test_fd_weights_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="derivative order must be nonnegative"):
+        fd_weights([0.0, 1.0, 2.0], 0.0, -1)
+
+
 def test_fd_weights_rejects_mismatched_evaluation_points():
     with pytest.raises(ValueError):
         fd_weights(np.tile(np.arange(4.0), (3, 1)), np.zeros(2), 1)

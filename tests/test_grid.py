@@ -22,11 +22,11 @@ def test_cgl_small():
 
 @pytest.mark.parametrize("ctor", [equidistant, chebyshev_gauss_lobatto])
 def test_invalid_args(ctor):
-    with pytest.raises(ValueError):
-        ctor(1.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        ctor(2.0, 1.0, 4)
-    with pytest.raises(ValueError):
+    # the builders check N; Grid checks the interval, whatever nodes they built
+    for a, b in ((1.0, 1.0), (2.0, 1.0), (-np.inf, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match=r"invalid interval \["):
+            ctor(a, b, 4)
+    with pytest.raises(ValueError, match="N must be at least 1"):
         ctor(0.0, 1.0, 0)
 
 
@@ -71,6 +71,14 @@ def test_custom_grid_validation():
         custom(0, 1, [-0.5, 0.25, 0.9])
     with pytest.raises(ValueError):
         custom(0, 1, [0.5])
+
+
+def test_node_order_near_the_float_range_needs_no_arithmetic():
+    # a difference of these nodes overflows, and pyproject makes its
+    # RuntimeWarning an error; a comparison of neighbours does not
+    assert custom(-1e308, 1e308, [-1e308, 1e308]).N == 1
+    with pytest.raises(ValueError, match="strictly increasing and distinct"):
+        custom(-1e308, 1e308, [1e308, -1e308, 0.0])
 
 
 def test_nodes_are_read_only():

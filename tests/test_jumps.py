@@ -87,6 +87,12 @@ def test_non_finite_jumps_rejected():
         JumpData(0.1, [np.inf])
 
 
+@pytest.mark.parametrize("xi", [np.inf, -np.inf, np.nan])
+def test_non_finite_discontinuity_rejected(xi):
+    with pytest.raises(ValueError, match="discontinuity location must be finite"):
+        JumpData(xi, [1.0])
+
+
 # --- pieces and the correction matrix ----------------------------------------
 
 

@@ -346,6 +346,30 @@ def test_problem_validation():
         evolve(prob, D, 1e-3, output_every=0)
 
 
+@pytest.mark.parametrize("speed", [np.inf, -np.inf, np.nan])
+def test_non_finite_speed_is_rejected(speed):
+    g = chebyshev_gauss_lobatto(-1, 1, 8)
+    with pytest.raises(ValueError, match="advection speed must be finite"):
+        AdvectionProblem(g, speed, lambda x: x, None, 0.1)
+
+
+def test_initial_sampler_of_the_wrong_shape_is_rejected():
+    g = chebyshev_gauss_lobatto(-1, 1, 8)
+    prob = AdvectionProblem(g, 1.0, lambda x: np.zeros(3), None, 0.1)
+    with pytest.raises(ValueError, match="initial sampler must return one value per node"):
+        evolve(prob, derivative_matrix(g, 1), 1e-2)
+
+
+def test_powers_past_the_float_range_are_rejected_before_any_step(monkeypatch):
+    # -c D itself overflows at speed 1e308, and so would every step matrix
+    # built from its powers; no warning leaks
+    g = chebyshev_gauss_lobatto(-1, 1, 16)
+    prob = AdvectionProblem(g, 1e308, lambda x: np.exp(-(np.asarray(x, dtype=float) / 0.3) ** 2), None, 5e-324)
+    monkeypatch.setattr(mol, "_segment_steps", lambda *a: pytest.fail("a step was taken"))
+    with pytest.raises(ValueError, match="speed 1e\\+308 is too large for the grid of N = 16"):
+        evolve(prob, derivative_matrix(g, 1), 1e-3)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     N=st.integers(2, 64),

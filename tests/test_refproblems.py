@@ -47,6 +47,12 @@ def test_second_kind_matches_scipy():
             assert float(legendre_Q(l, x, 1)) == pytest.approx(qd[l], abs=1e-12)
 
 
+@pytest.mark.parametrize("xi", [np.inf, np.nan])
+def test_synthetic_rejects_a_non_finite_xi(xi):
+    with pytest.raises(ValueError, match="xi must be finite"):
+        SyntheticPiecewise([0.0, 1.0], [1.0, -1.0], xi)
+
+
 def test_second_kind_domain():
     with pytest.raises(ValueError):
         legendre_Q(2, 1.0)
