@@ -38,7 +38,7 @@ from .jumps import (
     corrected_interpolate,
     correction_matrix,
 )
-from .lagrange import BarycentricWeights, barycentric_weights
+from .lagrange import BarycentricWeights, _finite, barycentric_weights
 from .mol import AdvectionProblem, evolve
 from .quadrature import integrate, quad_weights
 from .refproblems import LegendreProblem, SyntheticPiecewise
@@ -216,9 +216,11 @@ def build_grid(cfg) -> Grid:
 def probe_points(a: float, b: float, xi: float | None, count: int) -> np.ndarray:
     """Deterministic probe set: equispaced points plus the two one-sided
     limits at the discontinuity (the method's accuracy claim includes the
-    neighbourhood of xi, so probes are not excluded there)."""
-    with np.errstate(over="ignore"):  # near the float max the last product overflows; linspace sets it to b
-        pts = np.linspace(a, b, count)
+    neighbourhood of xi, so probes are not excluded there). A ValueError if
+    the span b - a leaves the float range. Near the float max linspace's last
+    product may overflow, which is no fault: linspace sets that point to b."""
+    pts = _finite(lambda: np.linspace(a, b, count),
+                  lambda i: ValueError(f"the probe span of the interval [{a}, {b}] leaves the float range"))
     if xi is not None and a < xi < b:
         pts = np.concatenate([pts, [np.nextafter(xi, a), np.nextafter(xi, b)]])
     return np.unique(pts)
@@ -365,24 +367,13 @@ def _label(M: int) -> str:
     return "lagrange" if M < 0 else f"M{M}"
 
 
-def _finite(compute, failure: str):
-    """compute(), run with numpy's warnings off, unless a value of it is not
-    finite: then a numerical failure, described by failure. numpy's error
-    state is per thread, so this holds on converge's pool threads too."""
-    with np.errstate(all="ignore"):
-        values = compute()
-    if not np.isfinite(values).all():
-        raise RuntimeError(failure)
-    return values
-
-
 def _interpolants(w: BarycentricWeights, f: np.ndarray, jumps: dict, pts: np.ndarray) -> list[np.ndarray]:
     """Values at pts of the plain (None) or jump-corrected interpolant of
     the nodal data f, one array per entry of jumps; a numerical failure if
     one is not finite."""
     overflow = f"interpolant on N = {w.grid.N} is not finite; the data overflow its barycentric sums"
-    return [_finite(lambda: corrected_interpolate(w, f, jd, pts), f"the {_label(M)} {overflow}")
-            for M, jd in jumps.items()]
+    return [_finite(lambda: corrected_interpolate(w, f, jd, pts),
+                    lambda i: RuntimeError(f"the {_label(M)} {overflow}")) for M, jd in jumps.items()]
 
 
 def run_interp(cfg: dict) -> tuple[dict, dict]:
@@ -465,8 +456,8 @@ def run_diff(cfg: dict) -> tuple[dict, dict]:
     exact = np.asarray(problem.derivative(g.nodes, D.n), dtype=float)
     jd = _jump_table(problem, [M], [g])[0][M]
     overflow = "derivative is not finite; the data overflow the derivative matrix"
-    plain = _finite(lambda: apply(D, f), f"the plain {overflow}")
-    corrected = _finite(lambda: corrected_derivative(D, f, jd), f"the corrected {overflow}")
+    plain = _finite(lambda: apply(D, f), lambda i: RuntimeError(f"the plain {overflow}"))
+    corrected = _finite(lambda: corrected_derivative(D, f, jd), lambda i: RuntimeError(f"the corrected {overflow}"))
 
     header = ["x", "f", "deriv_exact", "deriv_plain", "deriv_corrected", "err_plain", "err_corrected"]
     rows = zip(g.nodes, f, exact, plain, corrected, np.abs(plain - exact), np.abs(corrected - exact))
@@ -490,11 +481,12 @@ def run_quad(cfg: dict) -> tuple[dict, dict]:
         rule = quad_weights(g)
     reference = problem.integral(g.a, g.b)
     jd = _jump_table(problem, [M], [g])[0][M]
-    _finite(lambda: rule.weights, "the quadrature weights are not finite; the barycentric sums of the "
-            "grid's Lagrange basis cancel or overflow at a quadrature point")
+    _finite(lambda: rule.weights, lambda i: RuntimeError(
+        "the quadrature weights are not finite; the barycentric sums of the grid's Lagrange basis cancel or "
+        "overflow at a quadrature point"))
     overflow = "integral is not finite; the data or their jump series overflow the quadrature sum"
-    plain = _finite(lambda: integrate(rule, f), f"the plain {overflow}")
-    corrected = _finite(lambda: corrected_integrate(rule, f, jd), f"the corrected {overflow}")
+    plain = _finite(lambda: integrate(rule, f), lambda i: RuntimeError(f"the plain {overflow}"))
+    corrected = _finite(lambda: corrected_integrate(rule, f, jd), lambda i: RuntimeError(f"the corrected {overflow}"))
 
     header = ["integral_plain", "integral_corrected", "reference", "err_plain", "err_corrected"]
     rows = [(plain, corrected, reference, abs(plain - reference), abs(corrected - reference))]

@@ -106,6 +106,19 @@ def _check_data(f, grid: Grid) -> np.ndarray:
     return f
 
 
+def _finite(compute, fault):
+    """compute(), run with numpy's warnings off, unless a value of it is not
+    finite: then the exception fault(i) is raised, i the flat index of the
+    first such value. numpy's error state is per thread, so this holds on
+    pool threads too."""
+    with np.errstate(all="ignore"):
+        values = compute()
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise fault(int(np.flatnonzero(~finite)[0]))
+    return values
+
+
 def _barycentric(w: BarycentricWeights, pts: np.ndarray, pieces) -> np.ndarray:
     """Barycentric values at pts of the interpolant of each data row of pieces.
 

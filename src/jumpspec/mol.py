@@ -63,6 +63,7 @@ import numpy as np
 from .diffmat import DerivMatrix
 from .grid import Grid
 from .jumps import JumpData, _require_interior, corrected_derivative
+from .lagrange import _finite
 
 __all__ = ["AdvectionProblem", "EvolutionResult", "rk4_step", "evolve"]
 
@@ -166,16 +167,14 @@ def _powers(problem: AdvectionProblem, D: DerivMatrix) -> np.ndarray:
     """A, A^2, A^3, A^4 with A = -c D, stacked: every step matrix of a run
     is a polynomial in them (module docstring). A ValueError, before any
     step, if one leaves the float range: the step matrices would too."""
-    with np.errstate(all="ignore"):
-        A = -problem.speed * D.entries
-        P = np.empty((4, *A.shape))
-        P[0] = A
-        for k in range(1, 4):
-            P[k] = P[k - 1] @ A
-    if not np.isfinite(P).all():
-        raise ValueError(f"speed {problem.speed} is too large for the grid of N = {D.grid.N}: "
-                         "the powers of -speed * D leave the float range")
-    return P
+    def compute():
+        P = [-problem.speed * D.entries]
+        for _ in range(3):
+            P.append(P[-1] @ P[0])
+        return np.array(P)
+
+    return _finite(compute, lambda i: ValueError(f"speed {problem.speed} is too large for the grid of N = "
+                                                 f"{D.grid.N}: the powers of -speed * D leave the float range"))
 
 
 def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: float,
@@ -296,11 +295,9 @@ def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarra
         t_ends = t0 + np.arange(k0 + 1, k1 + 1) * h
         if k1 == nsub:
             t_ends[-1] = t1
-        values = np.asarray(problem.initial(x_in - c * t_ends), dtype=float)
-        if not np.isfinite(values).all():
-            t_bad = t_ends[np.flatnonzero(~np.isfinite(values))[0]]
-            raise RuntimeError(f"the exact inflow value initial(x - c t) at node {inflow} (x = {x_in}) "
-                               f"is not finite at t = {t_bad}")
+        values = _finite(lambda: np.asarray(problem.initial(x_in - c * t_ends), dtype=float),
+                         lambda i: RuntimeError(f"the exact inflow value initial(x - c t) at node {inflow} "
+                                                f"(x = {x_in}) is not finite at t = {t_ends[i]}"))
         for k, t_new, value, f in zip(range(k0, k1), t_ends.tolist(), values.tolist(), forcing(k0, k1)):
             state = rk4_step(state, t0 + k * h, h, problem, D, (E, f))
             if k == moved:
@@ -353,13 +350,15 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     if output_every < 1:
         raise ValueError("output_every must be at least 1")
     grid = problem.grid
-    with np.errstate(all="ignore"):  # a non-finite value is reported below, by its node
+
+    def sample():
         state = np.asarray(problem.initial(grid.nodes), dtype=float)
-    if state.shape != grid.nodes.shape:
-        raise ValueError("initial sampler must return one value per node")
-    if not np.isfinite(state).all():
-        j = int(np.flatnonzero(~np.isfinite(state))[0])
-        raise ValueError(f"the initial profile is not finite at node {j} (x = {grid.nodes[j]})")
+        if state.shape != grid.nodes.shape:
+            raise ValueError("initial sampler must return one value per node")
+        return state
+
+    state = _finite(sample, lambda j: ValueError(f"the initial profile is not finite at node {j} "
+                                                 f"(x = {grid.nodes[j]})"))
 
     _require_operator(problem, D)
     segments = _segments(problem)

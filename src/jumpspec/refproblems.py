@@ -19,6 +19,7 @@ from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
 
 from .jumps import JumpData
+from .lagrange import _finite
 from .quadrature import _gauss_legendre
 
 __all__ = [
@@ -116,13 +117,13 @@ def _glue(problem, x, order: int):
     first point where it is not finite. Each side reads its own piece only,
     so a piece that overflows leaves the other side's values finite."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def glued():
         right, left = problem._piece(True, x, order), problem._piece(False, x, order)
-        out = np.where(x > problem.xi, right, np.where(x < problem.xi, left, 0.5 * right + 0.5 * left))
-    bad = x[~np.isfinite(out)]
-    if bad.size:
-        raise ValueError(f"the {problem.name} derivative of order {order} at x = {bad[0]} is not finite")
-    return out
+        return np.where(x > problem.xi, right, np.where(x < problem.xi, left, 0.5 * right + 0.5 * left))
+
+    return _finite(glued, lambda i: ValueError(f"the {problem.name} derivative of order {order} "
+                                               f"at x = {x.flat[i]} is not finite"))
 
 
 def _split_integral(problem, lo: float, hi: float, integrate) -> float:
@@ -131,22 +132,16 @@ def _split_integral(problem, lo: float, hi: float, integrate) -> float:
     ValueError says when the sum is not finite."""
     xi = problem.xi
     parts = [(False, lo, xi), (True, xi, hi)] if lo < xi < hi else [(hi > xi, lo, hi)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(integrate(*part) for part in parts)
-    if not math.isfinite(total):
-        raise ValueError(f"the {problem.name} reference integral over [{lo}, {hi}] is not finite")
-    return total
+    return _finite(lambda: sum(integrate(*part) for part in parts),
+                   lambda i: ValueError(f"the {problem.name} reference integral over [{lo}, {hi}] is not finite"))
 
 
 def _checked_jumps(problem, order: int, jump) -> JumpData:
     """JumpData of the jumps jump(k), k = 0..order; a ValueError names the
     first order whose jump is not finite."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        J = np.array([float(jump(k)) for k in range(order + 1)])
-    bad = np.flatnonzero(~np.isfinite(J))
-    if bad.size:
-        raise ValueError(f"the {problem.name} jump of order {bad[0]} at xi = {problem.xi} is not finite; "
-                         "use a lower jump order")
+    J = _finite(lambda: np.array([float(jump(k)) for k in range(order + 1)]),
+                lambda k: ValueError(f"the {problem.name} jump of order {k} at xi = {problem.xi} is not finite; "
+                                     "use a lower jump order"))
     return JumpData(problem.xi, J)
 
 

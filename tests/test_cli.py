@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -442,6 +444,7 @@ FLOAT_MAX_PAIR = {"family": "cgl", "a": -1, "b": sys.float_info.max, "N": 1}
 ORDER_ZERO_OVERFLOW = {"type": "synthetic", "left": [-1e308], "right": [1e308]}
 EQUIDISTANT_170 = {"family": "equidistant", "a": -1, "b": 1, "N": 170}
 NODE_AT_HALF = {"type": "synthetic", "left": [1e308], "right": [1, -1], "xi": 0.5}
+WIDE_SPAN = {"family": "custom", "a": -1e308, "b": 1e308, "nodes": [-1, 0, 1]}
 FLOAT_MAX_PAIR_WEIGHTS = (f"the grid on [-1.0, {sys.float_info.max}] with 2 nodes has degenerate barycentric "
                           "weights; nodes too close or interval too wide")
 CONFIG_ERRORS = [
@@ -599,6 +602,9 @@ CONFIG_ERRORS = [
     ("evolve", "grid+speed+t_final+dt+initial", ({"family": "cgl", "a": -1, "b": 1, "N": 16}, 1e308, 5e-324, 1e-3,
                                                   {"kind": "gaussian", "center": 0.0, "width": 0.3}),
      "speed 1e+308 is too large for the grid of N = 16: the powers of -speed * D leave the float range"),
+    # the nodes are small, but the probe span b - a leaves the float range
+    ("interp", "problem+grid+M", ({**SMALL_PIECES, "xi": 0.5}, WIDE_SPAN, [-1, 1]),
+     "the probe span of the interval [-1e+308, 1e+308] leaves the float range"),
 ]
 
 
@@ -963,21 +969,28 @@ def edit_leaves(base, edits) -> dict:
 def contract_breaks(tmp_path, runs) -> list[str]:
     """The runs, (command, config, description) triples, that break the exit
     contract: each must exit 0-3, raise nothing (a RuntimeWarning included),
-    and write nothing on a config error (2) or a numerical failure (3)."""
+    and on a config error (2) or a numerical failure (3) write nothing and
+    print one stderr line, "jumpspec: numerical failure: ..." for exit 3 and
+    "jumpspec: ..." without that prefix for exit 2."""
     cfg_path, out = tmp_path / "fuzz.json", tmp_path / "out"
     broken = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for command, cfg, description in runs:
             cfg_path.write_text(json.dumps(cfg))
+            err = io.StringIO()
             try:
-                code = main([command, "--config", str(cfg_path), "--out", str(out)])
+                with contextlib.redirect_stderr(err):
+                    code = main([command, "--config", str(cfg_path), "--out", str(out)])
             except Exception as exc:
                 code = f"{type(exc).__name__}: {exc}"
             wrote = out.exists()
             shutil.rmtree(out, ignore_errors=True)
-            if code not in (0, 1, 2, 3) or (code in (2, 3) and wrote):
-                broken.append(f"{command} {description}: exit {code}, wrote {wrote}")
+            lines = err.getvalue().splitlines()
+            well_formed = len(lines) == 1 and lines[0].startswith("jumpspec: ") \
+                and lines[0].startswith("jumpspec: numerical failure: ") == (code == 3)
+            if code not in (0, 1, 2, 3) or (code in (2, 3) and (wrote or not well_formed)):
+                broken.append(f"{command} {description}: exit {code}, wrote {wrote}, stderr {lines!r}")
     return broken
 
 
@@ -990,17 +1003,17 @@ def bounded_runs(edit_lists):
             yield command, cfg, ", ".join(f"{'.'.join(map(str, path))} = {value!r}" for path, value in edits)
 
 
-def test_one_leaf_edits_keep_the_exit_contract(tmp_path, capsys):
+def test_one_leaf_edits_keep_the_exit_contract(tmp_path):
     edits = [(command, [(path, value)]) for command, base in FUZZ_BASES.items()
              for path, _ in leaves(base) for value in FUZZ_VALUES]
     broken = contract_breaks(tmp_path, bounded_runs(edits))
-    capsys.readouterr()
     assert not broken, "\n".join(broken[:20] + [f"{len(broken)} edits broke the contract"])
 
 
 # two numeric leaves at a time, each set to one of these values, and configs
 # that once broke the contract: speed 1e308 overflows -c D before any step,
-# and a difference of nodes near the float range overflows
+# a difference of nodes near the float range overflows, and so does the
+# probe span of an interval whose nodes are small
 PAIR_VALUES = [0, 5e-324, 1e308, -1e308]
 PAIR_EXAMPLES = [
     ("evolve", {"grid": {"family": "cgl", "a": -1, "b": 1, "N": 16}, "speed": 1e308, "t_final": 5e-324,
@@ -1009,10 +1022,11 @@ PAIR_EXAMPLES = [
                                              "nodes": [1e308, -1e308, 0, 0.5, 1]}}),
     ("quad", {**FUZZ_BASES["quad"], "grid": {"family": "custom", "a": -1e308, "b": 1e308,
                                              "nodes": [-1e308, 1e308]}}),
+    ("interp", {**FUZZ_BASES["interp"], "problem": {**SYNTHETIC, "xi": 0.5}, "grid": WIDE_SPAN}),
 ]
 
 
-def test_two_leaf_edits_keep_the_exit_contract(tmp_path, capsys):
+def test_two_leaf_edits_keep_the_exit_contract(tmp_path):
     edits = []
     for command, base in FUZZ_BASES.items():
         numeric = [path for path, value in leaves(base) if type(value) in (int, float)]
@@ -1020,5 +1034,4 @@ def test_two_leaf_edits_keep_the_exit_contract(tmp_path, capsys):
                   for u in PAIR_VALUES for v in PAIR_VALUES]
     runs = [*bounded_runs(edits), *((command, cfg, "example") for command, cfg in PAIR_EXAMPLES)]
     broken = contract_breaks(tmp_path, runs)
-    capsys.readouterr()
     assert not broken, "\n".join(broken[:20] + [f"{len(broken)} edits broke the contract"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from jumpspec import (
     equidistant,
     interpolate,
 )
+from jumpspec.lagrange import _finite
 
 
 def naive_basis(nodes, j, x):
@@ -231,3 +234,32 @@ def test_barycentric_matches_five_pass_formula_bitwise(case, monkeypatch):
     old = evaluate(five_pass_basis_matrix)
     for a, b in zip(new, old):
         np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+class Fault(Exception):
+    pass
+
+
+def test_finite_returns_the_computed_object_untouched():
+    values = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert _finite(lambda: values, Fault) is values
+    total = 0.5
+    assert _finite(lambda: total, Fault) is total
+
+
+# a 0-d, 1-d and 2-d computation with numpy's overflow, divide and invalid
+# errors, and the flat index of its first non-finite value
+GUARDED = [
+    (lambda: np.float64(1e308) * 10.0, 0),
+    (lambda: np.array([1.0, 1.0, 0.0, 1.0]) / np.array([1.0, 2.0, 0.0, 0.0]), 2),
+    (lambda: np.log([[1.0, 2.0, 3.0], [0.0, -1.0, 1e308]]) * np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1e308]]), 3),
+]
+
+
+@pytest.mark.parametrize("compute,first", GUARDED)
+def test_finite_raises_the_fault_of_the_first_non_finite_value_without_warnings(compute, first):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Fault) as info:
+            _finite(compute, Fault)
+    assert info.value.args == (first,)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -315,3 +316,12 @@ def test_values_past_the_float_range_raise():
     # the slope 1.6e308 x of the right piece overflows at x = 1.5
     with pytest.raises(ValueError, match=r"synthetic derivative of order 1 at x = 1\.5 is not finite"):
         SyntheticPiecewise([0.0], [0.0, 0.0, 8e307], 0.9).derivative([0.5, 1.0, 1.5], 1)
+
+
+def test_legendre_derivatives_past_the_float_range_raise_without_warnings():
+    # the atanh term's factorial lead is inf from order 172, and (1 - x)^-400
+    # divides by an underflowed zero at x = 0.95
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"legendre derivative of order 400 at x = 0\.5 is not finite"):
+            LegendreProblem(2, 0.3).derivative([0.5, 0.95], 400)
