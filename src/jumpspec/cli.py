@@ -11,7 +11,9 @@ exception, whose traceback goes to stderr); exits 2, 3 and 4 write nothing,
 except that an --out that cannot be written also exits 2, and a failure
 partway through writing can leave the files written before it. Every
 config fault is found before the first numerical result, so it exits 2
-even where a numerical failure would follow.
+even where a numerical failure would follow, except a check's reference
+to a label, fit or cell the run does not produce: that is found only once
+the run is done, so a numerical failure of the run exits 3 first.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .diffmat import apply, derivative_matrix
+from .diffmat import derivative_matrix
 from .grid import Grid, chebyshev_gauss_lobatto, custom, equidistant
 from .jumps import (
     JumpData,
@@ -40,7 +42,7 @@ from .jumps import (
 )
 from .lagrange import BarycentricWeights, _finite, barycentric_weights
 from .mol import AdvectionProblem, evolve
-from .quadrature import integrate, quad_weights
+from .quadrature import quad_weights
 from .refproblems import LegendreProblem, SyntheticPiecewise
 
 __all__ = ["main", "probe_points", "fit_orders"]
@@ -367,13 +369,19 @@ def _label(M: int) -> str:
     return "lagrange" if M < 0 else f"M{M}"
 
 
+def _columns(compute, jumps: dict, overflow: str) -> list:
+    """compute(jd) for each (label, jump data jd) of jumps, jd None for the
+    plain column; a numerical failure, "the <label> <overflow>", if one is
+    not finite."""
+    return [_finite(lambda: compute(jd), lambda i: RuntimeError(f"the {label} {overflow}"))
+            for label, jd in jumps.items()]
+
+
 def _interpolants(w: BarycentricWeights, f: np.ndarray, jumps: dict, pts: np.ndarray) -> list[np.ndarray]:
     """Values at pts of the plain (None) or jump-corrected interpolant of
-    the nodal data f, one array per entry of jumps; a numerical failure if
-    one is not finite."""
-    overflow = f"interpolant on N = {w.grid.N} is not finite; the data overflow its barycentric sums"
-    return [_finite(lambda: corrected_interpolate(w, f, jd, pts),
-                    lambda i: RuntimeError(f"the {_label(M)} {overflow}")) for M, jd in jumps.items()]
+    the nodal data f, one array per entry of jumps."""
+    return _columns(lambda jd: corrected_interpolate(w, f, jd, pts), {_label(M): jd for M, jd in jumps.items()},
+                    f"interpolant on N = {w.grid.N} is not finite; the data overflow its barycentric sums")
 
 
 def run_interp(cfg: dict) -> tuple[dict, dict]:
@@ -455,22 +463,19 @@ def run_diff(cfg: dict) -> tuple[dict, dict]:
     D = derivative_matrix(g, cfg["n"], cfg["m"])
     exact = np.asarray(problem.derivative(g.nodes, D.n), dtype=float)
     jd = _jump_table(problem, [M], [g])[0][M]
-    overflow = "derivative is not finite; the data overflow the derivative matrix"
-    plain = _finite(lambda: apply(D, f), lambda i: RuntimeError(f"the plain {overflow}"))
-    corrected = _finite(lambda: corrected_derivative(D, f, jd), lambda i: RuntimeError(f"the corrected {overflow}"))
+    plain, corrected = _columns(lambda jd: corrected_derivative(D, f, jd), {"plain": None, "corrected": jd},
+                                "derivative is not finite; the data overflow the derivative matrix")
+    err_plain, err_corrected = np.abs(plain - exact), np.abs(corrected - exact)
 
     header = ["x", "f", "deriv_exact", "deriv_plain", "deriv_corrected", "err_plain", "err_corrected"]
-    rows = zip(g.nodes, f, exact, plain, corrected, np.abs(plain - exact), np.abs(corrected - exact))
+    rows = zip(g.nodes, f, exact, plain, corrected, err_plain, err_corrected)
     files = {"result.csv": (header, rows)}
     columns = [f"c{j}" for j in range(g.N + 1)]
     if cfg["export_matrix"]:
         files["derivative_matrix.csv"] = (columns, D.entries)
     if cfg["export_corrections"] and jd is not None:
         files["correction_matrix.csv"] = (columns, correction_matrix(jd, g))
-    max_err = {
-        "plain": float(np.max(np.abs(plain - exact))),
-        "corrected": float(np.max(np.abs(corrected - exact))),
-    }
+    max_err = {"plain": float(err_plain.max()), "corrected": float(err_corrected.max())}
     return {"N": g.N, "n": D.n, "m": D.m, "M": M, "max_error": max_err}, files
 
 
@@ -484,12 +489,12 @@ def run_quad(cfg: dict) -> tuple[dict, dict]:
     _finite(lambda: rule.weights, lambda i: RuntimeError(
         "the quadrature weights are not finite; the barycentric sums of the grid's Lagrange basis cancel or "
         "overflow at a quadrature point"))
-    overflow = "integral is not finite; the data or their jump series overflow the quadrature sum"
-    plain = _finite(lambda: integrate(rule, f), lambda i: RuntimeError(f"the plain {overflow}"))
-    corrected = _finite(lambda: corrected_integrate(rule, f, jd), lambda i: RuntimeError(f"the corrected {overflow}"))
+    plain, corrected = _columns(lambda jd: corrected_integrate(rule, f, jd), {"plain": None, "corrected": jd},
+                                "integral is not finite; the data or their jump series overflow the quadrature sum")
+    err_plain, err_corrected = abs(plain - reference), abs(corrected - reference)
 
     header = ["integral_plain", "integral_corrected", "reference", "err_plain", "err_corrected"]
-    rows = [(plain, corrected, reference, abs(plain - reference), abs(corrected - reference))]
+    rows = [(plain, corrected, reference, err_plain, err_corrected)]
     files = {"result.csv": (header, rows)}
     if cfg["export_weights"]:
         files["quad_weights.csv"] = (["x", "w"], zip(g.nodes, rule.weights))
@@ -499,7 +504,7 @@ def run_quad(cfg: dict) -> tuple[dict, dict]:
         "integral_plain": plain,
         "integral_corrected": corrected,
         "reference": reference,
-        "max_error": {"plain": abs(plain - reference), "corrected": abs(corrected - reference)},
+        "max_error": {"plain": err_plain, "corrected": err_corrected},
     }
     return report, files
 

@@ -3,6 +3,7 @@ pseudospectral limit, all built from a single weight generator."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,8 @@ def fd_weights(nodes, x0, n: int) -> np.ndarray:
     Batched: nodes of shape (R, k) with x0 of shape (R,) give the (R, k)
     weights of R stencils in one pass, each row bit for bit what the 1-D
     call returns; a 1-D stencil with a scalar x0 is the R = 1 case. The
-    loops run over the stencil point and the derivative order only.
+    loops run over the stencil point and the derivative order only. An n
+    that is not an integer (operator.index) raises TypeError.
     """
     x = np.asarray(nodes, dtype=float)
     z = np.asarray(x0, dtype=float)
@@ -33,6 +35,7 @@ def fd_weights(nodes, x0, n: int) -> np.ndarray:
         raise ValueError(f"x0 of shape {z.shape} does not match stencils of shape {x.shape}")
     out_shape = x.shape
     k = x.shape[-1]
+    n = operator.index(n)
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     if n >= k:
@@ -77,8 +80,10 @@ class DerivMatrix:
 
     n is the derivative order and m the difference order: each row is built
     from an (m+1)-point stencil, so m = N gives the global pseudospectral
-    matrix while m < N gives a banded composite matrix. Immutable; share
-    freely across threads.
+    matrix while m < N gives a banded composite matrix. Immutable, and so
+    safe to share across threads, as long as a caller that passes a
+    read-only float array owning its memory as entries writes to it through
+    no view it still holds: such an array is kept, not copied.
     """
 
     grid: Grid
@@ -88,8 +93,10 @@ class DerivMatrix:
 
     def __post_init__(self) -> None:
         e = self.entries
-        # a read-only float array that owns its memory has no writable alias
-        # left, so it is kept as is; anything else is copied
+        # a read-only float array that owns its memory is kept as is, since a
+        # copy would double a build's peak; a writable view taken before it
+        # was frozen still aliases it, and the caller must not write through
+        # one. Anything else is copied
         if not (type(e) is np.ndarray and e.dtype == float and e.base is None and not e.flags.writeable):
             object.__setattr__(self, "entries", _frozen(np.array(e, dtype=float)))
 
@@ -116,12 +123,12 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
     weights (the negative sum trick), computed from the (N+1, m+1) weights
     themselves; the build fills one zero (N+1)^2 array with them. All rows
     come from one batched fd_weights call.
-    Raises ValueError when the build leaves the normal float range, which
-    happens on nodes too close or an interval too wide for the stencils.
+    Raises TypeError when n or m is not an integer (operator.index), and
+    ValueError when the build leaves the normal float range, which happens
+    on nodes too close or an interval too wide for the stencils.
     """
     N = grid.N
-    if m is None:
-        m = N
+    n, m = operator.index(n), operator.index(N if m is None else m)
     if not (0 <= n <= m <= N):
         raise ValueError(f"need 0 <= n <= m <= N, got n={n}, m={m}, N={N}")
     if n == 0:

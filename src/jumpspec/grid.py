@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,13 @@ class Grid:
         return self.nodes.size - 1
 
 
-def _check_args(N: int) -> None:
-    """The builders' degree rule; Grid checks the interval, after the nodes are built."""
+def _check_args(N: int) -> int:
+    """The builders' degree rule, N an integer (a TypeError otherwise) of at
+    least 1; Grid checks the interval, after the nodes are built."""
+    N = operator.index(N)
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
+    return N
 
 
 def _symmetrize(a: float, b: float, x: np.ndarray) -> None:
@@ -67,7 +71,7 @@ def _symmetrize(a: float, b: float, x: np.ndarray) -> None:
 
 def equidistant(a: float, b: float, N: int) -> Grid:
     """Uniformly spaced nodes x_i = a + i (b - a) / N."""
-    _check_args(N)
+    N = _check_args(N)
     with np.errstate(all="ignore"):  # Grid rejects the nodes of a span b - a past the float range
         x = a + (b - a) * np.arange(N + 1) / N
         _symmetrize(a, b, x)
@@ -80,7 +84,7 @@ def chebyshev_gauss_lobatto(a: float, b: float, N: int) -> Grid:
     Nodes cluster toward the interval ends, which suppresses the divergence
     of high-degree equidistant interpolation near the boundaries.
     """
-    _check_args(N)
+    N = _check_args(N)
     i = np.arange(N + 1)
     with np.errstate(all="ignore"):  # as in equidistant
         x = 0.5 * (a + b) + 0.5 * (a - b) * np.cos(np.pi * i / N)

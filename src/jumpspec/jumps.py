@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmat import DerivMatrix, fd_weights
+from .diffmat import DerivMatrix, apply, fd_weights
 from .grid import Grid
 from .lagrange import BarycentricWeights, _barycentric, _check_data, barycentric_weights, interpolate
 from .quadrature import QuadRule, basis_integrals, integrate
@@ -193,12 +194,11 @@ def corrected_derivative(D: DerivMatrix, f, jump: JumpData | None) -> np.ndarray
     which equals differentiating the corrected interpolant at every node.
     For banded composite matrices a row whose stencil stays on one side of
     the discontinuity meets only unchanged data and returns the plain
-    matrix-vector product bit for bit. With jump None it is D f.
+    matrix-vector product bit for bit. With jump None it is diffmat.apply.
     """
-    f = _check_data(f, D.grid)
     if jump is None:
-        return D.entries @ f
-    minus, plus = _pieces(f, jump, D.grid)
+        return apply(D, f)
+    minus, plus = _pieces(_check_data(f, D.grid), jump, D.grid)
     return np.where(_right_of(D.grid.nodes, jump), D.entries @ plus, D.entries @ minus)
 
 
@@ -231,7 +231,7 @@ def one_sided_derivatives_at_node(grid: Grid, f, node_index: int, jumps) -> tupl
     J = np.asarray(jumps, dtype=float)
     if J.shape != (3,) or not np.all(np.isfinite(J)):
         raise ValueError("need the three jumps (J0, J1, J2) at the node")
-    k = int(node_index)
+    k = operator.index(node_index)
     if not 0 < k < grid.N:
         raise ValueError("discontinuity node must be interior (a centred stencil is required)")
     xm, x0, xp = grid.nodes[k - 1 : k + 2]

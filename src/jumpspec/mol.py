@@ -55,6 +55,7 @@ forcing known in advance, and all steps of a segment share one size h:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -327,8 +328,10 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     Chebyshev grids this caps dt several times below the RK4 region's
     2.8 / (|c| * max |eigenvalue|) of the inflow-reduced D.
 
-    Raises ValueError before any step if dt leaves t_final / dt not finite,
-    if the initial profile is not finite at some node (it names the first),
+    Raises TypeError before any step if output_every is not an integer
+    (operator.index). Raises ValueError before any step if dt is not
+    positive (NaN included) or leaves t_final / dt not finite, if the
+    initial profile is not finite at some node (it names the first),
     if D is of another order or grid, if the discontinuity starts within
     _bracket's rounding of a node and its first segment cannot be
     bracketed, or if its path ends within _rounding of a node and either
@@ -343,11 +346,11 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     exact inflow value initial(x - c t) is not finite at some step's end;
     it names the inflow node and the first such time.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     if not math.isfinite(float(problem.t_final) / float(dt)):
         raise ValueError(f"dt {dt!r} is too small: the step count t_final / dt is not finite")
-    if output_every < 1:
+    if operator.index(output_every) < 1:
         raise ValueError("output_every must be at least 1")
     grid = problem.grid
 

@@ -745,10 +745,27 @@ NON_FINITE_RESULTS = [
     ("converge", {"problem": HUGE_LEFT_PIECE, "family": "cgl", "a": -0.8, "b": 0.8, "N_list": [6, 8],
                   "M_list": [-1, 3], "probes": 5},
      "numerical failure: the lagrange interpolant on N = 6 is not finite"),
+    # the right piece's 5e306 x^4 is finite at the nodes, but its jump series
+    # carried to the far side overflows the corrected piece's matrix product
+    ("diff", {"problem": {"type": "synthetic", "left": [0.0], "right": [0, 0, 0, 0, 5e306], "xi": 0.05},
+              "grid": {"family": "cgl", "a": -2, "b": 0.1, "N": 24}, "M": 4},
+     "numerical failure: the corrected derivative is not finite"),
+    # the right piece, 1e300, overflows the plain weighted sum of 61 equidistant
+    # nodes, whose weights reach 7.7e12 in magnitude
+    ("quad", {"problem": {"type": "synthetic", "left": [0.0], "right": [1e300], "xi": 0.31},
+              "grid": {"family": "equidistant", "a": -0.8, "b": 0.8, "N": 60}, "M": 0},
+     "numerical failure: the plain integral is not finite"),
+    # a check's label is looked up only after the run, so a numerical failure
+    # wins over the config error of a label the run does not produce
+    ("interp", {"problem": HUGE_LEFT_PIECE, "grid": {"family": "cgl", "a": -1, "b": 1, "N": 8}, "M": [-1],
+                "checks": [{"kind": "max_error_leq", "label": "M7", "value": 1.0}]},
+     "numerical failure: the lagrange interpolant on N = 8 is not finite"),
 ]
+# explicit ids, so that an appended row of a command moves no earlier row's id
+NON_FINITE_IDS = ["quad", "interp", "converge", "diff-corrected", "quad-plain", "interp-unknown-label"]
 
 
-@pytest.mark.parametrize("command,cfg,message", NON_FINITE_RESULTS, ids=[c for c, _, _ in NON_FINITE_RESULTS])
+@pytest.mark.parametrize("command,cfg,message", NON_FINITE_RESULTS, ids=NON_FINITE_IDS)
 def test_non_finite_results_exit_three_without_warnings(tmp_path, capsys, command, cfg, message):
     # finite data and a valid grid, but a result that is not finite: a
     # numerical failure, which writes nothing and leaks no numpy warning

@@ -19,6 +19,7 @@ from jumpspec import (
     evolve,
     fd_weights,
     jump_weights,
+    one_sided_derivatives_at_node,
     reconstruct_pieces,
     rk4_step,
 )
@@ -344,6 +345,40 @@ def test_problem_validation():
         evolve(prob, D, -1e-3)
     with pytest.raises(ValueError):
         evolve(prob, D, 1e-3, output_every=0)
+
+
+_G8 = chebyshev_gauss_lobatto(-1, 1, 8)
+_SMOOTH = AdvectionProblem(_G8, 1.0, np.sin, None, 0.1)
+# public calls whose count argument is not integral; int() would truncate it,
+# a float index would misindex, and output_every 1.5 would record every third step
+NON_INTEGRAL_COUNTS = {
+    "equidistant N": lambda: equidistant(0, 1, 4.5),
+    "cgl N": lambda: chebyshev_gauss_lobatto(0, 1, 4.5),
+    "node_index": lambda: one_sided_derivatives_at_node(_G8, _G8.nodes, 2.7, [0.0, 1.0, 0.0]),
+    "output_every": lambda: evolve(_SMOOTH, derivative_matrix(_G8, 1), 1e-2, output_every=1.5),
+    "derivative_matrix m": lambda: derivative_matrix(_G8, 1, 4.5),
+    "derivative_matrix n": lambda: derivative_matrix(_G8, 1.0),
+    "fd_weights n": lambda: fd_weights(_G8.nodes[:3], 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGRAL_COUNTS.values(), ids=NON_INTEGRAL_COUNTS)
+def test_non_integral_counts_raise_type_error(call):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
+def test_integer_like_counts_keep_working():
+    # operator.index accepts numpy integers and bools, as int indexing does
+    assert equidistant(0, 1, np.int64(4)).nodes.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert np.array_equal(derivative_matrix(_G8, True).entries, derivative_matrix(_G8, 1).entries)
+    res = evolve(_SMOOTH, derivative_matrix(_G8, 1), 1e-2, output_every=np.int64(3))
+    assert res.times.size == 5  # t = 0, steps 3, 6 and 9, and t_final
+
+
+def test_nan_dt_is_not_positive():
+    with pytest.raises(ValueError, match="dt must be positive"):
+        evolve(_SMOOTH, derivative_matrix(_G8, 1), math.nan)
 
 
 @pytest.mark.parametrize("speed", [np.inf, -np.inf, np.nan])
