@@ -4,13 +4,14 @@ once with jump corrections and once without.
 
 The discontinuity moves through half the grid nodes during the run; the
 stepper lands exactly on every node-crossing time and, between two
-crossings, applies one step matrix and a forcing row built once for that
-segment, from powers of the derivative matrix built once per run and the
-corrected derivative at the bracket midpoint. The
-corrected run must end within 1e-10 of the exact solution, so a loss of
-stepper precision fails the script. result.csv holds the recorded states,
-discontinuity path and max-norm errors against the translated exact
-solution.
+crossings, applies one step matrix and each step's own forcing row. Each
+segment builds its step matrix and its forcing map once, from powers of
+the derivative matrix built once per run and the corrected derivative at
+the bracket midpoint; the forcing rows are built from that map one block
+of steps at a time. The corrected run must end within 1e-10 of the exact
+solution, so a loss of stepper precision fails the script. result.csv
+holds the recorded states, discontinuity path and max-norm errors against
+the translated exact solution.
 """
 
 import _study

@@ -2,18 +2,20 @@
 
 Every subcommand parses its whole JSON config, checks included, by key
 tables before any work; a key outside its object's table is a config error.
+Each command's reports, the labels, fits and cells its run will report,
+follow from its parsed config, and every check's entry and the label, fit
+or cell it reads there are settled against them before any work too.
 Only after the run and its checks is anything written: result.csv, any
 exports and report.json. Identical configs produce byte-identical outputs.
 The process exits 0 only when the run completes and all checks pass (1 for
 failed checks, 2 for config or usage errors, 3 for a numerical failure such
 as a state that stops being finite, 4 for a program fault, any other
-exception, whose traceback goes to stderr); exits 2, 3 and 4 write nothing,
-except that an --out that cannot be written also exits 2, and a failure
-partway through writing can leave the files written before it. Every
-config fault is found before the first numerical result, so it exits 2
-even where a numerical failure would follow, except a check's reference
-to a label, fit or cell the run does not produce: that is found only once
-the run is done, so a numerical failure of the run exits 3 first.
+exception, whose traceback goes to stderr); exits 2, 3 and 4 write nothing.
+Every config fault is found before the first numerical result, so it exits
+2 even where a numerical failure would follow. After the run, two faults
+still exit 2: a ratio check whose denominator is 0, and an --out that
+cannot be written, where a failure partway through writing can leave the
+files written before it.
 """
 
 from __future__ import annotations
@@ -146,8 +148,8 @@ def _fields(cfg, table: dict, where: str = "", tag: str | None = None, default=N
         if name not in table:
             raise ValueError(f"unknown {where}{tag} {cfg.get(tag, default)!r}")
         return {**_fields(cfg, {tag: (_raw, default), **table[name]}, where), tag: name}
-    unknown = [key for key in cfg if key not in table]
-    if unknown:
+    unknown = [key if key.isprintable() else repr(key) for key in cfg if key not in table]
+    if unknown:  # a key's line break would split the one-line message
         raise ValueError(f"unknown key {where}{unknown[0]}")
     out = {}
     for key, (parse, fallback) in table.items():
@@ -288,15 +290,20 @@ _CHECKS = {
 }
 
 
-def _check(cfg, where: str, command: str, entries: tuple) -> dict:
-    """A parsed check and the report entry it reads, which must be one of
-    the command's entries."""
+def _check(cfg, where: str, command: str, reports: dict) -> dict:
+    """A parsed check, and the report entry it reads, which must be one of
+    the command's reports, {entry: the keys the run reports in it}, as must
+    the label, fit or cell it reads there."""
     c = _fields(cfg, {kind: keys for kind, (*_, keys) in _CHECKS.items()}, where, "kind")
     c["entry"] = _CHECKS[c["kind"]][0] or c["metric"]
-    if c["entry"] not in entries:
+    if c["entry"] not in list(reports):  # a metric may be any JSON value, a list too, which no dict can hash
         raise ValueError(f"{where[:-1]} reads {c['entry']!r}, which {command} does not report")
     if "metric" in c and c["entry"] not in _LABELLED:
         raise ValueError(f"{where}metric must be {' or '.join(_LABELLED)}, got {c['entry']!r}")
+    keys = [(c["N"], c["M"])] if c["entry"] == "rows" else [c[k] for k in ("M", "label", "num", "den") if k in c]
+    for key in keys:
+        if key not in reports[c["entry"]]:
+            raise ValueError(f"{where[:-1]}: report entry {c['entry']!r} has nothing at {key!r}")
     return c
 
 
@@ -305,21 +312,18 @@ def _run_checks(checks: list, report: dict) -> list[dict]:
     results = []
     for i, (raw, c) in enumerate(checks):
         kind, entry = c["kind"], report[c["entry"]]
-        try:  # a label, fit or cell the run did not produce is a config error
-            if c["entry"] == "fits":
-                fit = {f["M"]: f for f in entry}[c["M"]]
-                observed = fit["algebraic_order" if kind == "order_geq" else "exponential_regime"]
-            elif c["entry"] == "rows":
-                observed = {(r["N"], r["M"]): r["linf_error"] for r in entry}[(c["N"], c["M"])]
-            elif kind == "ratio_leq":
-                if entry[c["den"]] == 0.0:
-                    raise ValueError(f"checks[{i}]: report entry {c['entry']!r} has 0 at "
-                                     f"{c['den']!r}, the ratio's denominator")
-                observed = entry[c["num"]] / entry[c["den"]]
-            else:
-                observed = entry if kind == "final_linf_leq" else entry[c["label"]]
-        except KeyError as exc:
-            raise ValueError(f"checks[{i}]: report entry {c['entry']!r} has nothing at {exc}") from None
+        if c["entry"] == "fits":
+            fit = {f["M"]: f for f in entry}[c["M"]]
+            observed = fit["algebraic_order" if kind == "order_geq" else "exponential_regime"]
+        elif c["entry"] == "rows":
+            observed = {(r["N"], r["M"]): r["linf_error"] for r in entry}[(c["N"], c["M"])]
+        elif kind == "ratio_leq":
+            if entry[c["den"]] == 0.0:
+                raise ValueError(f"checks[{i}]: report entry {c['entry']!r} has 0 at "
+                                 f"{c['den']!r}, the ratio's denominator")
+            observed = entry[c["num"]] / entry[c["den"]]
+        else:
+            observed = entry if kind == "final_linf_leq" else entry[c["label"]]
         passed = _CHECKS[kind][1](observed, min(entry.values()) if kind == "smallest" else c["value"])
         results.append({"check": raw, "observed": observed, "passed": bool(passed)})
     return results
@@ -331,22 +335,31 @@ def _run_checks(checks: list, report: dict) -> list[dict]:
 
 _PROBLEM = (lambda cfg, key: _tagged(cfg, key, "type", _PROBLEMS)[1], ...)
 _GRID = (_grid, ...)
-_M = (lambda value, key: [_jump_order(value, key)], None)  # None: _setup's default
+_M = (lambda value, key: [_jump_order(value, key)], None)  # None: _orders' default
+
+
+def _orders(cfg: dict) -> list[int]:
+    """An interp, diff or quad config's jump orders: its M, else N // 2."""
+    return [cfg["grid"][1].N // 2] if cfg["M"] is None else cfg["M"]
 
 
 def _setup(cfg: dict) -> tuple:
     """An interp, diff or quad config's problem, grid, nodal data and jump
-    orders: the config's M, else N // 2, and never above N."""
-    problem, (_, g) = cfg["problem"], cfg["grid"]
-    Ms = [g.N // 2] if cfg["M"] is None else cfg["M"]
+    orders (_orders), which must not exceed N."""
+    problem, (_, g), Ms = cfg["problem"], cfg["grid"], _orders(cfg)
     if any(M > g.N for M in Ms):
         raise ValueError(f"M={max(Ms)} exceeds the grid degree N={g.N}")
     return problem, g, np.asarray(problem.value(g.nodes), dtype=float), Ms
 
 
+def _usable(N: int, Ms: list[int]) -> list[int]:
+    """The jump orders of Ms, in order, that a grid of degree N can use: M <= N."""
+    return [M for M in Ms if M <= N]
+
+
 def _jump_table(problem, Ms: list[int], grids: list[Grid]) -> list[dict]:
     """One {M: jump data} table per grid, of the Ms that grid can use
-    (M <= N), None for the plain M = -1. The problem's discontinuity must
+    (_usable), None for the plain M = -1. The problem's discontinuity must
     lie inside every grid's interval, and strictly between the nodes of
     every grid it corrects on. Each M's jump data is built once, and only
     if some grid can use it. Every runner calls this after its exact values
@@ -356,8 +369,8 @@ def _jump_table(problem, Ms: list[int], grids: list[Grid]) -> list[dict]:
         if not g.a < problem.xi < g.b:
             raise ValueError("the problem's discontinuity must lie inside the grid interval")
     top = max((g.N for g in grids), default=-1)
-    jumps = {M: problem.jump_data(M) if M >= 0 else None for M in Ms if M <= top}
-    tables = [{M: jd for M, jd in jumps.items() if M <= g.N} for g in grids]
+    jumps = {M: problem.jump_data(M) if M >= 0 else None for M in _usable(top, Ms)}
+    tables = [{M: jumps[M] for M in _usable(g.N, Ms)} for g in grids]
     for g, table in zip(grids, tables):
         for jd in filter(None, table.values()):  # the plain M = -1 corrects nothing
             _require_interior(jd, g)
@@ -396,8 +409,7 @@ def run_interp(cfg: dict) -> tuple[dict, dict]:
     header = ["x", "f_exact"]
     max_err: dict[str, float] = {}
     max_err_near: dict[str, float] = {}
-    for M, vals in zip(Ms, _interpolants(barycentric_weights(g), f, jumps, pts)):
-        label = _label(M)
+    for label, vals in zip(map(_label, Ms), _interpolants(barycentric_weights(g), f, jumps, pts)):
         err = np.abs(vals - exact)
         cols += [vals, err]
         header += [f"p_{label}", f"err_{label}"]
@@ -416,10 +428,18 @@ def run_interp(cfg: dict) -> tuple[dict, dict]:
 
 def _converge_cell(w: BarycentricWeights, f: np.ndarray, jumps: dict, pts: np.ndarray, exact: np.ndarray) -> dict:
     """Max probe error on one grid of a convergence study of each jump
-    order in the grid's table jumps, from its weights and nodal data f,
-    keyed by (N, M)."""
-    vals = _interpolants(w, f, jumps, pts)
-    return {(w.grid.N, M): float(np.max(np.abs(v - exact))) for M, v in zip(jumps, vals)}
+    order M in the grid's table jumps, from its weights and nodal data f,
+    keyed by M."""
+    return {M: float(np.max(np.abs(v - exact))) for M, v in zip(jumps, _interpolants(w, f, jumps, pts))}
+
+
+def _study(cfg: dict) -> dict:
+    """A convergence study's reports: its cells (N, M), one per jump order
+    M that each grid can use (_usable), and {M: the Ns of its fit} of each M
+    that two grids or more can use; both sorted, as run_converge reports them."""
+    cells = [(N, M) for N in sorted(cfg["N_list"]) for M in _usable(N, sorted(cfg["M_list"]))]
+    fits = {M: [N for N, m in cells if m == M] for M in sorted(cfg["M_list"])}
+    return {"rows": cells, "fits": {M: Ns for M, Ns in fits.items() if len(Ns) >= 2}}
 
 
 def run_converge(cfg: dict) -> tuple[dict, dict]:
@@ -435,24 +455,18 @@ def run_converge(cfg: dict) -> tuple[dict, dict]:
     cells = [(barycentric_weights(g), np.asarray(problem.value(g.nodes), dtype=float), table)
              for g, table in zip(grids, tables)]
 
-    errors = {}
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for cell in pool.map(lambda c: _converge_cell(*c, pts, exact), cells):
-            errors.update(cell)
+        errors = dict(zip(cfg["N_list"], pool.map(lambda c: _converge_cell(*c, pts, exact), cells)))
 
-    rows = [(N, M, errors[(N, M)]) for N, M in sorted(errors)]
-    fits = []
-    for M in sorted(cfg["M_list"]):
-        Ns = sorted(g.N for g, table in zip(grids, tables) if M in table)
-        if len(Ns) >= 2:
-            fits.append({**fit_orders(Ns, [errors[(N, M)] for N in Ns]), "M": M})
+    study = _study(cfg)  # the cells and fits the checks were settled against
+    rows = [(N, M, errors[N][M]) for N, M in study["rows"]]
 
     report = {
         "problem": problem.name,
         "family": family,
         "probes": cfg["probes"],
         "rows": [{"N": n, "M": m, "linf_error": e} for n, m, e in rows],
-        "fits": fits,
+        "fits": [{**fit_orders(Ns, [errors[N][M] for N in Ns]), "M": M} for M, Ns in study["fits"].items()],
     }
     return report, {"result.csv": (["N", "M", "linf_error"], rows)}
 
@@ -530,20 +544,21 @@ def run_evolve(cfg: dict) -> tuple[dict, dict]:
     return report, {"result.csv": (header, rows)}
 
 
-# command -> (runner, the report entries its checks may read, its key table besides "checks")
+# command -> (runner, its reports from its parsed config, {entry a check may read: the keys
+# the run reports in it}, its key table besides "checks")
 _COMMANDS = {
-    "interp": (run_interp, ("max_error", "max_error_near_xi"), {
+    "interp": (run_interp, lambda cfg: dict.fromkeys(_LABELLED, [_label(M) for M in _orders(cfg)]), {
         "problem": _PROBLEM, "grid": _GRID, "M": (_jump_orders, None), "probes": (_probe_count, 1000)}),
-    "converge": (run_converge, ("fits", "rows"), {
+    "converge": (run_converge, _study, {
         "problem": _PROBLEM, "family": (_family, "chebyshev_gauss_lobatto"), "a": _REAL, "b": _REAL,
         "N_list": (_list(_integer, unique=True), ...), "M_list": (_list(_jump_order, unique=True), ...),
         "probes": (_probe_count, 1000)}),
-    "diff": (run_diff, ("max_error",), {
+    "diff": (run_diff, lambda cfg: {"max_error": ("plain", "corrected")}, {
         "problem": _PROBLEM, "grid": _GRID, "n": (_integer, 1), "m": (_integer, None), "M": _M,
         "export_matrix": (_flag, False), "export_corrections": (_flag, False)}),
-    "quad": (run_quad, ("max_error",), {
+    "quad": (run_quad, lambda cfg: {"max_error": ("plain", "corrected")}, {
         "problem": _PROBLEM, "grid": _GRID, "M": _M, "export_weights": (_flag, False)}),
-    "evolve": (run_evolve, ("final_linf",), {
+    "evolve": (run_evolve, lambda cfg: {"final_linf": ()}, {
         "grid": _GRID, "speed": _REAL, "t_final": _REAL, "dt": _REAL, "output_every": (_integer, 1),
         "initial": (lambda cfg, key: _tagged(cfg, key, "kind", _INITIALS)[1], ...),
         "corrections": (_flag, True), "m": (_integer, None)}),
@@ -577,10 +592,10 @@ def main(argv=None) -> int:
         print(f"jumpspec: cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    run, entries, table = _COMMANDS[args.command]
+    run, reports, table = _COMMANDS[args.command]
     try:
         spec = _fields(cfg, {**table, "checks": (_list(_raw), [])})
-        checks = [(c, _check(c, f"checks[{i}].", args.command, entries))
+        checks = [(c, _check(c, f"checks[{i}].", args.command, reports(spec)))
                   for i, c in enumerate(spec["checks"])]
         report, files = run(spec)
         report.update(command=args.command, config=cfg)

@@ -125,8 +125,8 @@ def _rounding(grid: Grid) -> float:
 def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, float]:
     """Node-free open interval containing the discontinuity path over [t, t + dt].
 
-    evolve asks once per crossing-free segment (and for the first one again
-    before any step), rk4_step alone once per step.
+    evolve asks once per crossing-free segment, and for the first and the
+    last segment again before any step; rk4_step alone asks once per step.
 
     The path endpoints may touch the bracketing nodes (that is the crossing
     the stepper lands on), but no node may lie strictly inside the swept

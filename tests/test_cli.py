@@ -445,6 +445,7 @@ ORDER_ZERO_OVERFLOW = {"type": "synthetic", "left": [-1e308], "right": [1e308]}
 EQUIDISTANT_170 = {"family": "equidistant", "a": -1, "b": 1, "N": 170}
 NODE_AT_HALF = {"type": "synthetic", "left": [1e308], "right": [1, -1], "xi": 0.5}
 WIDE_SPAN = {"family": "custom", "a": -1e308, "b": 1e308, "nodes": [-1, 0, 1]}
+HUGE_LEFT_PIECE = {"type": "synthetic", "left": [1e308], "right": [1, -1], "xi": 0.3}
 FLOAT_MAX_PAIR_WEIGHTS = (f"the grid on [-1.0, {sys.float_info.max}] with 2 nodes has degenerate barycentric "
                           "weights; nodes too close or interval too wide")
 CONFIG_ERRORS = [
@@ -473,7 +474,7 @@ CONFIG_ERRORS = [
      "problem.left must be a list"),
     ("quad", "problem", 3, "problem must be a JSON object"),
     ("diff", "problem.type", "legendre_q", "unknown problem.type 'legendre_q'"),
-    # these resolve only after the run, which still writes nothing
+    # a label or fit the run does not produce
     ("interp", "checks", [{"kind": "max_error_leq", "label": "M7", "value": 1.0}],
      "checks[0]: report entry 'max_error' has nothing at 'M7'"),
     ("converge", "checks", [{"kind": "order_geq", "M": 5, "value": 1.0}],
@@ -605,6 +606,16 @@ CONFIG_ERRORS = [
     # the nodes are small, but the probe span b - a leaves the float range
     ("interp", "problem+grid+M", ({**SMALL_PIECES, "xi": 0.5}, WIDE_SPAN, [-1, 1]),
      "the probe span of the interval [-1e+308, 1e+308] leaves the float range"),
+    # a label, fit or cell the run does not produce is settled before the
+    # run, whose interpolants would overflow: M7 is not run, M = 7 has one
+    # grid and so no fit, and N = 6 cannot use M = 7
+    ("interp", "problem+grid+M+checks", (HUGE_LEFT_PIECE, {"family": "cgl", "a": -1, "b": 1, "N": 8}, [-1],
+                                         [{"kind": "max_error_leq", "label": "M7", "value": 1.0}]),
+     "checks[0]: report entry 'max_error' has nothing at 'M7'"),
+    *[("converge", "problem+N_list+M_list+probes+checks", (HUGE_LEFT_PIECE, [6, 8], [-1, 3, 7], 5, [check]), message)
+      for check, message in (({"kind": "order_geq", "M": 7, "value": 1.0}, "report entry 'fits' has nothing at 7"),
+                             ({"kind": "error_at_leq", "N": 6, "M": 7, "value": 1.0},
+                              "report entry 'rows' has nothing at (6, 7)"))],
 ]
 
 
@@ -731,7 +742,6 @@ def test_overflowing_derivative_exits_three(tmp_path, capsys):
     assert not out.exists()
 
 
-HUGE_LEFT_PIECE = {"type": "synthetic", "left": [1e308], "right": [1, -1], "xi": 0.3}
 NON_FINITE_RESULTS = [
     # the barycentric sums of 171 equidistant nodes cancel to zero at a Gauss point
     ("quad", {"problem": {"type": "legendre", "l": 2, "xi": 0.3},
@@ -755,14 +765,9 @@ NON_FINITE_RESULTS = [
     ("quad", {"problem": {"type": "synthetic", "left": [0.0], "right": [1e300], "xi": 0.31},
               "grid": {"family": "equidistant", "a": -0.8, "b": 0.8, "N": 60}, "M": 0},
      "numerical failure: the plain integral is not finite"),
-    # a check's label is looked up only after the run, so a numerical failure
-    # wins over the config error of a label the run does not produce
-    ("interp", {"problem": HUGE_LEFT_PIECE, "grid": {"family": "cgl", "a": -1, "b": 1, "N": 8}, "M": [-1],
-                "checks": [{"kind": "max_error_leq", "label": "M7", "value": 1.0}]},
-     "numerical failure: the lagrange interpolant on N = 8 is not finite"),
 ]
 # explicit ids, so that an appended row of a command moves no earlier row's id
-NON_FINITE_IDS = ["quad", "interp", "converge", "diff-corrected", "quad-plain", "interp-unknown-label"]
+NON_FINITE_IDS = ["quad", "interp", "converge", "diff-corrected", "quad-plain"]
 
 
 @pytest.mark.parametrize("command,cfg,message", NON_FINITE_RESULTS, ids=NON_FINITE_IDS)
@@ -1023,6 +1028,18 @@ def bounded_runs(edit_lists):
 def test_one_leaf_edits_keep_the_exit_contract(tmp_path):
     edits = [(command, [(path, value)]) for command, base in FUZZ_BASES.items()
              for path, _ in leaves(base) for value in FUZZ_VALUES]
+    broken = contract_breaks(tmp_path, bounded_runs(edits))
+    assert not broken, "\n".join(broken[:20] + [f"{len(broken)} edits broke the contract"])
+
+
+# a key that holds a line break, added to each object of each config, is an
+# unknown key whose message stays on one line
+ODD_KEYS = ["x\ny", "x\u2028y"]
+
+
+def test_unknown_keys_at_every_level_keep_the_exit_contract(tmp_path):
+    edits = [(command, [(path + (key,), 0)]) for command, base in FUZZ_BASES.items()
+             for path in [(), *(path for path, value in leaves(base) if type(value) is dict)] for key in ODD_KEYS]
     broken = contract_breaks(tmp_path, bounded_runs(edits))
     assert not broken, "\n".join(broken[:20] + [f"{len(broken)} edits broke the contract"])
 
