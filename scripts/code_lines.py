@@ -3,15 +3,25 @@
 A code line holds part of a statement: blank lines, comment lines and the
 lines of docstrings do not count. Run from anywhere:
 
-    python scripts/code_lines.py
+    python scripts/code_lines.py [TREE ...]
+
+With no TREE it counts this checkout. Given TREEs, source checkouts of
+jumpspec, it counts each with this checkout's rule and prints a column per
+TREE, headed by its path, and, given two or more, the change from the first
+to the last ("-" marks a module a TREE lacks). To see a change's size
+against its parent commit:
+
+    git archive --prefix=parent/ HEAD~1 | tar -x -C ..
+    python scripts/code_lines.py ../parent .
 """
 
 import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jumpspec"
+ROOT = Path(__file__).resolve().parent.parent
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -32,14 +42,27 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
-def main() -> None:
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{path.name:16} {n:5}")
-    print(f"{'total':16} {total:5}")
+def tree_counts(tree: Path) -> dict[str, int]:
+    """{module file name: code lines} of the tree's src/jumpspec."""
+    package = tree / "src" / "jumpspec"
+    if not package.is_dir():
+        sys.exit(f"code_lines: {tree} has no src/jumpspec")
+    return {path.name: code_lines(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+
+
+def main(trees: list[str]) -> None:
+    counts = [tree_counts(Path(t)) for t in trees or [ROOT]]
+    columns = trees + ["change"] * (len(trees) > 1)
+    widths = [max(5, len(c)) for c in columns] or [5]
+    if trees:
+        print(f"{'':16} " + " ".join(f"{c:>{w}}" for c, w in zip(columns, widths)))
+    rows = [(name, [c.get(name) for c in counts]) for name in sorted(set().union(*counts))]
+    for name, values in rows + [("total", [sum(c.values()) for c in counts])]:
+        cells = ["-" if v is None else str(v) for v in values]
+        if len(trees) > 1:
+            cells.append(f"{(values[-1] or 0) - (values[0] or 0):+d}")
+        print(f"{name:16} " + " ".join(f"{c:>{w}}" for c, w in zip(cells, widths)))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

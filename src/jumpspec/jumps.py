@@ -55,9 +55,10 @@ class JumpData:
     """Location of a discontinuity and the derivative jumps across it.
 
     jumps[m] is the m-th derivative jump (right limit minus left limit) at
-    xi, for m = 0..order; at least one is required. No correction is
-    spelled None, which every corrected operation takes in place of a
-    JumpData and answers with its plain Lagrange counterpart.
+    xi, for m = 0..order: a 1-D array with at least one entry, or a scalar
+    for one jump. No correction is spelled None, which every corrected
+    operation takes in place of a JumpData and answers with its plain
+    Lagrange counterpart.
     """
 
     xi: float
@@ -67,6 +68,8 @@ class JumpData:
         if not math.isfinite(self.xi):
             raise ValueError("discontinuity location must be finite")
         jumps = np.array(self.jumps, dtype=float, ndmin=1)
+        if jumps.ndim != 1:
+            raise ValueError(f"derivative jumps must be a scalar or a 1-D array, got shape {jumps.shape}")
         if not jumps.size:
             raise ValueError("need at least one derivative jump; None means no correction")
         if not np.isfinite(jumps).all():

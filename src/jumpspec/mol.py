@@ -64,7 +64,7 @@ import numpy as np
 from .diffmat import DerivMatrix
 from .grid import Grid
 from .jumps import JumpData, _require_interior, corrected_derivative
-from .lagrange import _finite
+from .lagrange import _check_data, _finite
 
 __all__ = ["AdvectionProblem", "EvolutionResult", "rk4_step", "evolve"]
 
@@ -122,20 +122,23 @@ def _rounding(grid: Grid) -> float:
     return 1e-13 * max(abs(grid.a), abs(grid.b))
 
 
-def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, float]:
-    """Node-free open interval containing the discontinuity path over [t, t + dt].
+def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, float] | None:
+    """Node-free open interval containing the discontinuity path over [t, t + dt],
+    or None without a discontinuity.
 
-    evolve asks once per crossing-free segment, and for the first and the
-    last segment again before any step; rk4_step alone asks once per step.
+    evolve asks once per crossing-free segment, all before the first step;
+    rk4_step alone asks once per step.
 
     The path endpoints may touch the bracketing nodes (that is the crossing
     the stepper lands on), but no node may lie strictly inside the swept
-    range. Endpoints within _rounding of a node count as touching it.
+    range. Endpoints within _rounding of a node count as touching it, so a
+    path that stays within rounding of one node has no bracket; a path
+    between two nodes that close does.
     """
+    if problem.jump0 is None:
+        return None
     nodes = problem.grid.nodes
-    x0 = problem.jump0.xi + problem.speed * t
-    x1 = problem.jump0.xi + problem.speed * (t + dt)
-    lo_x, hi_x = (x0, x1) if x0 <= x1 else (x1, x0)
+    lo_x, hi_x = sorted(problem.jump0.xi + problem.speed * s for s in (t, t + dt))
     tol = _rounding(problem.grid)
     i = int(np.searchsorted(nodes, lo_x + tol, side="right")) - 1
     j = int(np.searchsorted(nodes, hi_x - tol, side="left"))
@@ -143,9 +146,9 @@ def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, flo
         raise RuntimeError(
             f"discontinuity crosses a node inside the step [{t}, {t + dt}]; reduce dt or split"
         )
-    if j == i:
+    if j <= i:
         raise RuntimeError(
-            f"discontinuity is pinned on a node for the whole step starting at t = {t}"
+            f"discontinuity stays within rounding of a node for the whole step starting at t = {t}"
         )
     return float(nodes[i]), float(nodes[j])
 
@@ -178,13 +181,14 @@ def _powers(problem: AdvectionProblem, D: DerivMatrix) -> np.ndarray:
                                                  f"{D.grid.N}: the powers of -speed * D leave the float range"))
 
 
-def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: float,
-                   nsub: int, powers: np.ndarray) -> tuple[np.ndarray, Callable]:
+def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: float, nsub: int,
+                   powers: np.ndarray, bracket: tuple[float, float] | None) -> tuple[np.ndarray, Callable]:
     """Step matrix E of nsub RK4 steps of size h = dt / nsub from t, and
     forcing(k0, k1), the forcing rows f_k of steps k0 <= k < k1 as one
     array, or a None per step without jumps: step k maps y to y + (E y + f_k),
-    or to y + E y where f_k is None. powers holds A, ..., A^4 (_powers).
-    The algebra is in the module docstring.
+    or to y + E y where f_k is None. powers holds A, ..., A^4 (_powers);
+    bracket is _bracket(problem, t, dt). The algebra is in the module
+    docstring.
     """
     c, jd = problem.speed, problem.jump0
     n, h = D.grid.N + 1, dt / nsub
@@ -196,7 +200,7 @@ def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: floa
     diagonal -= E.sum(axis=1)
     if jd is None:
         return E, lambda k0, k1: [None] * (k1 - k0)
-    lo, hi = _bracket(problem, t, dt)
+    lo, hi = bracket
     mid = 0.5 * (lo + hi)
     M = jd.order
     zero = np.full(n, -0.0)
@@ -228,14 +232,16 @@ def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatr
 
     step is the (E, f) pair of the step: y maps to y + (E y + f), or to
     y + E y when f is None. By default it is built for this one step by
-    _segment_steps, powers of -c D included; evolve passes each step its
-    segment's pair (module docstring). The discontinuity may touch a node
-    only at the step endpoints.
+    _segment_steps, powers of -c D and bracket included, after a check that
+    state holds one value per node; evolve passes each step its segment's
+    pair (module docstring). The discontinuity may touch a node only at the
+    step endpoints.
     """
     state = np.asarray(state, dtype=float)
     if step is None:
+        state = _check_data(state, problem.grid)
         _require_operator(problem, D)
-        E, forcing = _segment_steps(problem, D, t, dt, 1, _powers(problem, D))
+        E, forcing = _segment_steps(problem, D, t, dt, 1, _powers(problem, D), _bracket(problem, t, dt))
         step = E, forcing(0, 1)[0]
     E, f = step
     du = E.dot(state)
@@ -275,21 +281,21 @@ def _segments(problem: AdvectionProblem) -> list[tuple[float, float, int | None]
 
 
 def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarray,
-                    state: np.ndarray, t0: float, t1: float, nsub: int,
-                    node: int | None) -> Iterator[tuple[float, np.ndarray]]:
+                    state: np.ndarray, t0: float, t1: float, nsub: int, node: int | None,
+                    bracket: tuple[float, float] | None) -> Iterator[tuple[float, np.ndarray]]:
     """(end time, state) after each of nsub uniform steps from t0 to t1,
     starting from state: one rk4_step with the segment's step matrix and
-    forcing row (_segment_steps), then, on the last step, the move of the
-    crossed node, if any, and after every step the inflow overwrite. The
-    forcing rows, end times and inflow values are built one block of steps
-    at a time, so memory stays O(block) however small the steps are; a
-    block with an inflow value that is not finite is a RuntimeError before
-    its first step. Each yielded state is a new array that nothing writes
-    to afterwards."""
+    forcing row (_segment_steps, with the segment's bracket), then, on the
+    last step, the move of the crossed node, if any, and after every step
+    the inflow overwrite. The forcing rows, end times and inflow values are
+    built one block of steps at a time, so memory stays O(block) however
+    small the steps are; a block with an inflow value that is not finite is
+    a RuntimeError before its first step. Each yielded state is a new array
+    that nothing writes to afterwards."""
     c, h = problem.speed, (t1 - t0) / nsub
     inflow = 0 if c > 0 else problem.grid.N
     x_in = problem.grid.nodes[inflow]
-    E, forcing = _segment_steps(problem, D, t0, t1 - t0, nsub, powers)
+    E, forcing = _segment_steps(problem, D, t0, t1 - t0, nsub, powers, bracket)
     moved = -1 if node is None else nsub - 1  # the step after which the crossed node moves
     for k0 in range(0, nsub, _FORCING_BLOCK):
         k1 = min(k0 + _FORCING_BLOCK, nsub)
@@ -332,12 +338,15 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     (operator.index). Raises ValueError before any step if dt is not
     positive (NaN included) or leaves t_final / dt not finite, if the
     initial profile is not finite at some node (it names the first),
-    if D is of another order or grid, if the discontinuity starts within
-    _bracket's rounding of a node and its first segment cannot be
-    bracketed, or if its path ends within _rounding of a node and either
-    just crossed it, so that its last segment cannot be bracketed, or has a
-    value jump J_0: the node's side at t_final, and so the exact value
-    there, is then down to rounding. A kink may end on a node. Also raises
+    if D is of another order or grid, if a segment of the discontinuity's
+    path cannot be bracketed (_bracket) because the path starts within
+    _rounding of a node, crosses a node within _rounding of another or
+    ends within _rounding of a node just crossed, or if the path ends
+    within _rounding of a node with a value jump J_0: the node's side at
+    t_final, and so the exact value there, is then down to rounding. A kink
+    may end on a node. Each message names the start, the crossed node or
+    the end. So every segment is bracketed before the first step, and no
+    step can fail to be. Also raises
     ValueError, naming the speed and N, if a power of -c D that the steps
     are built from leaves the float range.
     Raises RuntimeError with a diagnostic if the state stops being finite;
@@ -364,22 +373,21 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
                                                  f"(x = {grid.nodes[j]})"))
 
     _require_operator(problem, D)
-    segments = _segments(problem)
-    jd = problem.jump0
-    if jd is not None:
-        end = jd.xi + problem.speed * problem.t_final
-        # the first and last segments' brackets fail only on a start, or an
-        # end past a node just crossed, within rounding of that node
-        for fault, (t0, t1, _) in ((f"discontinuity at {jd.xi} starts", segments[0]),
-                                   (f"discontinuity ends at {end},", segments[-1])):
-            try:
-                _bracket(problem, t0, t1 - t0)
-            except RuntimeError:
-                raise ValueError(f"{fault} within rounding of a grid node") from None
-        # within rounding of a node, the node's side at t_final is down to
-        # rounding: a step's exact value there depends on it, a kink's does not
-        if jd.jumps[0] != 0.0 and np.abs(grid.nodes - end).min() <= _rounding(grid):
-            raise ValueError(f"discontinuity ends at {end}, within rounding of a grid node")
+    jd, segments, brackets = problem.jump0, _segments(problem), []
+    end = None if jd is None else jd.xi + problem.speed * problem.t_final
+    # a segment's bracket fails only on a start, a crossing or an end within
+    # rounding of another node: a config error, found before any step
+    for k, (t0, t1, node) in enumerate(segments):
+        try:
+            brackets.append(_bracket(problem, t0, t1 - t0))
+        except RuntimeError:
+            fault = (f"discontinuity at {jd.xi} starts" if k == 0 else f"discontinuity ends at {end},"
+                     if node is None else f"discontinuity crosses node {node} (x = {grid.nodes[node]})")
+            raise ValueError(f"{fault} within rounding of a grid node") from None
+    # within rounding of a node, the node's side at t_final is down to
+    # rounding: a step's exact value there depends on it, a kink's does not
+    if jd is not None and jd.jumps[0] != 0.0 and np.abs(grid.nodes - end).min() <= _rounding(grid):
+        raise ValueError(f"discontinuity ends at {end}, within rounding of a grid node")
     powers = _powers(problem, D)
 
     times = [0.0]
@@ -388,10 +396,10 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     # an unstable dt overflows on the way to the non-finite check below,
     # which reports it; numpy's own overflow warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0, t1, node in segments:
+        for (t0, t1, node), bracket in zip(segments, brackets):
             nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
             start = state
-            steps = lambda: _segment_states(problem, D, powers, start, t0, t1, nsub, node)
+            steps = lambda: _segment_states(problem, D, powers, start, t0, t1, nsub, node, bracket)
             # a segment's last step ends exactly on t1, so t_final is always recorded
             for t_new, state in steps():
                 steps_done += 1

@@ -446,6 +446,7 @@ EQUIDISTANT_170 = {"family": "equidistant", "a": -1, "b": 1, "N": 170}
 NODE_AT_HALF = {"type": "synthetic", "left": [1e308], "right": [1, -1], "xi": 0.5}
 WIDE_SPAN = {"family": "custom", "a": -1e308, "b": 1e308, "nodes": [-1, 0, 1]}
 HUGE_LEFT_PIECE = {"type": "synthetic", "left": [1e308], "right": [1, -1], "xi": 0.3}
+NEAR_TWINS = {"family": "custom", "a": -1, "b": 1, "nodes": [-1, -0.6, -0.2, 0.2, 0.2000000000000001, 0.6, 1]}
 FLOAT_MAX_PAIR_WEIGHTS = (f"the grid on [-1.0, {sys.float_info.max}] with 2 nodes has degenerate barycentric "
                           "weights; nodes too close or interval too wide")
 CONFIG_ERRORS = [
@@ -616,6 +617,11 @@ CONFIG_ERRORS = [
       for check, message in (({"kind": "order_geq", "M": 7, "value": 1.0}, "report entry 'fits' has nothing at 7"),
                              ({"kind": "error_at_leq", "N": 6, "M": 7, "value": 1.0},
                               "report entry 'rows' has nothing at (6, 7)"))],
+    # nodes 3 and 4 are one ulp apart: the kink crosses node 4 within rounding
+    # of node 3, a segment with no bracket; it once ran to t_final and
+    # reported final_linf 0.45
+    ("evolve", "grid+m+t_final+dt+initial", (NEAR_TWINS, 2, 0.5, 1e-3, {"kind": "kink", "xi0": 0.05}),
+     "discontinuity crosses node 4 (x = 0.2000000000000001) within rounding of a grid node"),
 ]
 
 

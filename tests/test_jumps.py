@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,21 @@ def test_xi_outside_interval_rejected():
 def test_non_finite_jumps_rejected():
     with pytest.raises(ValueError):
         JumpData(0.1, [np.inf])
+
+
+@pytest.mark.parametrize("jumps", [[[1.0], [2.0]], [[1.0]], np.ones((2, 3))])
+def test_jumps_that_are_not_one_dimensional_are_rejected(jumps):
+    # a 2 x 1 table once passed as order 1 and failed later, in jump_weights,
+    # with numpy's broadcast error
+    message = f"derivative jumps must be a scalar or a 1-D array, got shape {np.shape(jumps)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        JumpData(0.1, jumps)
+
+
+def test_a_scalar_jump_is_one_jump():
+    jd = JumpData(0.1, 2.0)
+    assert jd.order == 0
+    assert jd.jumps.tolist() == [2.0]
 
 
 @pytest.mark.parametrize("xi", [np.inf, -np.inf, np.nan])

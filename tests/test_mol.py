@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 from unittest import mock
 
@@ -14,6 +15,7 @@ from jumpspec import (
     apply,
     chebyshev_gauss_lobatto,
     corrected_derivative,
+    custom,
     derivative_matrix,
     equidistant,
     evolve,
@@ -94,6 +96,16 @@ def test_rk4_step_zero_rhs_keeps_state():
     np.testing.assert_array_equal(rk4_step(state, 0.0, 1e-2, prob, D), state)
 
 
+@pytest.mark.parametrize("shape", [(5, 5), (4,), (6,)])
+def test_one_shot_step_rejects_a_state_that_is_not_one_value_per_node(shape):
+    # a 5 x 5 state once came back 5 x 5, the forcing row added along its
+    # last axis: row 0 was the 1-D step, and no column was
+    g = chebyshev_gauss_lobatto(-1, 1, 4)
+    prob = AdvectionProblem(g, 1.0, np.sin, JumpData(0.1, [1.0]), 0.5)
+    with pytest.raises(ValueError, match=re.escape(f"data length {shape} does not match the grid's 5 nodes")):
+        rk4_step(np.ones(shape), 0.0, 1e-3, prob, derivative_matrix(g, 1))
+
+
 def test_rk4_step_rejects_interior_crossing():
     prob, g = kink_problem(xi0=-0.5)
     D = derivative_matrix(g, 1)
@@ -166,6 +178,56 @@ def test_crossing_within_rounding_of_t_final_lands_there(monkeypatch, speed, pas
         res = evolve(prob, D, 0.01)
         assert res.times[-1] == prob.t_final
         assert res.error_linf[-1] <= 1e-15
+
+
+# nodes 3 and 4 one ulp apart: the kink crosses node 4 within rounding of
+# node 3, a segment with no bracket. Its bracket once came back inverted,
+# and the run ended at t_final with final_linf 0.45
+NEAR_TWINS = custom(-1, 1, [-1, -0.6, -0.2, 0.2, 0.2000000000000001, 0.6, 1])
+
+
+def near_twins_problem():
+    """A kink crossing both near-twin nodes at unit speed, and its D (m = 2)."""
+    u0 = lambda x: np.abs(np.asarray(x, dtype=float) - 0.05)
+    prob = AdvectionProblem(NEAR_TWINS, 1.0, u0, JumpData(0.05, [0.0, 2.0]), 0.5)
+    return prob, derivative_matrix(NEAR_TWINS, 1, 2)
+
+
+def test_a_crossing_within_rounding_of_a_node_is_rejected_before_any_step(monkeypatch):
+    prob, D = near_twins_problem()
+    monkeypatch.setattr(mol, "_segment_steps", lambda *a: pytest.fail("a step was taken"))
+    with pytest.raises(ValueError, match=r"discontinuity crosses node 4 \(x = 0\.2000000000000001\) "
+                                         "within rounding of a grid node"):
+        evolve(prob, D, 1e-3)
+
+
+def test_a_segment_between_nodes_within_rounding_has_no_bracket():
+    # the segment from the crossing of node 3 to that of node 4 stays within
+    # rounding of both: no bracket, whether evolve or rk4_step asks
+    prob, D = near_twins_problem()
+    t0, t1, node = mol._segments(prob)[1]
+    assert node == 4
+    with pytest.raises(RuntimeError, match="stays within rounding of a node"):
+        mol._bracket(prob, t0, t1 - t0)
+    with pytest.raises(RuntimeError, match="stays within rounding of a node"):
+        rk4_step(prob.initial(NEAR_TWINS.nodes), t0, t1 - t0, prob, D)
+
+
+@pytest.mark.parametrize("corrections", [True, False])
+def test_evolve_brackets_each_segment_once_before_the_first_step(monkeypatch, corrections):
+    # every bracket, and so every bracketing fault, comes before the powers
+    # and the first segment's steps; none is asked for again
+    calls = []
+    bracket, powers, segment_steps = mol._bracket, mol._powers, mol._segment_steps
+    monkeypatch.setattr(mol, "_bracket", lambda *a: calls.append(("bracket", *a[1:])) or bracket(*a))
+    monkeypatch.setattr(mol, "_powers", lambda *a: calls.append(("powers",)) or powers(*a))
+    monkeypatch.setattr(mol, "_segment_steps", lambda *a: calls.append(("steps",)) or segment_steps(*a))
+    prob, g = kink_problem(N=24, xi0=-0.5, T=0.6, corrections=corrections)
+    segments = mol._segments(prob)
+    assert len(segments) == (5 if corrections else 1)  # four crossings, or none tracked
+    evolve(prob, derivative_matrix(g, 1), 1e-3, output_every=50)
+    assert calls == ([("bracket", t0, t1 - t0) for t0, t1, _ in segments] + [("powers",)]
+                     + [("steps",)] * len(segments))
 
 
 # CGL grids on [-1, 1] by N, each with its stencil size m (None: pseudospectral)
@@ -435,7 +497,7 @@ def test_segment_step_matches_four_stage_recursion(N, family, banded, M, seed):
     t = ((lo if c > 0 else hi) - xi0) / c + u0 * (hi - lo) / abs(c)
     dt = nsub * h
     h = dt / nsub
-    E, forcing = mol._segment_steps(prob, D, t, dt, nsub, mol._powers(prob, D))
+    E, forcing = mol._segment_steps(prob, D, t, dt, nsub, mol._powers(prob, D), mol._bracket(prob, t, dt))
     F = forcing(0, nsub)
     assert len(F) == nsub
     rhs = lambda tt, y: -c * corrected_derivative(D, y, JumpData(xi0 + c * tt, J))
@@ -607,7 +669,7 @@ def test_step_matrix_from_powers_matches_the_four_stages(family, N, m, speed):
     eps = np.finfo(float).eps
     off = ~np.eye(N + 1, dtype=bool)
     for h in rk4_dt_limit(D, speed) * np.logspace(-3, 0, 7):
-        E, _ = mol._segment_steps(prob, D, 0.0, h, 1, mol._powers(prob, D))
+        E, _ = mol._segment_steps(prob, D, 0.0, h, 1, mol._powers(prob, D), None)
         diff = np.abs(E - mol._rk4_increment(A, h, np.eye(N + 1), 0.0, 0.0, 0.0))
         Z = h * np.abs(A)
         Z2 = Z @ Z
@@ -652,7 +714,8 @@ def replayed_steps(problem, D, dt):
     for t0, t1, node in mol._segments(problem):
         nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
         h = (t1 - t0) / nsub
-        E, forcing = mol._segment_steps(problem, D, t0, t1 - t0, nsub, mol._powers(problem, D))
+        E, forcing = mol._segment_steps(problem, D, t0, t1 - t0, nsub, mol._powers(problem, D),
+                                        mol._bracket(problem, t0, t1 - t0))
         rows = [f for k0 in range(0, nsub, mol._FORCING_BLOCK)
                 for f in forcing(k0, min(k0 + mol._FORCING_BLOCK, nsub))]
         t_ends = t0 + np.arange(1, nsub + 1) * h
