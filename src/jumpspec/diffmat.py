@@ -99,6 +99,8 @@ class DerivMatrix:
         # one. Anything else is copied
         if not (type(e) is np.ndarray and e.dtype == float and e.base is None and not e.flags.writeable):
             object.__setattr__(self, "entries", _frozen(np.array(e, dtype=float)))
+        if self.entries.shape != (self.grid.N + 1,) * 2:
+            raise ValueError(f"matrix of shape {self.entries.shape} does not match the grid's {self.grid.N + 1} nodes")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -121,8 +123,8 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
     fully one-sided at the boundary rows. n = 0 returns the identity. For
     n >= 1 each diagonal entry is minus the sum of its row's other stencil
     weights (the negative sum trick), computed from the (N+1, m+1) weights
-    themselves; the build fills one zero (N+1)^2 array with them. All rows
-    come from one batched fd_weights call.
+    themselves, and only then does the build allocate the one zero (N+1)^2
+    array it fills with them. All rows come from one batched fd_weights call.
     Raises TypeError when n or m is not an integer (operator.index), and
     ValueError when the build leaves the normal float range, which happens
     on nodes too close or an interval too wide for the stencils.
@@ -134,21 +136,20 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
     if n == 0:
         return DerivMatrix(grid, 0, m, _frozen(np.eye(N + 1)))
     cols = _stencils(N, m)
-    entries = np.zeros((N + 1, N + 1))
     # stencil products that leave the float range, or its normal range, leave
     # weights that are wrong, finite or not, so any such event rejects the grid
     try:
         with np.errstate(all="raise"):
             weights = fd_weights(grid.nodes[cols], grid.nodes, n)
-            np.put_along_axis(entries, cols, weights, axis=1)
-            np.fill_diagonal(entries, _balanced_diagonal(weights, cols))
+            diagonal = _balanced_diagonal(weights, cols)
     except FloatingPointError:
         raise ValueError(f"the grid on [{grid.a}, {grid.b}] with {N + 1} nodes has no order-{n} derivative "
                          f"matrix at m = {m}; nodes too close or interval too wide for its stencil weights") from None
+    # the dense array comes last, once the rebalance's temporaries are freed
+    entries = np.zeros((N + 1, N + 1))
+    np.put_along_axis(entries, cols, weights, axis=1)
+    np.fill_diagonal(entries, diagonal)
     return DerivMatrix(grid, n, m, _frozen(entries))
-
-
-_ROW_BLOCK = 32
 
 
 def _balanced_diagonal(weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -159,19 +160,16 @@ def _balanced_diagonal(weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
     weights, stably sorted by magnitude, are summed at the tail of a row of
     N zeros: the stable sort of the full row puts its +0.0 entries first, so
     these are the full row's summands in the same positions, and the sum
-    has its bits. Blocks of rows keep the sort temporaries at O(block * N).
+    has its bits. All rows are sorted in one pass and summed in one more,
+    and the padded rows, about one (N+1) x N array, are allocated only once
+    the sort's temporaries are freed.
     """
     N, k = cols.shape[0] - 1, cols.shape[1]
-    diagonal = np.empty(N + 1)
-    padded = np.zeros((_ROW_BLOCK, N))
-    for lo in range(0, N + 1, _ROW_BLOCK):
-        block = slice(lo, lo + _ROW_BLOCK)
-        off = weights[block][cols[block] != np.arange(N + 1)[block, None]].reshape(-1, k - 1)
-        off = np.take_along_axis(off, np.argsort(np.abs(off), axis=1, kind="stable"), axis=1)
-        summands = padded[: off.shape[0]]
-        summands[:, N + 1 - k :] = off
-        diagonal[block] = -summands.sum(axis=1)
-    return diagonal
+    off = weights[cols != np.arange(N + 1)[:, None]].reshape(N + 1, k - 1)
+    off = np.take_along_axis(off, np.argsort(np.abs(off), axis=1, kind="stable"), axis=1)
+    summands = np.zeros((N + 1, N))
+    summands[:, N + 1 - k :] = off
+    return -summands.sum(axis=1)
 
 
 def negative_sum_trick(M: DerivMatrix) -> DerivMatrix:

@@ -9,11 +9,11 @@ jump series
 is the gap between the two smooth extensions at node j. Adding it to the
 data at the nodes left of xi gives the nodal data of the right extension
 (plus); subtracting it at the nodes right of xi gives the left extension
-(minus). reconstruct_pieces builds these two pieces, and every corrected
-operation is the plain one applied to them: a probe evaluates the plain
-interpolant of its side's piece, node i applies row i of the plain
-derivative matrix to its own side's piece, and the integral is the plain
-quadrature of plus minus the integral of the jump series left of xi. No
+(minus). Every corrected operation is the plain one applied to these two
+pieces: a probe evaluates the plain interpolant of its side's piece, node
+i applies row i of the plain derivative matrix to its own side's piece,
+and the integral is the plain quadrature of plus minus the integral of the
+jump series left of xi. No
 correction is spelled None: the only piece is then the data itself, so the
 plain results come back unchanged.
 
@@ -42,7 +42,6 @@ __all__ = [
     "JumpData",
     "jump_weights",
     "correction_matrix",
-    "reconstruct_pieces",
     "corrected_interpolate",
     "corrected_derivative",
     "corrected_integrate",
@@ -135,24 +134,13 @@ def _pieces(f, jump: JumpData, grid: Grid) -> np.ndarray:
     minus is f less g at the nodes right of xi, plus is f plus g at the
     nodes left of it, and each adds a signed zero elsewhere, so a node's
     own side keeps its datum. f is added last, so f = -0.0, the exact
-    additive identity, returns the corrections bit for bit.
+    additive identity, returns the corrections bit for bit. The derivative
+    difference of the two pieces' interpolants at xi reproduces the
+    enforced jumps and vanishes for orders above them through degree N.
     """
     pieces = (_SIDES - _right_of(grid.nodes, jump)) * jump_weights(jump, grid)
     pieces += f
     return pieces
-
-
-def reconstruct_pieces(f, jump: JumpData | None, grid: Grid) -> tuple[np.ndarray, ...]:
-    """Nodal data of the smooth extensions of f: (minus, plus), or (f,) for None.
-
-    Interpolating either array with the plain machinery gives the degree-N
-    polynomial valid on that side, and the derivative difference
-    plus - minus at xi reproduces the enforced jumps and vanishes for orders
-    above the enforced set through degree N. Every corrected operation is
-    the plain one applied to these arrays.
-    """
-    f = _check_data(f, grid)
-    return (f,) if jump is None else tuple(_pieces(f, jump, grid))
 
 
 def correction_matrix(jump: JumpData | None, grid: Grid) -> np.ndarray:

@@ -34,6 +34,8 @@ class BarycentricWeights:
     def __post_init__(self) -> None:
         lam = np.array(self.lam, dtype=float)
         g = self.grid
+        if lam.shape != (g.N + 1,):
+            raise ValueError(f"barycentric weights of shape {lam.shape} do not match the grid's {g.N + 1} nodes")
         where = f"the grid on [{g.a}, {g.b}] with {g.N + 1} nodes has degenerate barycentric weights"
         if not np.all((np.abs(lam) >= np.finfo(float).tiny) & (np.abs(lam) <= np.finfo(float).max)):
             raise ValueError(f"{where}; nodes too close or interval too wide")

@@ -22,6 +22,8 @@ class QuadRule:
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=float)
+        if weights.shape != (self.grid.N + 1,):
+            raise ValueError(f"weights of shape {weights.shape} do not match the grid's {self.grid.N + 1} nodes")
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 

@@ -27,9 +27,9 @@ from jumpspec import (
     interpolate,
     one_sided_derivatives_at_node,
     quad_weights,
-    reconstruct_pieces,
 )
 from jumpspec.cli import fit_orders, probe_points
+from jumpspec.jumps import _pieces
 from jumpspec.mol import AdvectionProblem, evolve
 from jumpspec.refproblems import LegendreProblem, SyntheticPiecewise
 
@@ -121,7 +121,7 @@ def test_criterion_3_jump_condition_reproduction():
         while np.any(g.nodes == xi):
             xi = float(rng.uniform(-0.5, 0.5))
         J = rng.uniform(-3, 3, M + 1)
-        minus, plus = reconstruct_pieces(f, JumpData(xi, J), g)
+        minus, plus = _pieces(f, JumpData(xi, J), g)
         xs = np.linspace(-1, 1, 6 * (N + 1))
         p_plus = np.polynomial.Polynomial.fit(xs, interpolate(w, plus, xs), N)
         p_minus = np.polynomial.Polynomial.fit(xs, interpolate(w, minus, xs), N)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -243,6 +244,16 @@ def test_entries_are_read_only_and_unaliased():
             D.entries[0, 0] = 1.0
 
 
+def test_entries_that_do_not_fit_the_grid_are_rejected():
+    g = chebyshev_gauss_lobatto(-1, 1, 4)
+    D = derivative_matrix(g, 1)
+    owned = np.zeros((5, 4))
+    owned.flags.writeable = False  # kept, not copied: the check follows that step
+    for bad in (D.entries[:1], D.entries[0], np.eye(6), owned):
+        with pytest.raises(ValueError, match=re.escape(f"matrix of shape {bad.shape} does not match the grid's 5 nodes")):
+            DerivMatrix(g, 1, 4, bad)
+
+
 def test_negative_sum_trick_rejects_identity():
     g = equidistant(0, 1, 3)
     with pytest.raises(ValueError):
@@ -314,7 +325,7 @@ def long_band_examples(test):
     m_offset=st.integers(0, 40),
     seed=st.integers(0, 10_000),
 )
-# more than one 32-row block of the diagonal rebalancing
+# more than 32 rows, one pass of the diagonal rebalancing
 @example(family="cgl", N=40, n=1, m_offset=40, seed=0)
 @example(family="custom", N=33, n=4, m_offset=3, seed=1)
 @long_band_examples
@@ -333,18 +344,20 @@ def test_derivative_matrix_matches_per_row_build_bitwise(family, N, n, m_offset,
     assert D.entries.tobytes() == per_row_matrix(g, n, m).tobytes()
 
 
-def test_banded_build_allocates_one_dense_array():
-    # the rebalance works on the (N+1, m+1) stencil weights, so the build's
-    # peak is one (N+1)^2 array plus temporaries of O(N m) and O(32 N)
-    g = chebyshev_gauss_lobatto(-1, 1, 400)
-    derivative_matrix(g, 1, 4)
+@pytest.mark.parametrize("N,m", [(400, 4), (160, 8)])
+def test_banded_build_allocates_one_dense_array(N, m):
+    # the rebalance works on the (N+1, m+1) stencil weights, and its padded
+    # sum of about one (N+1) x N array is freed before the dense matrix is
+    # allocated, so the build's peak is one (N+1)^2 array plus O(N m)
+    g = chebyshev_gauss_lobatto(-1, 1, N)
+    derivative_matrix(g, 1, m)
     tracemalloc.start()
     try:
-        derivative_matrix(g, 1, 4)
+        derivative_matrix(g, 1, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 401**2 * 8
+    assert peak <= 1.5 * (N + 1) ** 2 * 8
 
 
 def test_pseudospectral_build_at_n256():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumpspec import (
+    BarycentricWeights,
     barycentric_weights,
     basis_matrix,
     chebyshev_gauss_lobatto,
@@ -92,6 +93,13 @@ def test_constant_data_interpolates_to_constant():
 def test_quadratic_exactness():
     w = barycentric_weights(custom(-1, 1, [-1.0, 0.0, 1.0]))
     assert interpolate(w, np.array([1.0, 0.0, 1.0]), 0.3) == pytest.approx(0.09, abs=1e-15)
+
+
+def test_weights_that_do_not_fit_the_grid_are_rejected():
+    g = chebyshev_gauss_lobatto(-1, 1, 4)
+    for bad in ([1.0], barycentric_weights(chebyshev_gauss_lobatto(-1, 1, 5)).lam, np.ones((5, 5))):
+        with pytest.raises(ValueError, match="do not match the grid's 5 nodes"):
+            BarycentricWeights(g, bad)
 
 
 def test_monomial_exactness_cgl():

@@ -22,10 +22,10 @@ from jumpspec import (
     fd_weights,
     jump_weights,
     one_sided_derivatives_at_node,
-    reconstruct_pieces,
     rk4_step,
 )
 from jumpspec import mol
+from jumpspec.jumps import _pieces
 
 
 def kink_problem(N=32, xi0=-0.5, c=1.0, T=1.0, corrections=True):
@@ -343,7 +343,7 @@ def test_jump_preserved_along_the_run():
         if np.any(g.nodes == xi):
             continue
         # split-based reconstruction carries the enforced slope jump
-        minus, plus = reconstruct_pieces(state, JumpData(xi, [0.0, 2.0]), g)
+        minus, plus = _pieces(state, JumpData(xi, [0.0, 2.0]), g)
         dp = fd_weights(g.nodes, xi, 1) @ plus
         dm = fd_weights(g.nodes, xi, 1) @ minus
         assert dp - dm == pytest.approx(2.0, rel=1e-8)

@@ -4,6 +4,7 @@ from numpy.polynomial import polynomial as npoly
 
 from jumpspec import (
     JumpData,
+    QuadRule,
     barycentric_weights,
     basis_integrals,
     chebyshev_gauss_lobatto,
@@ -122,6 +123,13 @@ def test_length_mismatch():
     rule = quad_weights(equidistant(0, 1, 4))
     with pytest.raises(ValueError):
         integrate(rule, np.zeros(3))
+
+
+def test_weights_that_do_not_fit_the_grid_are_rejected():
+    g = chebyshev_gauss_lobatto(-1, 1, 4)
+    for bad in ([1.0], np.ones(6), np.ones((5, 5))):
+        with pytest.raises(ValueError, match="do not match the grid's 5 nodes"):
+            QuadRule(g, bad)
 
 
 def test_gauss_rule_is_leggauss_read_only():
