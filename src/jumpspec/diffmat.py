@@ -1,5 +1,6 @@
-"""Derivative matrices: composite finite-difference stencils and their global
-pseudospectral limit, all built from a single weight generator."""
+"""Derivative matrices: composite finite-difference stencils from Fornberg's
+weights, and their global pseudospectral limit from the differentiated
+barycentric formula."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
-from .lagrange import _check_data
+from .lagrange import _check_data, _gaps_and_weights
 
 __all__ = ["DerivMatrix", "fd_weights", "derivative_matrix", "negative_sum_trick", "apply"]
 
@@ -120,14 +121,16 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
 
     Row i holds the stencil weights for f^(n)(x_i): the whole grid when
     m = N (pseudospectral), otherwise the m+1 nodes nearest to i, becoming
-    fully one-sided at the boundary rows. n = 0 returns the identity. For
-    n >= 1 each diagonal entry is minus the sum of its row's other stencil
-    weights (the negative sum trick), computed from the (N+1, m+1) weights
-    themselves, and only then does the build allocate the one zero (N+1)^2
-    array it fills with them. All rows come from one batched fd_weights call.
-    Raises TypeError when n or m is not an integer (operator.index), and
-    ValueError when the build leaves the normal float range, which happens
-    on nodes too close or an interval too wide for the stencils.
+    fully one-sided at the boundary rows. n = 0 returns the identity. A
+    banded build (m < N) takes all rows from one batched fd_weights call; a
+    pseudospectral one takes them from the barycentric weights in O(N^2 n)
+    (_barycentric_rows). For n >= 1 each diagonal entry is minus the sum of
+    its row's other stencil weights (the negative sum trick), computed from
+    the (N+1, m+1) weights themselves, and only then does the build allocate
+    the one zero (N+1)^2 array it fills with them. Raises TypeError when n
+    or m is not an integer (operator.index), and ValueError when the build
+    leaves the normal float range, which happens on nodes too close or an
+    interval too wide for the stencils.
     """
     N = grid.N
     n, m = operator.index(n), operator.index(N if m is None else m)
@@ -140,7 +143,7 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
     # weights that are wrong, finite or not, so any such event rejects the grid
     try:
         with np.errstate(all="raise"):
-            weights = fd_weights(grid.nodes[cols], grid.nodes, n)
+            weights = _barycentric_rows(grid.nodes, n) if m == N else fd_weights(grid.nodes[cols], grid.nodes, n)
             diagonal = _balanced_diagonal(weights, cols)
     except FloatingPointError:
         raise ValueError(f"the grid on [{grid.a}, {grid.b}] with {N + 1} nodes has no order-{n} derivative "
@@ -150,6 +153,37 @@ def derivative_matrix(grid: Grid, n: int, m: int | None = None) -> DerivMatrix:
     np.put_along_axis(entries, cols, weights, axis=1)
     np.fill_diagonal(entries, diagonal)
     return DerivMatrix(grid, n, m, _frozen(entries))
+
+
+def _barycentric_rows(x: np.ndarray, n: int) -> np.ndarray:
+    """Off-diagonal entries of the order-n pseudospectral matrix on nodes x,
+    with a zero diagonal, by differentiating the barycentric formula (Berrut
+    & Trefethen, SIAM Review 46, 2004, section 9), in O(N^2 n):
+
+        D1_ij = (lam_j / lam_i) / (x_i - x_j),
+        Dk_ij = k / (x_i - x_j) * (lam_j / lam_i * dk-1_i - Dk-1_ij).
+
+    dk_i is the exact diagonal k! e_k(t_i), e_k the elementary symmetric sum
+    of t_ij = 1 / (x_i - x_j) over j != i, since l_i(x_i + s) is the
+    product of (1 + s t_ij). It comes from e_k's recurrence over j, one
+    cumulative sum per order. The recursion must not read the negative-sum
+    diagonal instead: on equidistant grids its rounding grows with the
+    entries, to a relative error at n = 2 of 2.4e-9 at N = 32 and 4.4 at
+    N = 64.
+    """
+    gaps, lam = _gaps_and_weights(x)
+    # an infinite gap on the diagonal makes each quotient by it 0, so no
+    # j = i term enters e_k and every D has a zero diagonal
+    np.fill_diagonal(gaps, np.inf)
+    ratio = lam / lam[:, None]
+    D = ratio / gaps
+    # y[:, r]: (k-1)! e_k-1 of the row's first r reciprocal gaps, r = 0..N+1
+    y = np.ones((x.size, x.size + 1))
+    for k in range(2, n + 1):
+        np.cumsum((k - 1) * y[:, :-1] / gaps, axis=1, out=y[:, 1:])
+        y[:, 0] = 0.0
+        D = k * (ratio * y[:, -1:] - D) / gaps
+    return D
 
 
 def _balanced_diagonal(weights: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -19,8 +19,10 @@ __all__ = [
 @dataclass(frozen=True)
 class BarycentricWeights:
     """Barycentric weights lam[j] = 1 / prod_{k != j} (x_j - x_k) of a grid,
-    each in the normal float range, as derivative_matrix requires of its
-    stencil weights: a subnormal weight has lost its relative precision.
+    each in the normal float range: a subnormal weight has lost its relative
+    precision. derivative_matrix builds its pseudospectral rows from the
+    same weights, by the same helper (_gaps_and_weights), and rejects a grid
+    whose weights or stencil weights leave that range.
 
     A probe within |lam_j| 1e-300 of node j coincides with it (_ratio_matrix);
     every such tolerance must be below half the smallest node gap, so that a
@@ -52,12 +54,19 @@ def barycentric_weights(grid: Grid) -> BarycentricWeights:
     evaluation costs O(N) per point and is numerically stable even for high
     degrees (Berrut & Trefethen, SIAM Review 46, 2004).
     """
-    x = grid.nodes
     with np.errstate(all="ignore"):  # BarycentricWeights rejects weights past the float range
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        lam = 1.0 / diff.prod(axis=1)
+        lam = _gaps_and_weights(grid.nodes)[1]
     return BarycentricWeights(grid, lam)
+
+
+def _gaps_and_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The node gaps x_i - x_j, with ones on the diagonal, and the weights
+    lam_i = 1 / prod_{j != i} (x_i - x_j) taken from them, unchecked: the
+    caller's numpy error state decides what a weight past the float range
+    does."""
+    gaps = x[:, None] - x[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    return gaps, 1.0 / gaps.prod(axis=1)
 
 
 def _ratio_matrix(
