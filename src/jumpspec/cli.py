@@ -6,7 +6,12 @@ Each command's reports, the labels, fits and cells its run will report,
 follow from its parsed config, and every check's entry and the label, fit
 or cell it reads there are settled against them before any work too.
 Only after the run and its checks is anything written: result.csv, any
-exports and report.json. Identical configs produce byte-identical outputs.
+exports and report.json. Every CSV value is written as '%.17g' (C's
+%.17g) writes it, whichever of write_csv's two paths formats it.
+Identical configs produce byte-identical outputs, with one known exception:
+interp and converge bytes can depend on the BLAS thread count, since a
+matrix product may sum in a different order (three interp jobs of the
+benchmark's seeds 0-3 differ between 1 and 2 OpenBLAS threads).
 The process exits 0 only when the run completes and all checks pass (1 for
 failed checks, 2 for config or usage errors, 3 for a numerical failure such
 as a state that stops being finite, 4 for a program fault, any other
@@ -32,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .csvformat import format_rows
 from .diffmat import derivative_matrix
 from .grid import Grid, chebyshev_gauss_lobatto, custom, equidistant
 from .jumps import (
@@ -50,12 +56,26 @@ from .refproblems import LegendreProblem, SyntheticPiecewise
 __all__ = ["main", "probe_points", "fit_orders"]
 
 
+_BLOCK = 4096  # values per formatted block, which bounds the formatter's memory
+_KERNEL_MIN = 256  # blocks of fewer values format faster by one '%' than by format_rows
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
+    """A CSV file: the header line, then rows, a 2-D float array with one
+    column per header name, each value as '%.17g' writes it. The rows go out
+    in blocks of about _BLOCK values, each formatted by format_rows or,
+    below _KERNEL_MIN values, by one '%' over the block: the same bytes."""
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(line % tuple(row))
+    step = max(1, _BLOCK // len(header))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for i in range(0, len(table), step):
+            block = table[i : i + step]
+            if block.size >= _KERNEL_MIN:
+                fh.write(format_rows(block))
+            else:
+                fh.write((line * len(block) % tuple(block.ravel().tolist())).encode("ascii"))
 
 
 def _integer(value, key: str) -> int:
@@ -331,7 +351,7 @@ def _run_checks(checks: list, report: dict) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # subcommands: each takes its parsed config and returns its report entries
-# and the CSV files to write, {file name: (header, rows)}
+# and the CSV files to write, {file name: (header, rows)}, rows a 2-D float array
 
 _PROBLEM = (lambda cfg, key: _tagged(cfg, key, "type", _PROBLEMS)[1], ...)
 _GRID = (_grid, ...)
@@ -423,7 +443,7 @@ def run_interp(cfg: dict) -> tuple[dict, dict]:
         "max_error": max_err,
         "max_error_near_xi": max_err_near,
     }
-    return report, {"result.csv": (header, zip(*cols))}
+    return report, {"result.csv": (header, np.column_stack(cols))}
 
 
 def _converge_cell(w: BarycentricWeights, f: np.ndarray, jumps: dict, pts: np.ndarray, exact: np.ndarray) -> dict:
@@ -468,7 +488,7 @@ def run_converge(cfg: dict) -> tuple[dict, dict]:
         "rows": [{"N": n, "M": m, "linf_error": e} for n, m, e in rows],
         "fits": [{**fit_orders(Ns, [errors[N][M] for N in Ns]), "M": M} for M, Ns in study["fits"].items()],
     }
-    return report, {"result.csv": (["N", "M", "linf_error"], rows)}
+    return report, {"result.csv": (["N", "M", "linf_error"], np.array(rows, dtype=float))}
 
 
 def run_diff(cfg: dict) -> tuple[dict, dict]:
@@ -482,7 +502,7 @@ def run_diff(cfg: dict) -> tuple[dict, dict]:
     err_plain, err_corrected = np.abs(plain - exact), np.abs(corrected - exact)
 
     header = ["x", "f", "deriv_exact", "deriv_plain", "deriv_corrected", "err_plain", "err_corrected"]
-    rows = zip(g.nodes, f, exact, plain, corrected, err_plain, err_corrected)
+    rows = np.column_stack([g.nodes, f, exact, plain, corrected, err_plain, err_corrected])
     files = {"result.csv": (header, rows)}
     columns = [f"c{j}" for j in range(g.N + 1)]
     if cfg["export_matrix"]:
@@ -508,10 +528,9 @@ def run_quad(cfg: dict) -> tuple[dict, dict]:
     err_plain, err_corrected = abs(plain - reference), abs(corrected - reference)
 
     header = ["integral_plain", "integral_corrected", "reference", "err_plain", "err_corrected"]
-    rows = [(plain, corrected, reference, err_plain, err_corrected)]
-    files = {"result.csv": (header, rows)}
+    files = {"result.csv": (header, np.array([[plain, corrected, reference, err_plain, err_corrected]]))}
     if cfg["export_weights"]:
-        files["quad_weights.csv"] = (["x", "w"], zip(g.nodes, rule.weights))
+        files["quad_weights.csv"] = (["x", "w"], np.column_stack([g.nodes, rule.weights]))
     report = {
         "N": g.N,
         "M": M,
@@ -533,8 +552,7 @@ def run_evolve(cfg: dict) -> tuple[dict, dict]:
 
     header = ["t"] + [f"u{j}" for j in range(g.N + 1)] + ["xi", "linf_error"]
     err = result.error_linf
-    # Python floats format faster than numpy scalars, to the same text
-    rows = np.column_stack([result.times, result.states, result.xi_path, err]).tolist()
+    rows = np.column_stack([result.times, result.states, result.xi_path, err])
     report = {
         "N": g.N,
         "steps_recorded": int(result.times.size),

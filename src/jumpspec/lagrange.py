@@ -20,9 +20,11 @@ __all__ = [
 class BarycentricWeights:
     """Barycentric weights lam[j] = 1 / prod_{k != j} (x_j - x_k) of a grid,
     each in the normal float range: a subnormal weight has lost its relative
-    precision. derivative_matrix builds its pseudospectral rows from the
-    same weights, by the same helper (_gaps_and_weights), and rejects a grid
-    whose weights or stencil weights leave that range.
+    precision, and so has a weight whose row product left the normal range
+    on the way, which barycentric_weights rejects. derivative_matrix builds
+    its pseudospectral rows from the same weights, by the same helper
+    (_gaps_and_weights), and rejects a grid whose weights or stencil weights
+    leave that range.
 
     A probe within |lam_j| 1e-300 of node j coincides with it (_ratio_matrix);
     every such tolerance must be below half the smallest node gap, so that a
@@ -38,11 +40,10 @@ class BarycentricWeights:
         g = self.grid
         if lam.shape != (g.N + 1,):
             raise ValueError(f"barycentric weights of shape {lam.shape} do not match the grid's {g.N + 1} nodes")
-        where = f"the grid on [{g.a}, {g.b}] with {g.N + 1} nodes has degenerate barycentric weights"
         if not np.all((np.abs(lam) >= np.finfo(float).tiny) & (np.abs(lam) <= np.finfo(float).max)):
-            raise ValueError(f"{where}; nodes too close or interval too wide")
+            raise _degenerate(g, "nodes too close or interval too wide")
         if not 2.0 * (np.abs(lam) * 1e-300).max() < np.diff(g.nodes).min():
-            raise ValueError(f"{where}; a node gap is below 2 |lam| 1e-300")
+            raise _degenerate(g, "a node gap is below 2 |lam| 1e-300")
         lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
 
@@ -54,9 +55,18 @@ def barycentric_weights(grid: Grid) -> BarycentricWeights:
     evaluation costs O(N) per point and is numerically stable even for high
     degrees (Berrut & Trefethen, SIAM Review 46, 2004).
     """
-    with np.errstate(all="ignore"):  # BarycentricWeights rejects weights past the float range
-        lam = _gaps_and_weights(grid.nodes)[1]
+    # a row product that leaves the normal float range on the way has lost
+    # its precision, even where the weight itself comes back into the range
+    try:
+        with np.errstate(all="raise"):
+            lam = _gaps_and_weights(grid.nodes)[1]
+    except FloatingPointError:
+        raise _degenerate(grid, "nodes too close or interval too wide") from None
     return BarycentricWeights(grid, lam)
+
+
+def _degenerate(g: Grid, why: str) -> ValueError:
+    return ValueError(f"the grid on [{g.a}, {g.b}] with {g.N + 1} nodes has degenerate barycentric weights; {why}")
 
 
 def _gaps_and_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

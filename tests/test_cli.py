@@ -637,6 +637,29 @@ def test_config_errors_exit_two_and_write_nothing(tmp_path, capsys, command, fie
     assert not out.exists()
 
 
+CGL_WEIGHT_LIMIT = {
+    "interp": lambda N: {"problem": SMALL_PIECES, "grid": {"family": "cgl", "a": -1, "b": 1, "N": N}, "M": [-1, 2]},
+    "quad": lambda N: {"problem": SMALL_PIECES, "grid": {"family": "cgl", "a": -1, "b": 1, "N": N}, "M": 2},
+    "converge": lambda N: {"problem": SMALL_PIECES, "family": "cgl", "a": -1, "b": 1, "N_list": [8, N],
+                           "M_list": [-1, 2], "probes": 50},
+}
+
+
+@pytest.mark.parametrize("N", [769, 770, 800])
+@pytest.mark.parametrize("command", list(CGL_WEIGHT_LIMIT))
+def test_cgl_weights_stop_where_the_derivative_matrix_does(tmp_path, capsys, command, N):
+    """From N = 770 the row products of the CGL weights on [-1, 1] leave the
+    normal float range on the way, as derivative_matrix's do: a config error."""
+    code, out, _ = run_command(tmp_path, command, CGL_WEIGHT_LIMIT[command](N))
+    if N < 770:
+        assert code == 0
+        return
+    assert code == 2
+    assert (f"the grid on [-1.0, 1.0] with {N + 1} nodes has degenerate barycentric weights; nodes too close or "
+            "interval too wide") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [0.5, -2])
 def test_evolve_reports_M_as_unknown_key(tmp_path, capsys, value):
     """evolve corrects with its profile's own jumps, all of them or none, so

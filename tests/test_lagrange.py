@@ -271,3 +271,21 @@ def test_finite_raises_the_fault_of_the_first_non_finite_value_without_warnings(
         with pytest.raises(Fault) as info:
             _finite(compute, Fault)
     assert info.value.args == (first,)
+
+
+@pytest.mark.parametrize("N", [769, 770, 800])
+def test_weights_whose_row_products_leave_the_normal_range_are_rejected(N):
+    # at N = 800 the row products of the CGL grid on [-1, 1] pass through the
+    # subnormal range on the way back to a normal weight: those weights were
+    # off by 1e-3 relative to the closed form, and the interpolant of
+    # sin(3x) erred by 2.8e-6
+    g = chebyshev_gauss_lobatto(-1, 1, N)
+    if N >= 770:
+        with pytest.raises(ValueError, match="degenerate barycentric weights; nodes too close or interval too wide"):
+            barycentric_weights(g)
+        return
+    w = barycentric_weights(g)
+    closed = (-1.0) ** np.arange(N + 1) * np.where(np.isin(np.arange(N + 1), [0, N]), 0.5, 1.0)
+    np.testing.assert_allclose(w.lam / w.lam[0], closed / closed[0], rtol=1e-9)
+    x = np.linspace(-1, 1, 1001)
+    assert np.abs(interpolate(w, np.sin(3 * g.nodes), x) - np.sin(3 * x)).max() < 1e-13
