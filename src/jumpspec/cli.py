@@ -9,9 +9,9 @@ Only after the run and its checks is anything written: result.csv, any
 exports and report.json. Every CSV value is written as '%.17g' (C's
 %.17g) writes it, whichever of write_csv's two paths formats it.
 Identical configs produce byte-identical outputs, with one known exception:
-interp and converge bytes can depend on the BLAS thread count, since a
-matrix product may sum in a different order (three interp jobs of the
-benchmark's seeds 0-3 differ between 1 and 2 OpenBLAS threads).
+evolve bytes with m = N from N = 128 on depend on the BLAS thread count,
+since the matrix products that build its steps split their sums across
+the threads. interp and converge call no BLAS.
 The process exits 0 only when the run completes and all checks pass (1 for
 failed checks, 2 for config or usage errors, 3 for a numerical failure such
 as a state that stops being finite, 4 for a program fault, any other
@@ -414,7 +414,8 @@ def _interpolants(w: BarycentricWeights, f: np.ndarray, jumps: dict, pts: np.nda
     """Values at pts of the plain (None) or jump-corrected interpolant of
     the nodal data f, one array per entry of jumps."""
     return _columns(lambda jd: corrected_interpolate(w, f, jd, pts), {_label(M): jd for M, jd in jumps.items()},
-                    f"interpolant on N = {w.grid.N} is not finite; the data overflow its barycentric sums")
+                    f"interpolant on N = {w.grid.N} is not finite; the data overflow its barycentric sums, "
+                    "or their denominator cancels to zero")
 
 
 def run_interp(cfg: dict) -> tuple[dict, dict]:

@@ -55,20 +55,21 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, a - h
 
 
-def _keep_row(form: int, nd: int, sign: int) -> list[int]:
-    """The row bytes of a value's text: its notation form, nd significant
-    digits and sign. Digit j sits at 6 + 2j, the dot after it at 7 + 2j."""
-    digits = [6 + 2 * j for j in range(nd)]
-    if form == 22:
-        body = [1]
-    elif form >= 20:  # d.ddd, 'e-', then the last two or three of 'EEE'
-        body = digits[:1] + ([7] + digits[1:] if nd > 1 else []) + [40, 41] + [42, 43, 44][21 - form :]
-    elif form >= 4:  # exponent X = form - 4: X + 1 integer digits, the dot only before a fraction
-        whole = form - 3
-        body = [6 + 2 * j for j in range(max(nd, whole))] + ([5 + 2 * whole] if nd > whole else [])
-    else:  # '0.' and -X - 1 zeros of '000'
-        body = [1, 2] + [3, 4, 5][: 3 - form] + digits
-    return [0] * sign + body + [45]
+def _keep() -> np.ndarray:
+    """The keep table: per (notation form, significant digit count nd, sign)
+    row, the row bytes of that value's text. Digit j sits at 6 + 2j, the dot
+    after it at 7 + 2j."""
+    form, nd, sign, b = np.ix_(np.arange(_FORMS), np.arange(1, 18), np.arange(2), np.arange(_W))
+    j = (b - 6) // 2  # the digit at b, or the one whose dot b is
+    digits = (b >= 6) & (b < 40) & (b % 2 == 0) & (j < nd)
+    whole = form - 3  # fixed notation's integer digits, for exponents 0..15
+    body = np.select(
+        [form == 22, form >= 20, form >= 4],
+        [b == 1,  # '0'
+         digits | (b == 7) & (nd > 1) | (b >= 40) & (b < 45) & ((b < 42) | (b >= 63 - form)),  # d.ddd e-EE(E)
+         digits | (b >= 6) & (b < 5 + 2 * whole) & (b % 2 == 0) | (b == 5 + 2 * whole) & (nd > whole)],
+        (b >= 1) & (b < 6 - form) | digits)  # '0.', -X - 1 zeros of '000', then the digits
+    return (body | (b == 0) & (sign == 1) | (b == 45)).reshape(-1, _W).astype(np.uint8)
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,14 +95,11 @@ def _tables() -> dict:
     exponent = np.zeros((1000, 8), dtype=np.uint8)
     exponent[:, :2] = np.frombuffer(b"e-", dtype=np.uint8)
     exponent[:, 2:5] = quads[:1000, 1:]
-    marks = [_keep_row(form, nd + 1, sign) for form, nd, sign in np.ndindex(_FORMS, 17, 2)]
-    keep = np.zeros((len(marks), _W), dtype=np.uint8)
-    keep[np.repeat(np.arange(len(marks)), [len(m) for m in marks]), np.concatenate(marks)] = 1
     zeros = np.select([n % 1000 == 0, n % 100 == 0, n % 10 == 0], [3, 2, 1], 0) + (n == 0)
     tables = {
         "hi": hi, "halves": np.stack(_split(hi)), "lo": lo, "floor": np.array(floor),
         "lead": lead.view(np.uint64)[:, 0], "dotted": dotted.view(np.uint64)[:, 0],
-        "exponent": exponent.view(np.uint64)[:, 0], "keep": keep.view(np.uint64),
+        "exponent": exponent.view(np.uint64)[:, 0], "keep": _keep().view(np.uint64),
         "zeros": zeros,
     }
     for table in tables.values():  # every caller shares them

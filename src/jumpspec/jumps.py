@@ -173,8 +173,7 @@ def corrected_interpolate(w: BarycentricWeights, f, jump: JumpData | None, x):
     minus, plus = _barycentric(w, pts, pieces)
     vals = np.where(_right_of(pts, jump), plus, minus)
     on = pts == jump.xi
-    if on.any():  # plus over these rows alone: the whole table's product can round them differently
-        vals[on] = 0.5 * (vals[on] + _barycentric(w, pts[on], pieces[1:])[0])
+    vals[on] = 0.5 * (minus[on] + plus[on])
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 

@@ -82,11 +82,11 @@ def _gaps_and_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _ratio_matrix(
     w: BarycentricWeights, pts: np.ndarray
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """lam_j / (x - x_j) per probe, plus the (row, column) pairs of node coincidences.
+    """lam_j / (x - x_j) as a (node, probe) table, plus the (node, probe) pairs of node coincidences.
 
     A probe counts as coinciding with node j when |x - x_j| <= |lam_j| 1e-300,
     that is when the difference underflows the ratio (including exact
-    equality); such rows are served the nodal value directly, so the ratios
+    equality); such probes are served the nodal value directly, so the ratios
     never overflow, and the ratio at a pair is lam_j itself. Every tolerance
     is below half the smallest node gap (BarycentricWeights), so only the
     two nodes bracketing a probe can meet it, and at most one of them does;
@@ -95,13 +95,13 @@ def _ratio_matrix(
     """
     x = w.grid.nodes
     tol = np.abs(w.lam) * 1e-300
-    d = pts[:, None] - x[None, :]
+    d = pts[None, :] - x[:, None]
     # nodes x_k, x_k+1 bracket the probe (the end pair outside [x_0, x_N])
     cand = np.searchsorted(x[1:-1], pts)[:, None] + np.array([0, 1])
-    rows, side = np.nonzero(np.abs(pts[:, None] - x[cand]) <= tol[cand])
-    cols = cand[rows, side]
-    d[rows, cols] = 1.0
-    return np.divide(w.lam, d, out=d), (rows, cols)
+    probes, side = np.nonzero(np.abs(pts[:, None] - x[cand]) <= tol[cand])
+    nodes = cand[probes, side]
+    d[nodes, probes] = 1.0
+    return np.divide(w.lam[:, None], d, out=d), (nodes, probes)
 
 
 def basis_matrix(w: BarycentricWeights, pts) -> np.ndarray:
@@ -112,7 +112,8 @@ def basis_matrix(w: BarycentricWeights, pts) -> np.ndarray:
     because the true barycentric form normalizes by the same sum.
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    B, (rows, cols) = _ratio_matrix(w, pts)
+    r, (cols, rows) = _ratio_matrix(w, pts)
+    B = r.T.copy()  # a contiguous row per probe, which numpy sums pairwise
     with np.errstate(invalid="ignore"):
         B /= B.sum(axis=1)[:, None]
     B[rows] = 0.0
@@ -143,14 +144,23 @@ def _finite(compute, fault):
 def _barycentric(w: BarycentricWeights, pts: np.ndarray, pieces) -> np.ndarray:
     """Barycentric values at pts of the interpolant of each data row of pieces.
 
-    Row k holds the values of the interpolant of pieces[k], one
-    matrix-vector product each; probes coinciding with a node get that
-    row's datum exactly.
+    Row k holds the values of the interpolant of pieces[k]. Every numerator
+    and the denominator come from one einsum contraction of the (node,
+    probe) ratio table with the data columns beside a column of ones, which
+    numpy sums in node order for any probe count, without BLAS. So constant
+    data give exactly that constant, and a value's bits depend neither on
+    the other rows, nor on the other probes, nor on the BLAS thread count.
+    Node order also keeps the partial sums of the alternating ratios small;
+    a sum split across SIMD lanes gathers same-sign terms whose totals
+    cancel only at the end. A denominator that cancels to zero gives a
+    non-finite value, without a warning; probes coinciding with a node get
+    that row's datum exactly.
     """
-    r, (prow, pcol) = _ratio_matrix(w, pts)
-    with np.errstate(invalid="ignore"):
-        vals = np.array([r @ f for f in pieces]) / r.sum(axis=1)
-    vals[:, prow] = np.asarray(pieces)[:, pcol]
+    r, (nodes, probes) = _ratio_matrix(w, pts)
+    sums = np.einsum("jp,jk->kp", r, np.column_stack([*pieces, np.ones(len(r))]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = sums[:-1] / sums[-1]
+    vals[:, probes] = np.asarray(pieces)[:, nodes]
     return vals
 
 

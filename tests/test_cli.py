@@ -104,6 +104,35 @@ def test_runs_are_deterministic(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+# a benchmark interp job (interp-sweep, seed 2, job 2) whose result.csv
+# once differed in one row between 1 and 2 OpenBLAS threads, when its
+# barycentric numerators were BLAS products split across the threads
+BLAS_SPLIT_CFG = {
+    "problem": {"type": "legendre", "l": 1, "xi": 0.276247},
+    "grid": {"family": "cgl", "a": -0.881297, "b": 0.86064, "N": 48},
+    "M": [-1, 8, 12],
+    "probes": 10000,
+    "checks": [{"kind": "max_error_leq", "label": "M8", "value": 1e-06},
+               {"kind": "max_error_leq", "label": "M12", "value": 1e-06}],
+}
+
+
+def test_interp_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(BLAS_SPLIT_CFG))
+    src = os.path.dirname(os.path.dirname(jumpspec.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "jumpspec", "interp", "--config", str(cfg_path), "--out", str(out)],
+                              env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outs[0] == outs[1]
+
+
 def test_converge_reports_orders_and_exponential_flag(tmp_path):
     # pieces differ by a cubic only: jumps vanish beyond order 3, so the
     # corrected interpolant converges like the smooth underlying function

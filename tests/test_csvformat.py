@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jumpspec import cli
-from jumpspec.csvformat import HI, LO, format_rows, significands
+from jumpspec.csvformat import _FORMS, _W, HI, LO, _tables, format_rows, significands
 
 
 def reference_csv(header, rows) -> bytes:
@@ -101,6 +101,32 @@ def test_the_kernel_keeps_signs_zeros_and_ties():
     x = np.concatenate([[-0.0, 0.0, -1.5, 1 + 2**-17, 1 + 3 * 2**-17], np.full(300, 0.25)])
     text = format_rows(x[:, None]).split(b"\n")
     assert text[:5] == [b"-0", b"0", b"-1.5", b"1.0000076293945312", b"1.0000228881835938"]
+
+
+def keep_row(form, nd, sign):
+    """The row bytes of a value's text, one value at a time: its notation
+    form, nd significant digits and sign. Digit j sits at 6 + 2j, the dot
+    after it at 7 + 2j. The rule the keep table was first built with."""
+    digits = [6 + 2 * j for j in range(nd)]
+    if form == 22:
+        body = [1]
+    elif form >= 20:  # d.ddd, 'e-', then the last two or three of 'EEE'
+        body = digits[:1] + ([7] + digits[1:] if nd > 1 else []) + [40, 41] + [42, 43, 44][21 - form :]
+    elif form >= 4:  # exponent X = form - 4: X + 1 integer digits, the dot only before a fraction
+        whole = form - 3
+        body = [6 + 2 * j for j in range(max(nd, whole))] + ([5 + 2 * whole] if nd > whole else [])
+    else:  # '0.' and -X - 1 zeros of '000'
+        body = [1, 2] + [3, 4, 5][: 3 - form] + digits
+    return [0] * sign + body + [45]
+
+
+def test_the_keep_table_follows_the_per_row_rule():
+    keep = _tables()["keep"].view(np.uint8)
+    want = np.zeros_like(keep)
+    for row, (form, nd, sign) in enumerate(np.ndindex(_FORMS, 17, 2)):
+        want[row, keep_row(form, nd + 1, sign)] = 1
+    assert keep.shape == (_FORMS * 17 * 2, _W)
+    np.testing.assert_array_equal(keep, want)
 
 
 CLI_RUNS = [

@@ -150,8 +150,9 @@ def test_scalar_and_array_probes_agree(N, data, xq):
 
 # The five-pass barycentric formula the evaluation was first written with:
 # the full difference matrix, a full hit mask, a masked copy of the
-# differences, the ratios and a nonzero search over the mask. Kept as the
-# bitwise oracle of the two-pass evaluation.
+# differences, the ratios and a nonzero search over the mask. Its numerators
+# and denominator are summed alike, node by node, each product rounded and
+# then added. Kept as the bitwise oracle of the two-pass evaluation.
 def five_pass_ratio_matrix(w, pts):
     d = pts[:, None] - w.grid.nodes[None, :]
     hit = np.abs(d) <= np.abs(w.lam)[None, :] * 1e-300
@@ -161,8 +162,12 @@ def five_pass_ratio_matrix(w, pts):
 
 def five_pass_barycentric(w, pts, pieces):
     r, hit = five_pass_ratio_matrix(w, pts)
-    with np.errstate(invalid="ignore"):
-        vals = np.array([r @ f for f in pieces]) / r.sum(axis=1)
+    rows = np.vstack([pieces, np.ones(r.shape[1])])
+    sums = np.zeros((len(rows), len(pts)))
+    for j in range(r.shape[1]):
+        sums = sums + rows[:, j, None] * r[:, j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = sums[:-1] / sums[-1]
     prow, pcol = np.nonzero(hit)
     vals[:, prow] = np.asarray(pieces)[:, pcol]
     return vals
@@ -242,6 +247,35 @@ def test_barycentric_matches_five_pass_formula_bitwise(case, monkeypatch):
     old = evaluate(five_pass_basis_matrix)
     for a, b in zip(new, old):
         np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("grid", [chebyshev_gauss_lobatto(-1, 1, 2), chebyshev_gauss_lobatto(-1, 1, 48),
+                                  equidistant(-1, 1, 30), equidistant(-0.9, 0.7, 64)],
+                         ids=["cgl-2", "cgl-48", "equidistant-30", "equidistant-64"])
+def test_constant_data_interpolate_to_exactly_one(grid):
+    # numerator and denominator are summed alike, so they agree bit for bit;
+    # on equidistant N = 64 no denominator cancels to zero either
+    pts = np.linspace(grid.a, grid.b, 10001)
+    vals = interpolate(barycentric_weights(grid), np.ones(grid.N + 1), pts)
+    assert np.count_nonzero(vals != 1.0) == 0
+
+
+def test_value_bits_do_not_depend_on_the_other_probes():
+    g = equidistant(-1, 1, 20)
+    w = barycentric_weights(g)
+    f = np.cos(3.0 * g.nodes)
+    pts = np.concatenate([np.random.default_rng(4).uniform(-1, 1, 40), g.nodes[:3]])
+    together = interpolate(w, f, pts)
+    alone = [interpolate(w, f, x) for x in pts]
+    np.testing.assert_array_equal(_bits(together), _bits(alone))
+
+
+def test_denominator_cancelling_to_zero_is_not_finite_without_a_warning():
+    # far outside [0, 1], -1/x + 1/(x - 1) rounds to 0 at x = 1e17
+    w = barycentric_weights(custom(0, 1, [0.0, 1.0]))
+    vals = interpolate(w, [1.0, 2.0], [1e17, 0.5])
+    assert vals[0] == np.inf and vals[1] == 1.5
+    assert np.isnan(interpolate(w, [1.0, 1.0], 1e17))
 
 
 class Fault(Exception):
