@@ -402,18 +402,21 @@ def _label(M: int) -> str:
     return "lagrange" if M < 0 else f"M{M}"
 
 
-def _columns(compute, jumps: dict, overflow: str) -> list:
-    """compute(jd) for each (label, jump data jd) of jumps, jd None for the
-    plain column; a numerical failure, "the <label> <overflow>", if one is
-    not finite."""
-    return [_finite(lambda: compute(jd), lambda i: RuntimeError(f"the {label} {overflow}"))
-            for label, jd in jumps.items()]
+def _columns(compute, items: dict, overflow: str) -> list:
+    """compute(item) for each (label, item) of items, an item being a
+    column's jump data (None for plain) or its values; a numerical failure,
+    "the <label> <overflow>", names the first column that is not finite."""
+    return [_finite(lambda: compute(item), lambda i: RuntimeError(f"the {label} {overflow}"))
+            for label, item in items.items()]
 
 
 def _interpolants(w: BarycentricWeights, f: np.ndarray, jumps: dict, pts: np.ndarray) -> list[np.ndarray]:
     """Values at pts of the plain (None) or jump-corrected interpolant of
-    the nodal data f, one array per entry of jumps."""
-    return _columns(lambda jd: corrected_interpolate(w, f, jd, pts), {_label(M): jd for M, jd in jumps.items()},
+    the nodal data f, one array per entry of jumps, from one
+    corrected_interpolate call and so one ratio table."""
+    with np.errstate(all="ignore"):  # _columns reports a failure
+        rows = corrected_interpolate(w, f, list(jumps.values()), pts)
+    return _columns(lambda row: row, dict(zip(map(_label, jumps), rows)),
                     f"interpolant on N = {w.grid.N} is not finite; the data overflow its barycentric sums, "
                     "or their denominator cancels to zero")
 

@@ -29,8 +29,9 @@ fallback), trailing zeros and a bare '.' stripped. Each value first gets a
     bytes 0-5 '-0.000', 6-39 'd0.d1.d2. ... d16.', 40-44 'e-EEE', 45 the separator
 
 then a row of the keep table, picked by its notation, significant digit
-count and sign, marks the bytes of its text, and one compress over the
-block drops the rest. The tables are built on first use.
+count and sign, masks it in place: 0xFF at the bytes of its text, 0x00
+elsewhere. Text bytes are never NUL, so dropping every NUL byte of the
+block compacts it. The tables are built on first use.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _keep() -> np.ndarray:
     """The keep table: per (notation form, significant digit count nd, sign)
-    row, the row bytes of that value's text. Digit j sits at 6 + 2j, the dot
-    after it at 7 + 2j."""
+    row, 0xFF at the row bytes of that value's text and 0x00 elsewhere.
+    Digit j sits at 6 + 2j, the dot after it at 7 + 2j."""
     form, nd, sign, b = np.ix_(np.arange(_FORMS), np.arange(1, 18), np.arange(2), np.arange(_W))
     j = (b - 6) // 2  # the digit at b, or the one whose dot b is
     digits = (b >= 6) & (b < 40) & (b % 2 == 0) & (j < nd)
@@ -69,7 +70,7 @@ def _keep() -> np.ndarray:
          digits | (b == 7) & (nd > 1) | (b >= 40) & (b < 45) & ((b < 42) | (b >= 63 - form)),  # d.ddd e-EE(E)
          digits | (b >= 6) & (b < 5 + 2 * whole) & (b % 2 == 0) | (b == 5 + 2 * whole) & (nd > whole)],
         (b >= 1) & (b < 6 - form) | digits)  # '0.', -X - 1 zeros of '000', then the digits
-    return (body | (b == 0) & (sign == 1) | (b == 45)).reshape(-1, _W).astype(np.uint8)
+    return (body | (b == 0) & (sign == 1) | (b == 45)).reshape(-1, _W).astype(np.uint8) * np.uint8(0xFF)
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,13 +151,15 @@ def format_rows(block: np.ndarray) -> bytes:
         zeros += tail * t["zeros"][q]
         tail &= q == 0
     form = np.where(x == 0.0, 22, np.where(k >= -4, k + 4, np.where(k > -100, 20, 21)))
-    keep = t["keep"][(form * 17 + 16 - zeros) * 2 + np.signbit(x)]  # row (form, 17 - zeros digits, sign)
-    text, marks = words.view(np.uint8).reshape(-1, _W), keep.view(np.uint8)
+    key = (form * 17 + 16 - zeros) * 2 + np.signbit(x)  # row (form, 17 - zeros digits, sign)
+    words &= t["keep"][key].reshape(words.shape)
     slow = np.flatnonzero(~ok)
     if slow.size:
+        text = words.view(np.uint8).reshape(-1, _W)
         fallback = [b"%.17g" % v for v in x[slow].tolist()]
         size = np.array([len(s) for s in fallback])
-        text[slow, :24] = np.frombuffer(b"".join(s.ljust(24) for s in fallback), np.uint8).reshape(-1, 24)
-        text[slow, size] = text[slow, 45]  # the separator
-        marks[slow] = np.arange(_W) <= size[:, None]
-    return np.compress(marks.ravel().view(np.bool_), text.ravel()).tobytes()
+        ends = text[slow, 45]
+        text[slow] = 0
+        text[slow, :24] = np.frombuffer(b"".join(s.ljust(24, b"\0") for s in fallback), np.uint8).reshape(-1, 24)
+        text[slow, size] = ends
+    return words.tobytes().translate(None, b"\0")

@@ -35,7 +35,7 @@ import numpy as np
 
 from .diffmat import DerivMatrix, apply, fd_weights
 from .grid import Grid
-from .lagrange import BarycentricWeights, _barycentric, _check_data, barycentric_weights, interpolate
+from .lagrange import BarycentricWeights, _check_data, barycentric_weights, interpolate
 from .quadrature import QuadRule, basis_integrals, integrate
 
 __all__ = [
@@ -158,23 +158,36 @@ def correction_matrix(jump: JumpData | None, grid: Grid) -> np.ndarray:
     return np.where(_right_of(grid.nodes, jump)[:, None], plus, minus)
 
 
-def corrected_interpolate(w: BarycentricWeights, f, jump: JumpData | None, x):
+def corrected_interpolate(w: BarycentricWeights, f, jump: JumpData | None | list[JumpData | None], x):
     """Evaluate the jump-corrected interpolant of data f at x (scalar or array).
 
     Each probe evaluates the plain interpolant of its side's piece; a probe
     exactly at the discontinuity averages the two pieces. The result
     collocates f at every node exactly and carries the enforced derivative
     jumps across the discontinuity; with jump None it is lagrange.interpolate.
+
+    jump may also be a list of corrections, each a JumpData or None: the
+    result then holds one row per correction, each bit for bit what that
+    correction alone gives, and every piece of every correction is
+    evaluated by one interpolate call, from one ratio table.
     """
-    if jump is None:
-        return interpolate(w, f, x)
-    pieces = _pieces(_check_data(f, w.grid), jump, w.grid)
+    f = _check_data(f, w.grid)
+    corrections = jump if isinstance(jump, list) else [jump]
+    pieces = [piece for jd in corrections for piece in ([f] if jd is None else _pieces(f, jd, w.grid))]
     pts = np.atleast_1d(np.asarray(x, dtype=float))
-    minus, plus = _barycentric(w, pts, pieces)
-    vals = np.where(_right_of(pts, jump), plus, minus)
-    on = pts == jump.xi
-    vals[on] = 0.5 * (minus[on] + plus[on])
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+    vals = iter(interpolate(w, np.reshape(pieces, (-1, f.size)), pts))
+    rows = []
+    for jd in corrections:
+        row = next(vals)
+        if jd is not None:
+            minus, plus = row, next(vals)
+            row = np.where(_right_of(pts, jd), plus, minus)
+            on = pts == jd.xi
+            row[on] = 0.5 * (minus[on] + plus[on])
+        rows.append(row)
+    out = np.reshape(rows, (len(rows),) + np.shape(x))
+    out = out if isinstance(jump, list) else out[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def corrected_derivative(D: DerivMatrix, f, jump: JumpData | None) -> np.ndarray:

@@ -141,26 +141,26 @@ def _finite(compute, fault):
     return values
 
 
-def _barycentric(w: BarycentricWeights, pts: np.ndarray, pieces) -> np.ndarray:
-    """Barycentric values at pts of the interpolant of each data row of pieces.
+def _barycentric(w: BarycentricWeights, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Barycentric values at pts of the interpolant of each data row of rows.
 
-    Row k holds the values of the interpolant of pieces[k]. Every numerator
-    and the denominator come from one einsum contraction of the (node,
-    probe) ratio table with the data columns beside a column of ones, which
-    numpy sums in node order for any probe count, without BLAS. So constant
-    data give exactly that constant, and a value's bits depend neither on
-    the other rows, nor on the other probes, nor on the BLAS thread count.
-    Node order also keeps the partial sums of the alternating ratios small;
-    a sum split across SIMD lanes gathers same-sign terms whose totals
-    cancel only at the end. A denominator that cancels to zero gives a
-    non-finite value, without a warning; probes coinciding with a node get
-    that row's datum exactly.
+    Row k holds the values of the interpolant of rows[k], a (K, N+1) array.
+    Every numerator and the denominator come from one einsum contraction of
+    the (node, probe) ratio table with the data columns beside a column of
+    ones, which numpy sums in node order for any probe count, without BLAS.
+    So one ratio table serves every row, constant data give exactly that
+    constant, and a value's bits depend neither on the other rows, nor on
+    the other probes, nor on the BLAS thread count. Node order also keeps
+    the partial sums of the alternating ratios small; a sum split across
+    SIMD lanes gathers same-sign terms whose totals cancel only at the end.
+    A denominator that cancels to zero gives a non-finite value, without a
+    warning; probes coinciding with a node get that row's datum exactly.
     """
     r, (nodes, probes) = _ratio_matrix(w, pts)
-    sums = np.einsum("jp,jk->kp", r, np.column_stack([*pieces, np.ones(len(r))]))
+    sums = np.einsum("jp,jk->kp", r, np.column_stack([*rows, np.ones(len(r))]))
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = sums[:-1] / sums[-1]
-    vals[:, probes] = np.asarray(pieces)[:, nodes]
+    vals[:, probes] = rows[:, nodes]
     return vals
 
 
@@ -169,10 +169,12 @@ def interpolate(w: BarycentricWeights, f, x):
 
     Uses the true barycentric form, which reproduces nodal values exactly,
     sums the basis to one identically, and is exact for polynomial data of
-    degree <= N.
+    degree <= N. f may also stack K data rows, shape (K, N+1): all of them
+    are evaluated from one ratio table, and row k of the (K, ...) result is
+    bit for bit what f[k] alone gives.
     """
-    f = _check_data(f, w.grid)
+    f = np.asarray(f, dtype=float)
+    rows = f if f.ndim == 2 and f.shape[1] == w.grid.N + 1 else _check_data(f, w.grid)[None]
     xs = np.asarray(x, dtype=float)
-    pts = np.atleast_1d(xs)
-    vals = _barycentric(w, pts, (f,))[0]
-    return float(vals[0]) if xs.ndim == 0 else vals
+    vals = _barycentric(w, np.atleast_1d(xs), rows).reshape(f.shape[:-1] + xs.shape)
+    return float(vals) if vals.ndim == 0 else vals

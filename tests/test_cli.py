@@ -208,6 +208,25 @@ def test_converge_builds_each_jump_order_once(tmp_path, monkeypatch):
     assert [f["M"] for f in report["fits"]] == [-1, 3, 5]
 
 
+def test_each_grid_builds_one_ratio_table(tmp_path, monkeypatch):
+    # every jump order's pieces share the grid's one (node, probe) ratio
+    # table, in interp and in each converge cell, also where a grid can
+    # use no jump order (N = 4 below M = 5)
+    from jumpspec import lagrange
+
+    calls = []
+    ratio_matrix = lagrange._ratio_matrix
+    monkeypatch.setattr(lagrange, "_ratio_matrix", lambda w, pts: calls.append(w.grid.N) or ratio_matrix(w, pts))
+    assert run_command(tmp_path, "interp", INTERP_CFG)[0] == 0
+    assert calls == [12]
+    calls.clear()
+    cfg = dict(CONVERGE_CFG, N_list=[4, 8, 10, 12], M_list=[5, 3, -1, 20])
+    code, _, report = run_command(tmp_path, "converge", cfg, "converge")
+    assert code == 0
+    assert sorted(calls) == [4, 8, 10, 12]
+    assert [(r["N"], r["M"]) for r in report["rows"]][:3] == [(4, -1), (4, 3), (8, -1)]
+
+
 def test_converge_without_grids_writes_an_empty_table(tmp_path, monkeypatch):
     calls = _count_jump_data(monkeypatch)
     code, out, report = run_command(tmp_path, "converge", dict(CONVERGE_CFG, N_list=[]))
@@ -823,9 +842,15 @@ NON_FINITE_RESULTS = [
     ("quad", {"problem": {"type": "synthetic", "left": [0.0], "right": [1e300], "xi": 0.31},
               "grid": {"family": "equidistant", "a": -0.8, "b": 0.8, "N": 60}, "M": 0},
      "numerical failure: the plain integral is not finite"),
+    # the right piece's 1e304 x^4 carried to the far side overflows the
+    # barycentric sums of the M4 and M3 pieces, not the plain or M2 ones:
+    # the first column in M order is named
+    ("interp", {"problem": {"type": "synthetic", "left": [0.0], "right": [0, 0, 0, 0, 1e304], "xi": 0.05},
+                "grid": {"family": "cgl", "a": -2, "b": 0.1, "N": 24}, "M": [-1, 2, 4, 3], "probes": 50},
+     "numerical failure: the M4 interpolant on N = 24 is not finite"),
 ]
 # explicit ids, so that an appended row of a command moves no earlier row's id
-NON_FINITE_IDS = ["quad", "interp", "converge", "diff-corrected", "quad-plain"]
+NON_FINITE_IDS = ["quad", "interp", "converge", "diff-corrected", "quad-plain", "interp-order"]
 
 
 @pytest.mark.parametrize("command,cfg,message", NON_FINITE_RESULTS, ids=NON_FINITE_IDS)

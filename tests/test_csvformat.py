@@ -124,7 +124,7 @@ def test_the_keep_table_follows_the_per_row_rule():
     keep = _tables()["keep"].view(np.uint8)
     want = np.zeros_like(keep)
     for row, (form, nd, sign) in enumerate(np.ndindex(_FORMS, 17, 2)):
-        want[row, keep_row(form, nd + 1, sign)] = 1
+        want[row, keep_row(form, nd + 1, sign)] = 0xFF
     assert keep.shape == (_FORMS * 17 * 2, _W)
     np.testing.assert_array_equal(keep, want)
 

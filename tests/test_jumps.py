@@ -235,6 +235,31 @@ def test_probe_at_discontinuity_averages_branches():
     assert corrected_interpolate(w, f, JumpData(xi, [1.0]), xi) == pytest.approx(0.5, abs=1e-14)
 
 
+@pytest.mark.parametrize("grid", [chebyshev_gauss_lobatto(-1, 1, 20), equidistant(-2, 1, 14)],
+                         ids=["cgl-20", "equidistant-14"])
+def test_a_list_of_corrections_gives_each_correction_alone_bitwise(grid):
+    # one interpolate call evaluates the plain data and both pieces of each
+    # jump: a probe on either cut averages its pieces, a probe on a node
+    # reads the datum, and a scalar probe gives one value per correction
+    w = barycentric_weights(grid)
+    rng = np.random.default_rng(grid.N)
+    f = np.sin(2.0 * grid.nodes) + np.abs(grid.nodes - 0.13)
+    jd_a, jd_b = JumpData(0.13, [0.0, 2.0, 0.0]), JumpData(-0.41, rng.uniform(-2, 2, 5))
+    probes = np.concatenate([rng.uniform(grid.a, grid.b, 60), grid.nodes[[0, 3, 9, -1]], [0.13, -0.41]])
+    corrections = [None, jd_a, jd_b]
+    together = corrected_interpolate(w, f, corrections, probes)
+    assert together.shape == (3, probes.size)
+    alone = [corrected_interpolate(w, f, jd, probes) for jd in corrections]
+    np.testing.assert_array_equal(together.view(np.uint64), np.array(alone).view(np.uint64))
+    np.testing.assert_array_equal(together[:, 60:64], np.tile(f[[0, 3, 9, -1]], (3, 1)))
+    for i in (0, 62, 64, 65):
+        scalar = corrected_interpolate(w, f, corrections, probes[i])
+        assert scalar.shape == (3,)
+        np.testing.assert_array_equal(scalar.view(np.uint64), together[:, i].view(np.uint64))
+        assert [corrected_interpolate(w, f, jd, probes[i]) for jd in corrections] == scalar.tolist()
+    assert corrected_interpolate(w, f, [], probes).shape == (0, probes.size)
+
+
 # --- corrected differentiation ----------------------------------------------
 
 

@@ -229,7 +229,7 @@ def _bits(a):
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_barycentric_matches_five_pass_formula_bitwise(case, monkeypatch):
-    from jumpspec import JumpData, corrected_interpolate, jumps, lagrange
+    from jumpspec import JumpData, corrected_interpolate, lagrange
 
     g, pts, xi = ORACLE_CASES[case]()
     w = barycentric_weights(g)
@@ -242,8 +242,7 @@ def test_barycentric_matches_five_pass_formula_bitwise(case, monkeypatch):
             return interpolate(w, f, pts), corrected_interpolate(w, f, jd, probes), basis(w, pts)
 
     new = evaluate(basis_matrix)
-    monkeypatch.setattr(lagrange, "_barycentric", five_pass_barycentric)
-    monkeypatch.setattr(jumps, "_barycentric", five_pass_barycentric)
+    monkeypatch.setattr(lagrange, "_barycentric", five_pass_barycentric)  # corrected_interpolate's path too
     old = evaluate(five_pass_basis_matrix)
     for a, b in zip(new, old):
         np.testing.assert_array_equal(_bits(a), _bits(b))
@@ -268,6 +267,31 @@ def test_value_bits_do_not_depend_on_the_other_probes():
     together = interpolate(w, f, pts)
     alone = [interpolate(w, f, x) for x in pts]
     np.testing.assert_array_equal(_bits(together), _bits(alone))
+
+
+@pytest.mark.parametrize("K", range(1, 6))
+@pytest.mark.parametrize("grid", [chebyshev_gauss_lobatto(-1, 1, 16), equidistant(-0.9, 0.7, 24)],
+                         ids=["cgl-16", "equidistant-24"])
+def test_value_bits_do_not_depend_on_the_other_rows(grid, K):
+    # stacked rows share one ratio table; each row's values are those of
+    # the row alone, at probes between nodes, on nodes and as a scalar
+    w = barycentric_weights(grid)
+    rng = np.random.default_rng(K)
+    rows = rng.normal(size=(K, grid.N + 1)) * 10.0 ** rng.integers(-3, 4, size=(K, 1))
+    pts = np.concatenate([rng.uniform(grid.a, grid.b, 50), grid.nodes[[0, 5, -1]]])
+    together = interpolate(w, rows, pts)
+    assert together.shape == (K, pts.size)
+    np.testing.assert_array_equal(_bits(together), _bits([interpolate(w, row, pts) for row in rows]))
+    np.testing.assert_array_equal(_bits(interpolate(w, rows, pts[7])), _bits(together[:, 7]))
+    np.testing.assert_array_equal(_bits(interpolate(w, rows, pts[-2])), _bits(rows[:, 5]))
+
+
+def test_stacked_rows_must_match_the_grid():
+    w = barycentric_weights(equidistant(-1, 1, 4))
+    with pytest.raises(ValueError, match="does not match the grid's 5 nodes"):
+        interpolate(w, np.ones((2, 4)), 0.3)
+    with pytest.raises(ValueError, match="does not match the grid's 5 nodes"):
+        interpolate(w, np.ones((1, 2, 5)), 0.3)
 
 
 def test_denominator_cancelling_to_zero_is_not_finite_without_a_warning():
