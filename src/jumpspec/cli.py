@@ -8,10 +8,14 @@ or cell it reads there are settled against them before any work too.
 Only after the run and its checks is anything written: result.csv, any
 exports and report.json. Every CSV value is written as '%.17g' (C's
 %.17g) writes it, whichever of write_csv's two paths formats it.
-Identical configs produce byte-identical outputs, with one known exception:
+Identical configs produce byte-identical outputs, with two known exceptions.
 evolve bytes with m = N from N = 128 on depend on the BLAS thread count,
 since the matrix products that build its steps split their sums across
-the threads. interp and converge call no BLAS.
+the threads; interp and converge call no BLAS. And every output holds per
+host and CPU feature set: numpy dispatches power, arctanh, log, log1p, exp
+and log10 to SIMD loops that round differently with its AVX-512 loops on
+and off (NPY_DISABLE_CPU_FEATURES), which moves the Legendre problems'
+data and references and the gaussian profile.
 The process exits 0 only when the run completes and all checks pass (1 for
 failed checks, 2 for config or usage errors, 3 for a numerical failure such
 as a state that stops being finite, 4 for a program fault, any other

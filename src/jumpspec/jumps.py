@@ -215,9 +215,10 @@ def corrected_integrate(rule: QuadRule, f, jump: JumpData | None) -> float:
     """
     if jump is None:
         return integrate(rule, f)
-    plus = _pieces(_check_data(f, rule.grid), jump, rule.grid)[1]
-    w = barycentric_weights(rule.grid)
-    return integrate(rule, plus) - float(basis_integrals(w, rule.grid.a, jump.xi) @ jump_weights(jump, rule.grid))
+    f = _check_data(f, rule.grid)
+    g = jump_weights(jump, rule.grid)
+    plus = (_SIDES[1] - _right_of(rule.grid.nodes, jump)) * g + f  # _pieces' plus row, from the one series
+    return integrate(rule, plus) - float(basis_integrals(barycentric_weights(rule.grid), rule.grid.a, jump.xi) @ g)
 
 
 def one_sided_derivatives_at_node(grid: Grid, f, node_index: int, jumps) -> tuple[float, float]:

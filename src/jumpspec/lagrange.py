@@ -107,18 +107,21 @@ def _ratio_matrix(
 def basis_matrix(w: BarycentricWeights, pts) -> np.ndarray:
     """Evaluate every Lagrange basis polynomial at the given points.
 
-    Returns B with B[p, j] = pi_j(pts[p]). Rows whose point coincides with a
-    node are exact Kronecker rows, and every row sums to one identically
-    because the true barycentric form normalizes by the same sum.
+    Returns B with B[p, j] = pi_j(pts[p]), a (probe, node) view of the
+    (node, probe) ratio table, each column divided in place by its sum in
+    node order: the denominator _barycentric forms. So B is the interpolant
+    of the identity, interpolate(w, np.eye(N + 1), pts).T, bit for bit, for
+    two probes or more (numpy sums a lone probe's column pairwise, which
+    differs only by rounding). Rows whose point coincides with a node are
+    exact Kronecker rows.
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    r, (cols, rows) = _ratio_matrix(w, pts)
-    B = r.T.copy()  # a contiguous row per probe, which numpy sums pairwise
+    r, (nodes, probes) = _ratio_matrix(w, pts)
     with np.errstate(invalid="ignore"):
-        B /= B.sum(axis=1)[:, None]
-    B[rows] = 0.0
-    B[rows, cols] = 1.0
-    return B
+        r /= r.sum(axis=0)
+    r[:, probes] = 0.0
+    r[nodes, probes] = 1.0
+    return r.T
 
 
 def _check_data(f, grid: Grid) -> np.ndarray:

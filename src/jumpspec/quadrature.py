@@ -42,11 +42,12 @@ def basis_integrals(w: BarycentricWeights, lo: float, hi: float) -> np.ndarray:
     """Integrals of every Lagrange basis polynomial over [lo, hi].
 
     A Gauss-Legendre rule with enough points to be exact for degree N is
-    applied to the barycentric-evaluated basis, so no coefficient extraction
-    is needed and the result is exact up to rounding for any subinterval.
+    applied to the basis matrix, the interpolant of the identity with every
+    interpolated value's node-order denominators, so no coefficient
+    extraction is needed and the result is exact up to rounding for any
+    subinterval.
     """
-    N = w.grid.N
-    t, gw = _gauss_legendre((N + 2) // 2 + 1)
+    t, gw = _gauss_legendre((w.grid.N + 2) // 2 + 1)
     mid = 0.5 * (hi + lo)
     halfspan = 0.5 * (hi - lo)
     return halfspan * (gw @ basis_matrix(w, mid + halfspan * t))

@@ -176,8 +176,11 @@ def five_pass_barycentric(w, pts, pieces):
 def five_pass_basis_matrix(w, pts):
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
     r, hit = five_pass_ratio_matrix(w, pts)
+    sums = np.zeros(len(pts))
+    for j in range(r.shape[1]):
+        sums = sums + r[:, j]
     with np.errstate(invalid="ignore"):
-        B = r / r.sum(axis=1)[:, None]
+        B = r / sums[:, None]
     rows = hit.any(axis=1)
     if rows.any():
         B[rows] = hit[rows].astype(float)
@@ -246,6 +249,22 @@ def test_barycentric_matches_five_pass_formula_bitwise(case, monkeypatch):
     old = evaluate(five_pass_basis_matrix)
     for a, b in zip(new, old):
         np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("grid", [chebyshev_gauss_lobatto(-1, 1, 2), chebyshev_gauss_lobatto(-1, 1, 48),
+                                  chebyshev_gauss_lobatto(-2, 3, 128), equidistant(-1, 1, 30),
+                                  custom(-1, 1, np.r_[-1, np.sort(np.random.default_rng(9).uniform(-1, 1, 19)), 1])],
+                         ids=["cgl-2", "cgl-48", "cgl-128", "equidistant-30", "custom-20"])
+@pytest.mark.parametrize("probes", [2, 1001])
+def test_basis_matrix_is_the_interpolant_of_the_identity(grid, probes):
+    # each basis column is divided by the node-order sum that every
+    # interpolated value divides by, so the two agree bit for bit, at the
+    # nodes (Kronecker rows) and between them
+    w = barycentric_weights(grid)
+    on = grid.nodes[1::3][: probes // 2]
+    pts = np.concatenate([on, np.random.default_rng(probes).uniform(grid.a, grid.b, probes - on.size)])
+    B = basis_matrix(w, pts)
+    np.testing.assert_array_equal(_bits(B), _bits(interpolate(w, np.eye(grid.N + 1), pts).T))
 
 
 @pytest.mark.parametrize("grid", [chebyshev_gauss_lobatto(-1, 1, 2), chebyshev_gauss_lobatto(-1, 1, 48),

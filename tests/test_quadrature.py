@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+import jumpspec
 from jumpspec import (
     JumpData,
     QuadRule,
@@ -158,3 +163,26 @@ def test_gauss_rule_built_once_per_point_count(monkeypatch):
         corrected_integrate(rule, f, JumpData(0.3, [0.0, 1.0]))
         problem.integral(g.a, g.b)
     assert sorted(built) == [(12 + 2) // 2 + 1, 120]
+
+
+# the weights of CGL N = 700 and its basis integrals to an interior point,
+# as hex bytes: gw @ B contracts 352 Gauss points against a (probe, node)
+# view of the ratio table, a product OpenBLAS may split across its threads
+LARGE_RULE_BYTES = (
+    "from jumpspec import barycentric_weights, basis_integrals, chebyshev_gauss_lobatto, quad_weights\n"
+    "g = chebyshev_gauss_lobatto(-1, 1, 700)\n"
+    "print(quad_weights(g).weights.tobytes().hex(), basis_integrals(barycentric_weights(g), -1.0, 0.3).tobytes().hex())"
+)
+
+
+def test_large_rule_bits_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(jumpspec.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", LARGE_RULE_BYTES], env=env, stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
