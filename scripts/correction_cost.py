@@ -1,12 +1,12 @@
 """Time each corrected advect job against its plain twin, end to end.
 
-    python scripts/correction_cost.py [--repeats 5]
+    python scripts/correction_cost.py
 
 Every evolve job with corrections on that bench/workloads.py generates for
 the advect workload, seeds 0-3, runs once through jumpspec.cli.main, which
 hands its problem, derivative matrix, dt and output stride to mol.evolve.
 The script then times mol.evolve on those arguments in process, best of
---repeats, as is and with jump0 None (its plain twin: the same D and dt),
+REPEATS, as is and with jump0 None (its plain twin: the same D and dt),
 at one OpenBLAS thread. It prints each job's two times and their ratio,
 then the median ratio and the median of each side's times. It only reads
 bench/workloads.py; it writes nothing but a temporary directory.
@@ -16,7 +16,6 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
 
-import argparse
 import dataclasses
 import statistics
 import sys
@@ -31,6 +30,7 @@ import workloads  # noqa: E402
 from jumpspec import cli, mol  # noqa: E402
 
 SEEDS = range(4)
+REPEATS = 5  # timed runs per side, the best kept
 
 
 def corrected_runs() -> list[tuple[str, tuple]]:
@@ -54,9 +54,9 @@ def corrected_runs() -> list[tuple[str, tuple]]:
     return list(zip(names, calls))
 
 
-def best_time(args: tuple, repeats: int) -> float:
+def best_time(args: tuple) -> float:
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         mol.evolve(*args)
         best = min(best, time.perf_counter() - start)
@@ -64,15 +64,12 @@ def best_time(args: tuple, repeats: int) -> float:
 
 
 def main() -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--repeats", type=int, default=5, help="timed runs per side, the best kept")
-    repeats = p.parse_args().repeats
     corrected, plain = [], []
     print(f"{'job':8} {'corrected_ms':>12} {'plain_ms':>9} {'ratio':>6}")
     for name, (problem, *rest) in corrected_runs():
         twin = dataclasses.replace(problem, jump0=None)
-        corrected.append(best_time((problem, *rest), repeats))
-        plain.append(best_time((twin, *rest), repeats))
+        corrected.append(best_time((problem, *rest)))
+        plain.append(best_time((twin, *rest)))
         print(f"{name:8} {1e3 * corrected[-1]:12.2f} {1e3 * plain[-1]:9.2f} {corrected[-1] / plain[-1]:6.2f}")
     ratio = statistics.median(c / q for c, q in zip(corrected, plain))
     print(f"{len(corrected)} corrected jobs: median ratio {ratio:.2f}, median corrected "

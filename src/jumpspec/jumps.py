@@ -128,17 +128,18 @@ def _right_of(x, jump: JumpData) -> np.ndarray:
 _SIDES = np.array([[0.0], [1.0]])  # less _right_of, the sign of g in minus and in plus
 
 
-def _pieces(f, jump: JumpData, grid: Grid) -> np.ndarray:
+def _pieces(f, g: np.ndarray, jump: JumpData, grid: Grid) -> np.ndarray:
     """The pieces' nodal data as the two rows (minus, plus) of one array.
 
-    minus is f less g at the nodes right of xi, plus is f plus g at the
-    nodes left of it, and each adds a signed zero elsewhere, so a node's
-    own side keeps its datum. f is added last, so f = -0.0, the exact
-    additive identity, returns the corrections bit for bit. The derivative
-    difference of the two pieces' interpolants at xi reproduces the
-    enforced jumps and vanishes for orders above them through degree N.
+    g is the jump series, jump_weights(jump, grid). minus is f less g at
+    the nodes right of xi, plus is f plus g at the nodes left of it, and
+    each adds a signed zero elsewhere, so a node's own side keeps its
+    datum. f is added last, so f = -0.0, the exact additive identity,
+    returns the corrections bit for bit. The derivative difference of the
+    two pieces' interpolants at xi reproduces the enforced jumps and
+    vanishes for orders above them through degree N.
     """
-    pieces = (_SIDES - _right_of(grid.nodes, jump)) * jump_weights(jump, grid)
+    pieces = (_SIDES - _right_of(grid.nodes, jump)) * g
     pieces += f
     return pieces
 
@@ -154,7 +155,7 @@ def correction_matrix(jump: JumpData | None, grid: Grid) -> np.ndarray:
     """
     if jump is None:
         return np.full((grid.N + 1, grid.N + 1), -0.0)
-    minus, plus = _pieces(-0.0, jump, grid)
+    minus, plus = _pieces(-0.0, jump_weights(jump, grid), jump, grid)
     return np.where(_right_of(grid.nodes, jump)[:, None], plus, minus)
 
 
@@ -173,7 +174,7 @@ def corrected_interpolate(w: BarycentricWeights, f, jump: JumpData | None | list
     """
     f = _check_data(f, w.grid)
     corrections = jump if isinstance(jump, list) else [jump]
-    pieces = [piece for jd in corrections for piece in ([f] if jd is None else _pieces(f, jd, w.grid))]
+    pieces = [p for c in corrections for p in ([f] if c is None else _pieces(f, jump_weights(c, w.grid), c, w.grid))]
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     vals = iter(interpolate(w, np.reshape(pieces, (-1, f.size)), pts))
     rows = []
@@ -201,7 +202,7 @@ def corrected_derivative(D: DerivMatrix, f, jump: JumpData | None) -> np.ndarray
     """
     if jump is None:
         return apply(D, f)
-    minus, plus = _pieces(_check_data(f, D.grid), jump, D.grid)
+    minus, plus = _pieces(_check_data(f, D.grid), jump_weights(jump, D.grid), jump, D.grid)
     return np.where(_right_of(D.grid.nodes, jump), D.entries @ plus, D.entries @ minus)
 
 
@@ -217,7 +218,7 @@ def corrected_integrate(rule: QuadRule, f, jump: JumpData | None) -> float:
         return integrate(rule, f)
     f = _check_data(f, rule.grid)
     g = jump_weights(jump, rule.grid)
-    plus = (_SIDES[1] - _right_of(rule.grid.nodes, jump)) * g + f  # _pieces' plus row, from the one series
+    plus = _pieces(f, g, jump, rule.grid)[1]
     return integrate(rule, plus) - float(basis_integrals(barycentric_weights(rule.grid), rule.grid.a, jump.xi) @ g)
 
 

@@ -25,6 +25,7 @@ from jumpspec import (
     equidistant,
     integrate,
     interpolate,
+    jump_weights,
     one_sided_derivatives_at_node,
     quad_weights,
 )
@@ -121,7 +122,8 @@ def test_criterion_3_jump_condition_reproduction():
         while np.any(g.nodes == xi):
             xi = float(rng.uniform(-0.5, 0.5))
         J = rng.uniform(-3, 3, M + 1)
-        minus, plus = _pieces(f, JumpData(xi, J), g)
+        jd = JumpData(xi, J)
+        minus, plus = _pieces(f, jump_weights(jd, g), jd, g)
         xs = np.linspace(-1, 1, 6 * (N + 1))
         p_plus = np.polynomial.Polynomial.fit(xs, interpolate(w, plus, xs), N)
         p_minus = np.polynomial.Polynomial.fit(xs, interpolate(w, minus, xs), N)

@@ -116,7 +116,7 @@ def test_zero_jumps_vanish_everywhere():
     g = equidistant(-1, 1, 6)
     jd = JumpData(0.05, [0.0, 0.0, 0.0])
     f = np.linspace(-2.0, 3.0, 7)
-    minus, plus = _pieces(f, jd, g)
+    minus, plus = _pieces(f, jump_weights(jd, g), jd, g)
     np.testing.assert_array_equal(minus, f)
     np.testing.assert_array_equal(plus, f)
     np.testing.assert_array_equal(correction_matrix(jd, g), np.zeros((7, 7)))
@@ -126,7 +126,7 @@ def test_pieces_side_pattern():
     g = equidistant(-1, 1, 4)  # nodes -1, -0.5, 0, 0.5, 1
     jd = JumpData(0.1, [2.0])
     f = np.array([0.3, -1.2, 2.5, 0.7, -0.4])
-    minus, plus = _pieces(f, jd, g)
+    minus, plus = _pieces(f, jump_weights(jd, g), jd, g)
     g_w = jump_weights(jd, g)
     # the right piece lifts the nodes left of the discontinuity by +g, the
     # left piece lowers the nodes right of it by g; every node keeps its own
@@ -161,7 +161,7 @@ def test_correction_matrix_consistent_with_terms():
     jd = JumpData(0.21, [0.5, 1.5, -2.0])
     f = np.random.default_rng(4).standard_normal(8)
     S = correction_matrix(jd, g)
-    minus, plus = _pieces(f, jd, g)
+    minus, plus = _pieces(f, jump_weights(jd, g), jd, g)
     for i, x in enumerate(g.nodes):
         np.testing.assert_array_equal(f + S[i], plus if x > jd.xi else minus)
 
@@ -389,7 +389,8 @@ def test_reconstructed_pieces_reproduce_jumps(N, M):
     f = rng.uniform(-2, 2, N + 1)
     xi = 0.237
     J = rng.uniform(-3, 3, M + 1)
-    minus, plus = _pieces(f, JumpData(xi, J), g)
+    jd = JumpData(xi, J)
+    minus, plus = _pieces(f, jump_weights(jd, g), jd, g)
     for m in range(N + 1):
         dp = interpolant_derivative_at(w, plus, xi, m)
         dm = interpolant_derivative_at(w, minus, xi, m)

@@ -343,7 +343,8 @@ def test_jump_preserved_along_the_run():
         if np.any(g.nodes == xi):
             continue
         # split-based reconstruction carries the enforced slope jump
-        minus, plus = _pieces(state, JumpData(xi, [0.0, 2.0]), g)
+        jd = JumpData(xi, [0.0, 2.0])
+        minus, plus = _pieces(state, jump_weights(jd, g), jd, g)
         dp = fd_weights(g.nodes, xi, 1) @ plus
         dm = fd_weights(g.nodes, xi, 1) @ minus
         assert dp - dm == pytest.approx(2.0, rel=1e-8)
