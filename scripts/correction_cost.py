@@ -7,9 +7,12 @@ the advect workload, seeds 0-3, runs once through jumpspec.cli.main, which
 hands its problem, derivative matrix, dt and output stride to mol.evolve.
 The script then times mol.evolve on those arguments in process, best of
 REPEATS, as is and with jump0 None (its plain twin: the same D and dt),
-at one OpenBLAS thread. It prints each job's two times and their ratio,
-then the median ratio and the median of each side's times. It only reads
-bench/workloads.py; it writes nothing but a temporary directory.
+at one OpenBLAS thread. A wrapper on mol._segment_steps times each
+segment build of those runs. It prints each job's two times and their
+ratio, its segment count and, on each side, the median time of one
+segment build (best of REPEATS); then the median ratio and the median of
+each column. It only reads bench/workloads.py; it writes nothing but a
+temporary directory.
 """
 
 import os
@@ -54,26 +57,44 @@ def corrected_runs() -> list[tuple[str, tuple]]:
     return list(zip(names, calls))
 
 
-def best_time(args: tuple) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
+def best_times(args: tuple) -> tuple[float, float, int]:
+    """Best of REPEATS runs of mol.evolve(*args): the run's time, the median
+    time of one of its _segment_steps calls, and its number of those calls."""
+    real, builds = mol._segment_steps, []
+
+    def timed(*a):
         start = time.perf_counter()
-        mol.evolve(*args)
-        best = min(best, time.perf_counter() - start)
-    return best
+        out = real(*a)
+        builds.append(time.perf_counter() - start)
+        return out
+
+    best = best_build = float("inf")
+    mol._segment_steps = timed
+    try:
+        for _ in range(REPEATS):
+            builds.clear()
+            start = time.perf_counter()
+            mol.evolve(*args)
+            best = min(best, time.perf_counter() - start)
+            best_build = min(best_build, statistics.median(builds))
+    finally:
+        mol._segment_steps = real
+    return best, best_build, len(builds)
 
 
 def main() -> int:
-    corrected, plain = [], []
-    print(f"{'job':8} {'corrected_ms':>12} {'plain_ms':>9} {'ratio':>6}")
+    rows = []  # per job: corrected and plain ms, their ratio, segments, corrected and plain us per build
+    print(f"{'job':8} {'corrected_ms':>12} {'plain_ms':>9} {'ratio':>6} {'segments':>8} "
+          f"{'segment_us':>10} {'plain_segment_us':>16}")
     for name, (problem, *rest) in corrected_runs():
-        twin = dataclasses.replace(problem, jump0=None)
-        corrected.append(best_time((problem, *rest)))
-        plain.append(best_time((twin, *rest)))
-        print(f"{name:8} {1e3 * corrected[-1]:12.2f} {1e3 * plain[-1]:9.2f} {corrected[-1] / plain[-1]:6.2f}")
-    ratio = statistics.median(c / q for c, q in zip(corrected, plain))
-    print(f"{len(corrected)} corrected jobs: median ratio {ratio:.2f}, median corrected "
-          f"{1e3 * statistics.median(corrected):.2f} ms, median plain {1e3 * statistics.median(plain):.2f} ms")
+        c, c_build, segments = best_times((problem, *rest))
+        q, q_build, _ = best_times((dataclasses.replace(problem, jump0=None), *rest))
+        rows.append((1e3 * c, 1e3 * q, c / q, segments, 1e6 * c_build, 1e6 * q_build))
+        print("{:8} {:12.2f} {:9.2f} {:6.2f} {:8d} {:10.1f} {:16.1f}".format(name, *rows[-1]))
+    c, q, ratio, segments, c_build, q_build = map(statistics.median, zip(*rows))
+    print(f"{len(rows)} corrected jobs: median ratio {ratio:.2f}, median corrected {c:.2f} ms, median plain "
+          f"{q:.2f} ms, median segments {segments:g}, median segment build {c_build:.1f} us corrected, "
+          f"{q_build:.1f} us plain")
     return 0
 
 

@@ -9,13 +9,14 @@ Only after the run and its checks is anything written: result.csv, any
 exports and report.json. Every CSV value is written as '%.17g' (C's
 %.17g) writes it, whichever of write_csv's two paths formats it.
 Identical configs produce byte-identical outputs, with two known exceptions.
-evolve bytes with m = N from N = 128 on depend on the BLAS thread count,
-since the matrix products that build its steps split their sums across
-the threads; interp and converge call no BLAS. And every output holds per
-host and CPU feature set: numpy dispatches power, arctanh, log, log1p, exp
-and log10 to SIMD loops that round differently with its AVX-512 loops on
-and off (NPY_DISABLE_CPU_FEATURES), which moves the Legendre problems'
-data and references and the gaussian profile.
+evolve bytes can depend on the BLAS thread count, since the matrix
+products that build its steps split their sums across the threads; with
+OpenBLAS 0.3.31 that happens for m = N from N = 100 and for banded m = 4
+at some N from 192 (README). interp and converge call no BLAS. And every
+output holds per host and CPU feature set: numpy dispatches power,
+arctanh, log, log1p, exp and log10 to SIMD loops that round differently
+with its AVX-512 loops on and off (NPY_DISABLE_CPU_FEATURES), which moves
+the Legendre problems' data and references and the gaussian profile.
 The process exits 0 only when the run completes and all checks pass (1 for
 failed checks, 2 for config or usage errors, 3 for a numerical failure such
 as a state that stops being finite, 4 for a program fault, any other
@@ -464,8 +465,12 @@ def _converge_cell(w: BarycentricWeights, f: np.ndarray, jumps: dict, pts: np.nd
 def _study(cfg: dict) -> dict:
     """A convergence study's reports: its cells (N, M), one per jump order
     M that each grid can use (_usable), and {M: the Ns of its fit} of each M
-    that two grids or more can use; both sorted, as run_converge reports them."""
+    that two grids or more can use; both sorted, as run_converge reports them.
+    A ValueError if there is no cell: no grid, no jump order, or none <= N."""
     cells = [(N, M) for N in sorted(cfg["N_list"]) for M in _usable(N, sorted(cfg["M_list"]))]
+    if not cells:
+        raise ValueError(f"the study computes nothing: no jump order of M_list {cfg['M_list']} "
+                         f"is at most an N of N_list {cfg['N_list']}")
     fits = {M: [N for N, m in cells if m == M] for M in sorted(cfg["M_list"])}
     return {"rows": cells, "fits": {M: Ns for M, Ns in fits.items() if len(Ns) >= 2}}
 
@@ -475,6 +480,7 @@ def run_converge(cfg: dict) -> tuple[dict, dict]:
     problem, family, a, b = cfg["problem"], cfg["family"], cfg["a"], cfg["b"]
     if family == "custom":
         raise ValueError("convergence studies need an equidistant or cgl family")
+    study = _study(cfg)  # the cells and fits the checks were settled against
     grids = [_GRIDS[family][1](a, b, N) for N in cfg["N_list"]]
     pts = probe_points(a, b, problem.xi, cfg["probes"])
     exact = np.asarray(problem.value(pts), dtype=float)
@@ -486,7 +492,6 @@ def run_converge(cfg: dict) -> tuple[dict, dict]:
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
         errors = dict(zip(cfg["N_list"], pool.map(lambda c: _converge_cell(*c, pts, exact), cells)))
 
-    study = _study(cfg)  # the cells and fits the checks were settled against
     rows = [(N, M, errors[N][M]) for N, M in study["rows"]]
 
     report = {

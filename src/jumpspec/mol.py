@@ -28,15 +28,17 @@ forcing known in advance, and all steps of a segment share one size h:
       R_p = corrected_derivative(D, z, JumpData(m, J[p:])),
 
   exactly, since the series is a polynomial in xi and every node keeps its
-  side; |e| <= (hi - lo) / 2 keeps the sum well conditioned. The forcing
-  -c sum_p e^p / p! R_p is linear in the Taylor weights at the three stage
-  times, so the RK4 stages of A run on the M + 1 columns -c R_p, placed at
-  each stage time in turn, give a map Q from the 3 (M + 1) weights of a
-  step to its forcing; with the weights of a block of steps as the rows of
-  W, their forcing rows are W Q^T, one product per block. Stage locations
-  that land exactly on a bracketing node are nudged one ulp into the open
-  interval, which puts every node on a definite side consistently with the
-  direction of motion.
+  side; |e| <= (hi - lo) / 2 keeps the sum well conditioned, and a stage
+  location on a bracketing node, e = +-(hi - lo) / 2, is the one-sided
+  limit from inside the bracket. The forcing -c sum_p e^p / p! R_p is
+  linear in the Taylor weights at the three stage times t, t + h/2 and
+  t + h. The RK4 increment weighs a forcing b at those times by
+  h/6 (I + h A + h^2/2 A^2 + h^3/4 A^3), h/6 (4 I + 2 h A + h^2/2 A^2) and
+  h/6 I (applied to A, the three sum to E). Formed by Horner in h from the
+  run's powers on the M + 1 columns B = -c R_p, they give a map Q from the
+  3 (M + 1) weights of a step to its forcing; with the weights of a block
+  of steps as the rows of W, their forcing rows are W Q^T, one product per
+  block.
 - A step is then y + (E y + f), one matrix-vector product and two vector
   additions, or y + E y without jumps; E is built once per segment and the
   forcing rows one block of steps at a time (_segment_steps). rk4_step
@@ -153,17 +155,6 @@ def _bracket(problem: AdvectionProblem, t: float, dt: float) -> tuple[float, flo
     return float(nodes[i]), float(nodes[j])
 
 
-def _rk4_increment(A: np.ndarray, h: float, y: np.ndarray, b1, b2, b4) -> np.ndarray:
-    """Increment h/6 (k1 + 2 (k2 + k3) + k4) of one classical Runge-Kutta step
-    of y' = A y + b(tt), with b = b1, b2, b4 at the stage times t, t + h/2
-    and t + h. y and the b may be blocks of columns, stepped column by column."""
-    k1 = A @ y + b1
-    k2 = A @ (y + 0.5 * h * k1) + b2
-    k3 = A @ (y + 0.5 * h * k2) + b2
-    k4 = A @ (y + h * k3) + b4
-    return (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
 _FORCING_BLOCK = 1024  # steps per block of forcing rows, end times and inflow values
 
 
@@ -207,16 +198,14 @@ def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: floa
     B = -c * np.column_stack(
         [corrected_derivative(D, zero, JumpData(mid, jd.jumps[p:])) for p in range(M + 1)]
     )
-    # column block s of Q takes the forcing at stage time s: t, t + h/2, t + h
-    b = np.zeros((3, n, 3, M + 1))
-    for s in range(3):
-        b[s, :, s] = B
-    Q = _rk4_increment(powers[0], h, np.zeros((n, 3 * (M + 1))), *b.reshape(3, n, -1))
-    lo_in, hi_in = float(np.nextafter(lo, hi)), float(np.nextafter(hi, lo))
+    AB, A2B, A3B = powers[:3] @ B
+    # k1..k4 expanded: the RK4 increment's weights of the forcing at t, t + h/2 and t + h
+    Q = (h / 6.0) * np.hstack([B + h * (AB + (h / 2) * (A2B + (h / 2) * A3B)),
+                               4.0 * B + h * (2.0 * AB + (h / 2) * A2B), B])
 
     def forcing(k0: int, k1: int) -> np.ndarray:
         tt = (t + np.arange(k0, k1) * h)[:, None] + np.array([0.0, 0.5 * h, h])
-        e = mid - np.clip(jd.xi + c * tt, lo_in, hi_in)
+        e = mid - (jd.xi + c * tt)
         W = np.empty((*e.shape, M + 1))
         W[..., 0] = 1.0
         for p in range(1, M + 1):

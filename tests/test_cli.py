@@ -227,13 +227,17 @@ def test_each_grid_builds_one_ratio_table(tmp_path, monkeypatch):
     assert [(r["N"], r["M"]) for r in report["rows"]][:3] == [(4, -1), (4, 3), (8, -1)]
 
 
-def test_converge_without_grids_writes_an_empty_table(tmp_path, monkeypatch):
+@pytest.mark.parametrize("N_list,M_list", [([], [3]), ([8, 10], []), ([8, 16], [50])],
+                         ids=["no-grid", "no-order", "every-M-above-N"])
+def test_converge_without_cells_is_rejected_before_any_grid(tmp_path, monkeypatch, capsys, N_list, M_list):
+    # no grid, no jump order, or every M above every N: a study that would
+    # compute nothing is a config error, found before any grid or jump data
     calls = _count_jump_data(monkeypatch)
-    code, out, report = run_command(tmp_path, "converge", dict(CONVERGE_CFG, N_list=[]))
-    assert code == 0
-    assert calls == []
-    assert report["rows"] == [] and report["fits"] == []
-    assert (out / "result.csv").read_text() == "N,M,linf_error\n"
+    monkeypatch.setattr(jumpspec.cli, "chebyshev_gauss_lobatto", lambda *a: pytest.fail("a grid was built"))
+    code, out, _ = run_command(tmp_path, "converge", dict(CONVERGE_CFG, N_list=N_list, M_list=M_list))
+    assert code == 2
+    assert "the study computes nothing" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 def test_diff_command_and_exports(tmp_path):
@@ -670,6 +674,10 @@ CONFIG_ERRORS = [
     # reported final_linf 0.45
     ("evolve", "grid+m+t_final+dt+initial", (NEAR_TWINS, 2, 0.5, 1e-3, {"kind": "kink", "xi0": 0.05}),
      "discontinuity crosses node 4 (x = 0.2000000000000001) within rounding of a grid node"),
+    # a convergence study with no (N, M) cell: no grid, no jump order, or none <= N
+    ("converge", "N_list", [], "the study computes nothing"),
+    ("converge", "M_list", [], "the study computes nothing"),
+    ("converge", "N_list+M_list", ([8, 16], [50]), "no jump order of M_list [50] is at most an N of N_list [8, 16]"),
 ]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import re
 import sys
@@ -515,6 +516,40 @@ def test_segment_step_matches_four_stage_recursion(N, family, banded, M, seed):
         assert np.abs(y + (E @ y + F[j]) - want).max() <= bound
 
 
+@pytest.mark.parametrize("family,N,m", [("cgl", 16, None), ("equidistant", 20, 4)])
+@pytest.mark.parametrize("c", [1.0, -0.5])
+@pytest.mark.parametrize("M", [0, 3])
+def test_a_stage_on_a_bracketing_node_is_the_one_sided_limit(family, N, m, c, M):
+    # a step that ends exactly on the crossing: its last stage location is
+    # the node, where the forcing is the limit from inside the bracket; the
+    # recursion takes it one ulp inside, where corrected_derivative is defined
+    g = chebyshev_gauss_lobatto(-1, 1, N) if family == "cgl" else equidistant(-1, 1, N)
+    D = derivative_matrix(g, 1, m)
+    k = 3 * N // 4
+    lo, hi = g.nodes[k], g.nodes[k + 1]
+    node = hi if c > 0 else lo
+    norm = np.abs(D.entries).sum(axis=1).max()
+    # the distance to the node, within a factor 2 of it, is exact, and so the
+    # path xi0 + c dt ends exactly on it; h |c| ||D|| <= 1
+    xi0 = node - np.sign(c) * 2.0 ** math.floor(math.log2(min(0.5 * (hi - lo), 1 / norm)))
+    dt = (node - xi0) / c
+    assert xi0 + c * dt == node and lo < xi0 < hi
+    J = np.array([1.5, -0.7, 2.0, 0.3][: M + 1])
+    prob = AdvectionProblem(g, c, np.sin, JumpData(xi0, J), dt)
+    E, forcing = mol._segment_steps(prob, D, 0.0, dt, 1, mol._powers(prob, D), mol._bracket(prob, 0.0, dt))
+    inside = lambda tt: JumpData(np.clip(xi0 + c * tt, np.nextafter(lo, hi), np.nextafter(hi, lo)), J)
+    rhs = lambda tt, y: -c * corrected_derivative(D, y, inside(tt))
+    y = np.random.default_rng(N).uniform(-1, 1, N + 1)
+    k1 = rhs(0.0, y)
+    k2 = rhs(0.5 * dt, y + 0.5 * dt * k1)
+    k3 = rhs(0.5 * dt, y + 0.5 * dt * k2)
+    k4 = rhs(dt, y + dt * k3)
+    want = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    g_max = max(np.abs(jump_weights(inside(tt), g)).max() for tt in (0.0, dt))
+    bound = np.finfo(float).eps * (np.abs(y).max() + 16 * dt * abs(c) * norm * (np.abs(y).max() + g_max))
+    assert np.abs(y + (E @ y + forcing(0, 1)[0]) - want).max() <= bound
+
+
 @pytest.mark.parametrize("profile,J", [("kink", [0.0, 2.0]), ("step", [1.0])])
 def test_corrected_evolve_builds_each_segment_operator_once(monkeypatch, profile, J):
     # M + 1 corrected derivatives per crossing-free segment, none per stage
@@ -657,6 +692,18 @@ def test_corrected_kink_stays_at_rounding_at_half_the_stability_limit(family, N,
     assert res.error_linf[-1] <= 4e-12 * amp
 
 
+def rk4_increment(A, h, y, b1, b2, b4):
+    """Increment h/6 (k1 + 2 (k2 + k3) + k4) of one classical Runge-Kutta step
+    of y' = A y + b(tt), with b = b1, b2, b4 at the stage times t, t + h/2
+    and t + h, stage by stage. y and the b may be blocks of columns, stepped
+    column by column."""
+    k1 = A @ y + b1
+    k2 = A @ (y + 0.5 * h * k1) + b2
+    k3 = A @ (y + 0.5 * h * k2) + b2
+    k4 = A @ (y + h * k3) + b4
+    return (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 @pytest.mark.parametrize("family,N,m", [("cgl", 24, None), ("cgl", 48, None), ("cgl", 128, None),
                                         ("cgl", 40, 6), ("equidistant", 48, 2)])
 @pytest.mark.parametrize("speed", [1.4, -0.8])
@@ -671,7 +718,7 @@ def test_step_matrix_from_powers_matches_the_four_stages(family, N, m, speed):
     off = ~np.eye(N + 1, dtype=bool)
     for h in rk4_dt_limit(D, speed) * np.logspace(-3, 0, 7):
         E, _ = mol._segment_steps(prob, D, 0.0, h, 1, mol._powers(prob, D), None)
-        diff = np.abs(E - mol._rk4_increment(A, h, np.eye(N + 1), 0.0, 0.0, 0.0))
+        diff = np.abs(E - rk4_increment(A, h, np.eye(N + 1), 0.0, 0.0, 0.0))
         Z = h * np.abs(A)
         Z2 = Z @ Z
         scale = eps * (Z + Z2 / 2 + Z2 @ Z / 6 + Z2 @ Z2 / 24)
@@ -680,16 +727,51 @@ def test_step_matrix_from_powers_matches_the_four_stages(family, N, m, speed):
         assert np.all(np.diag(diff) <= 4 * scale.sum(axis=1))
 
 
+@pytest.mark.parametrize("family,N,m", [("cgl", 24, None), ("cgl", 48, None), ("cgl", 40, 6),
+                                        ("equidistant", 48, 2)])
+@pytest.mark.parametrize("speed", [1.4, -0.8])
+@pytest.mark.parametrize("M", [0, 3])
+def test_forcing_map_from_powers_matches_the_four_stages(family, N, m, speed, M):
+    # Q's column block s, the RK4 weight of the forcing at stage time s,
+    # from the powers in closed form, against the stages of A run on a zero
+    # state with the M + 1 forcing columns placed at each stage time in turn
+    g = chebyshev_gauss_lobatto(-1, 1, N) if family == "cgl" else equidistant(-1, 1, N)
+    D = derivative_matrix(g, 1, m)
+    lo, hi = g.nodes[N // 3], g.nodes[N // 3 + 1]
+    J = [1.5, -0.7, 2.0, 0.3][: M + 1]
+    prob = AdvectionProblem(g, speed, np.sin, JumpData(0.5 * (lo + hi), J), 1e-3 * (hi - lo))
+    A = -speed * D.entries
+    B = -speed * np.column_stack([corrected_derivative(D, np.full(N + 1, -0.0), JumpData(0.5 * (lo + hi), J[p:]))
+                                  for p in range(M + 1)])
+    placed = np.zeros((3, N + 1, 3, M + 1))
+    for s in range(3):
+        placed[s, :, s] = B
+    eps = np.finfo(float).eps
+    for h in rk4_dt_limit(D, speed) * np.logspace(-3, 0, 4):
+        _, forcing = mol._segment_steps(prob, D, 0.0, h, 1, mol._powers(prob, D), (lo, hi))
+        Q = inspect.getclosurevars(forcing).nonlocals["Q"]
+        want = rk4_increment(A, h, np.zeros((N + 1, 3 * (M + 1))), *placed.reshape(3, N + 1, -1))
+        Z, b = h * np.abs(A), np.abs(B)
+        Zb = Z @ b
+        Z2b = Z @ Zb
+        scale = (h / 6.0) * eps * np.hstack([b + Zb + Z2b / 2 + Z @ Z2b / 4, 4 * b + 2 * Zb + Z2b / 2, b])
+        assert np.all(np.abs(Q - want) <= 16 * scale)
+
+
 @pytest.mark.parametrize("corrections", [True, False])
 def test_evolve_builds_the_powers_of_the_operator_once(monkeypatch, corrections):
     # one set of powers of -c D per run, whatever the crossings and dt; a
-    # segment's only products with A are the RK4 stages of its 3 (M + 1)
+    # segment's only product with them is A, A^2 and A^3 on its M + 1
     # forcing columns, none on an (N+1) x (N+1) block
     powers, widths = [], []
-    real_powers, real_increment = mol._powers, mol._rk4_increment
-    monkeypatch.setattr(mol, "_powers", lambda *a: powers.append(a) or real_powers(*a))
-    monkeypatch.setattr(mol, "_rk4_increment",
-                        lambda A, h, y, *b: widths.append(y.shape[1]) or real_increment(A, h, y, *b))
+    real_powers = mol._powers
+
+    class Recorded(np.ndarray):
+        def __matmul__(self, other):
+            widths.append((self.shape, np.shape(other)))
+            return np.asarray(self) @ np.asarray(other)
+
+    monkeypatch.setattr(mol, "_powers", lambda *a: powers.append(a) or real_powers(*a).view(Recorded))
     prob, g = kink_problem(N=24, xi0=-0.5, T=0.6, corrections=corrections)
     K = np.count_nonzero((g.nodes > -0.5) & (g.nodes < 0.1))
     assert K >= 3
@@ -699,7 +781,7 @@ def test_evolve_builds_the_powers_of_the_operator_once(monkeypatch, corrections)
         widths.clear()
         evolve(prob, D, dt, output_every=50)
         assert len(powers) == 1
-        assert widths == ([3 * 2] * (K + 1) if corrections else [])
+        assert widths == ([((3, 25, 25), (25, 2))] * (K + 1) if corrections else [])
 
 
 def replayed_steps(problem, D, dt):
