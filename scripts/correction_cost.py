@@ -7,11 +7,11 @@ the advect workload, seeds 0-3, runs once through jumpspec.cli.main, which
 hands its problem, derivative matrix, dt and output stride to mol.evolve.
 The script then times mol.evolve on those arguments in process, best of
 REPEATS, as is and with jump0 None (its plain twin: the same D and dt),
-at one OpenBLAS thread. A wrapper on mol._segment_steps times each
-segment build of those runs. It prints each job's two times and their
-ratio, its segment count and, on each side, the median time of one
-segment build (best of REPEATS); then the median ratio and the median of
-each column. It only reads bench/workloads.py; it writes nothing but a
+at one OpenBLAS thread. Wrappers on mol._step_matrix and mol._forcing_maps
+time the segment builds of those runs. It prints each job's two times and
+their ratio, its segment count and, on each side, the build time of one
+segment (the run's build time over its segments, best of REPEATS); then
+the median ratio and the median of each column. It only reads bench/workloads.py; it writes nothing but a
 temporary directory.
 """
 
@@ -58,28 +58,39 @@ def corrected_runs() -> list[tuple[str, tuple]]:
 
 
 def best_times(args: tuple) -> tuple[float, float, int]:
-    """Best of REPEATS runs of mol.evolve(*args): the run's time, the median
-    time of one of its _segment_steps calls, and its number of those calls."""
-    real, builds = mol._segment_steps, []
+    """Best of REPEATS runs of mol.evolve(*args): the run's time, the build
+    time of one of its segments, and its number of segments. A run builds
+    each segment's step matrix (mol._step_matrix) as the segment starts and
+    the forcing maps of a group of segments (mol._forcing_maps, corrected
+    runs only) at once, so a segment's build time is the run's time in both
+    over its segment count."""
+    real, builds, segments = {}, [], []
 
-    def timed(*a):
-        start = time.perf_counter()
-        out = real(*a)
-        builds.append(time.perf_counter() - start)
-        return out
+    def timed(name):
+        def call(*a):
+            start = time.perf_counter()
+            out = real[name](*a)
+            builds.append(time.perf_counter() - start)
+            return out
+
+        return call
 
     best = best_build = float("inf")
-    mol._segment_steps = timed
+    for name in ("_step_matrix", "_forcing_maps"):
+        real[name] = getattr(mol, name)
+        setattr(mol, name, timed(name))
     try:
         for _ in range(REPEATS):
             builds.clear()
             start = time.perf_counter()
             mol.evolve(*args)
             best = min(best, time.perf_counter() - start)
-            best_build = min(best_build, statistics.median(builds))
+            segments = len(mol._segments(args[0]))
+            best_build = min(best_build, sum(builds) / segments)
     finally:
-        mol._segment_steps = real
-    return best, best_build, len(builds)
+        for name, function in real.items():
+            setattr(mol, name, function)
+    return best, best_build, segments
 
 
 def main() -> int:

@@ -418,7 +418,7 @@ def _columns(compute, items: dict, overflow: str) -> list:
 def _interpolants(w: BarycentricWeights, f: np.ndarray, jumps: dict, pts: np.ndarray) -> list[np.ndarray]:
     """Values at pts of the plain (None) or jump-corrected interpolant of
     the nodal data f, one array per entry of jumps, from one
-    corrected_interpolate call and so one ratio table."""
+    corrected_interpolate call and so one ratio table per block of probes."""
     with np.errstate(all="ignore"):  # _columns reports a failure
         rows = corrected_interpolate(w, f, list(jumps.values()), pts)
     return _columns(lambda row: row, dict(zip(map(_label, jumps), rows)),

@@ -170,7 +170,8 @@ def corrected_interpolate(w: BarycentricWeights, f, jump: JumpData | None | list
     jump may also be a list of corrections, each a JumpData or None: the
     result then holds one row per correction, each bit for bit what that
     correction alone gives, and every piece of every correction is
-    evaluated by one interpolate call, from one ratio table.
+    evaluated by one interpolate call, from one ratio table per block of
+    probes.
     """
     f = _check_data(f, w.grid)
     corrections = jump if isinstance(jump, list) else [jump]

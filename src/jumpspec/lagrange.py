@@ -144,6 +144,9 @@ def _finite(compute, fault):
     return values
 
 
+_PROBE_BLOCK = 1024  # probes per (node, probe) ratio table
+
+
 def _barycentric(w: BarycentricWeights, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Barycentric values at pts of the interpolant of each data row of rows.
 
@@ -158,12 +161,19 @@ def _barycentric(w: BarycentricWeights, pts: np.ndarray, rows: np.ndarray) -> np
     SIMD lanes gathers same-sign terms whose totals cancel only at the end.
     A denominator that cancels to zero gives a non-finite value, without a
     warning; probes coinciding with a node get that row's datum exactly.
+    Since a value depends on no other probe, the probes are evaluated
+    _PROBE_BLOCK at a time into one output array, so the ratio table's
+    memory stays O(N _PROBE_BLOCK) however many probes there are.
     """
-    r, (nodes, probes) = _ratio_matrix(w, pts)
-    sums = np.einsum("jp,jk->kp", r, np.column_stack([*rows, np.ones(len(r))]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = sums[:-1] / sums[-1]
-    vals[:, probes] = rows[:, nodes]
+    data = np.column_stack([*rows, np.ones(rows.shape[1])])
+    vals = np.empty((len(rows), len(pts)))
+    for p0 in range(0, len(pts), _PROBE_BLOCK):
+        block = slice(p0, p0 + _PROBE_BLOCK)
+        r, (nodes, probes) = _ratio_matrix(w, pts[block])
+        sums = np.einsum("jp,jk->kp", r, data)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(sums[:-1], sums[-1], out=vals[:, block])
+        vals[:, p0 + probes] = rows[:, nodes]
     return vals
 
 
@@ -173,8 +183,8 @@ def interpolate(w: BarycentricWeights, f, x):
     Uses the true barycentric form, which reproduces nodal values exactly,
     sums the basis to one identically, and is exact for polynomial data of
     degree <= N. f may also stack K data rows, shape (K, N+1): all of them
-    are evaluated from one ratio table, and row k of the (K, ...) result is
-    bit for bit what f[k] alone gives.
+    are evaluated from one ratio table per block of probes, and row k of
+    the (K, ...) result is bit for bit what f[k] alone gives.
     """
     f = np.asarray(f, dtype=float)
     rows = f if f.ndim == 2 and f.shape[1] == w.grid.N + 1 else _check_data(f, w.grid)[None]

@@ -40,18 +40,25 @@ forcing known in advance, and all steps of a segment share one size h:
   of steps as the rows of W, their forcing rows are W Q^T, one product per
   block.
 - A step is then y + (E y + f), one matrix-vector product and two vector
-  additions, or y + E y without jumps; E is built once per segment and the
-  forcing rows one block of steps at a time (_segment_steps). rk4_step
-  applies E with ndarray.dot, which reaches the same BLAS gemv as E @ y
-  with less per-call dispatch, and adds y to E y + f in place: addition
-  commutes, so the bits are those of y + (E y + f).
+  additions, or y + E y without jumps. evolve plans every segment (its
+  bracket, step count and step size) before the first step, then walks
+  the segments in one loop (_step_segment): it builds the forcing maps of
+  a group of segments at once, before the group's first step (the closed
+  form is elementwise in h, so each map has the bits of its segment's
+  alone; _segments_per_group keeps a group's maps within 3 (N + 1)^2
+  entries however many nodes the path crosses), E as each segment starts
+  (_step_matrix), and the forcing rows one block of steps at a time.
+  rk4_step applies E with ndarray.dot, which reaches the same BLAS gemv
+  as E @ y with less per-call dispatch, and adds y to E y + f in place:
+  addition commutes, so the bits are those of y + (E y + f).
 - The state's finiteness is checked once per segment, at its end. A
   non-finite entry other than the inflow node's stays non-finite, since a
   step adds it to its own entry and the crossed-node move adds a finite
   J_0, and the inflow values are checked one block of steps at a time,
   before the block is stepped: a non-finite one is an exact solution past
   the float range, not an unstable step. So the check misses no failure; a
-  failed segment is replayed step by step to name the first failing step.
+  failed segment is replayed through the same loop, which then checks
+  every step, to name the first failing one.
 """
 
 from __future__ import annotations
@@ -59,7 +66,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from itertools import repeat
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -172,47 +180,61 @@ def _powers(problem: AdvectionProblem, D: DerivMatrix) -> np.ndarray:
                                                  f"{D.grid.N}: the powers of -speed * D leave the float range"))
 
 
-def _segment_steps(problem: AdvectionProblem, D: DerivMatrix, t: float, dt: float, nsub: int,
-                   powers: np.ndarray, bracket: tuple[float, float] | None) -> tuple[np.ndarray, Callable]:
-    """Step matrix E of nsub RK4 steps of size h = dt / nsub from t, and
-    forcing(k0, k1), the forcing rows f_k of steps k0 <= k < k1 as one
-    array, or a None per step without jumps: step k maps y to y + (E y + f_k),
-    or to y + E y where f_k is None. powers holds A, ..., A^4 (_powers);
-    bracket is _bracket(problem, t, dt). The algebra is in the module
-    docstring.
-    """
-    c, jd = problem.speed, problem.jump0
-    n, h = D.grid.N + 1, dt / nsub
+def _step_matrix(powers: np.ndarray, h: float) -> np.ndarray:
+    """Step matrix E = h A + h^2/2 A^2 + h^3/6 A^3 + h^4/24 A^4 of RK4 steps
+    of size h, by Horner in h from powers (_powers), with each row's sum
+    taken off its diagonal entry (module docstring)."""
+    n = powers.shape[1]
     E = powers[3] * (h / 4.0)
     for k in (2, 1, 0):
         E += powers[k]
         E *= h / (k + 1)
     diagonal = E.reshape(-1)[:: n + 1]  # a view: E is contiguous
     diagonal -= E.sum(axis=1)
-    if jd is None:
-        return E, lambda k0, k1: [None] * (k1 - k0)
-    lo, hi = bracket
-    mid = 0.5 * (lo + hi)
-    M = jd.order
-    zero = np.full(n, -0.0)
-    B = -c * np.column_stack(
-        [corrected_derivative(D, zero, JumpData(mid, jd.jumps[p:])) for p in range(M + 1)]
-    )
-    AB, A2B, A3B = powers[:3] @ B
+    return E
+
+
+def _segments_per_group(N: int, M: int) -> int:
+    """How many segments' forcing maps evolve builds at once: a group's maps
+    hold at most 3 (N + 1)^2 entries, fewer than the run's powers."""
+    return max(1, (N + 1) // (M + 1))
+
+
+def _forcing_maps(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarray,
+                  mids: list[float], hs: list[float]) -> np.ndarray:
+    """Forcing maps Q of a group of segments, stacked: Q[s] maps the
+    3 (M + 1) Taylor weights of a step of size hs[s] about the bracket
+    midpoint mids[s] to the step's forcing (module docstring). The forcing
+    columns B and their products with the powers (_powers) are built one
+    segment at a time; the closed form is elementwise in h, so each Q[s]
+    is bit for bit the map of its segment alone."""
+    c, jd = problem.speed, problem.jump0
+    zero = np.full(D.grid.N + 1, -0.0)
+    columns = []
+    for mid in mids:
+        B = -c * np.column_stack(
+            [corrected_derivative(D, zero, JumpData(mid, jd.jumps[p:])) for p in range(jd.order + 1)]
+        )
+        columns.append([B, *(powers[:3] @ B)])
+    B, AB, A2B, A3B = np.moveaxis(np.array(columns), 1, 0)
+    h = np.array(hs)[:, None, None]
     # k1..k4 expanded: the RK4 increment's weights of the forcing at t, t + h/2 and t + h
-    Q = (h / 6.0) * np.hstack([B + h * (AB + (h / 2) * (A2B + (h / 2) * A3B)),
-                               4.0 * B + h * (2.0 * AB + (h / 2) * A2B), B])
+    return (h / 6.0) * np.concatenate([B + h * (AB + (h / 2) * (A2B + (h / 2) * A3B)),
+                                       4.0 * B + h * (2.0 * AB + (h / 2) * A2B), B], axis=2)
 
-    def forcing(k0: int, k1: int) -> np.ndarray:
-        tt = (t + np.arange(k0, k1) * h)[:, None] + np.array([0.0, 0.5 * h, h])
-        e = mid - (jd.xi + c * tt)
-        W = np.empty((*e.shape, M + 1))
-        W[..., 0] = 1.0
-        for p in range(1, M + 1):
-            W[..., p] = W[..., p - 1] * (e / p)
-        return W.reshape(len(e), -1) @ Q.T
 
-    return E, forcing
+def _forcing_rows(problem: AdvectionProblem, Q: np.ndarray, mid: float, starts: np.ndarray,
+                  h: float) -> np.ndarray:
+    """Forcing rows f of the steps of size h from the times starts, as one
+    array W Q^T: row k holds the step's Taylor weights e^p / p!, with
+    e = mid - xi at its three stage times, mapped by its segment's Q."""
+    c, jd = problem.speed, problem.jump0
+    e = mid - (jd.xi + c * (starts[:, None] + np.array([0.0, 0.5 * h, h])))
+    W = np.empty((*e.shape, jd.order + 1))
+    W[..., 0] = 1.0
+    for p in range(1, jd.order + 1):
+        W[..., p] = W[..., p - 1] * (e / p)
+    return W.reshape(len(e), -1) @ Q.T
 
 
 def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatrix,
@@ -220,18 +242,22 @@ def rk4_step(state, t: float, dt: float, problem: AdvectionProblem, D: DerivMatr
     """One classical Runge-Kutta step from t to t + dt.
 
     step is the (E, f) pair of the step: y maps to y + (E y + f), or to
-    y + E y when f is None. By default it is built for this one step by
-    _segment_steps, powers of -c D and bracket included, after a check that
-    state holds one value per node; evolve passes each step its segment's
-    pair (module docstring). The discontinuity may touch a node only at the
-    step endpoints.
+    y + E y when f is None, with state taken as it is. By default, after a
+    check that state holds one value per node, the pair is built for this
+    one step from the powers of -c D and the step's bracket, as evolve
+    builds a segment's (module docstring); evolve passes each step its
+    segment's pair. The discontinuity may touch a node only at the step
+    endpoints.
     """
-    state = np.asarray(state, dtype=float)
     if step is None:
         state = _check_data(state, problem.grid)
         _require_operator(problem, D)
-        E, forcing = _segment_steps(problem, D, t, dt, 1, _powers(problem, D), _bracket(problem, t, dt))
-        step = E, forcing(0, 1)[0]
+        powers, bracket, f = _powers(problem, D), _bracket(problem, t, dt), None
+        if bracket is not None:
+            mid = 0.5 * (bracket[0] + bracket[1])
+            Q = _forcing_maps(problem, D, powers, [mid], [dt])[0]
+            f = _forcing_rows(problem, Q, mid, t + np.arange(1) * dt, dt)[0]
+        step = _step_matrix(powers, dt), f
     E, f = step
     du = E.dot(state)
     if f is not None:
@@ -269,23 +295,45 @@ def _segments(problem: AdvectionProblem) -> list[tuple[float, float, int | None]
     return [(t0, t1, node) for t0, (t1, node) in zip(starts, [*crossings, (problem.t_final, None)])]
 
 
-def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarray,
-                    state: np.ndarray, t0: float, t1: float, nsub: int, node: int | None,
-                    bracket: tuple[float, float] | None) -> Iterator[tuple[float, np.ndarray]]:
-    """(end time, state) after each of nsub uniform steps from t0 to t1,
-    starting from state: one rk4_step with the segment's step matrix and
-    forcing row (_segment_steps, with the segment's bracket), then, on the
-    last step, the move of the crossed node, if any, and after every step
-    the inflow overwrite. The forcing rows, end times and inflow values are
-    built one block of steps at a time, so memory stays O(block) however
-    small the steps are; a block with an inflow value that is not finite is
-    a RuntimeError before its first step. Each yielded state is a new array
-    that nothing writes to afterwards."""
-    c, h = problem.speed, (t1 - t0) / nsub
+class _Segment(NamedTuple):
+    """A planned time segment: nsub steps of size h from t0 to t1, the node
+    crossed at t1 (None at t_final), and the midpoint of the node-free
+    bracket of the path over it (None without jumps)."""
+
+    t0: float
+    t1: float
+    node: int | None
+    nsub: int
+    h: float
+    mid: float | None
+
+
+def _step_segment(problem: AdvectionProblem, D: DerivMatrix, segment: _Segment, E: np.ndarray,
+                  Q: np.ndarray | None, state: np.ndarray, record: tuple[list, list, int, int],
+                  replay: bool = False) -> np.ndarray:
+    """The state after the nsub steps of a planned segment, from state: per
+    step one rk4_step with the step matrix E and the step's forcing row
+    from the segment's forcing map Q (None without jumps), then the inflow
+    write; after the last step, the move of the crossed node, if any. The
+    end times, inflow values and forcing rows are built one block of steps
+    at a time, so memory stays O(block) however small the steps are; a
+    block with an inflow value that is not finite is a RuntimeError before
+    its first step. record is (times, states, output_every, steps before
+    the segment): a step whose number in the run output_every divides, or
+    that ends at t_final, appends its end time and state, a new array that
+    nothing writes to afterwards but the crossed node's move, on the
+    segment's last state.
+
+    With replay, evolve's call on a segment whose end state is not finite,
+    no step is recorded: the RuntimeError names the first step whose state
+    is not finite, its end time and the largest |u| of the state it
+    started from."""
+    c, jd, t_final = problem.speed, problem.jump0, problem.t_final
+    t0, t1, node, nsub, h, mid = segment
+    times, states, output_every, done = record
     inflow = 0 if c > 0 else problem.grid.N
     x_in = problem.grid.nodes[inflow]
-    E, forcing = _segment_steps(problem, D, t0, t1 - t0, nsub, powers, bracket)
-    moved = -1 if node is None else nsub - 1  # the step after which the crossed node moves
+    before = state
     for k0 in range(0, nsub, _FORCING_BLOCK):
         k1 = min(k0 + _FORCING_BLOCK, nsub)
         t_ends = t0 + np.arange(k0 + 1, k1 + 1) * h
@@ -294,12 +342,28 @@ def _segment_states(problem: AdvectionProblem, D: DerivMatrix, powers: np.ndarra
         values = _finite(lambda: np.asarray(problem.initial(x_in - c * t_ends), dtype=float),
                          lambda i: RuntimeError(f"the exact inflow value initial(x - c t) at node {inflow} "
                                                 f"(x = {x_in}) is not finite at t = {t_ends[i]}"))
-        for k, t_new, value, f in zip(range(k0, k1), t_ends.tolist(), values.tolist(), forcing(k0, k1)):
-            state = rk4_step(state, t0 + k * h, h, problem, D, (E, f))
-            if k == moved:
-                state[node] -= np.sign(c) * problem.jump0.jumps[0]
+        starts = t0 + np.arange(k0, k1) * h
+        rows = repeat(None) if Q is None else _forcing_rows(problem, Q, mid, starts, h)
+        for k, t, t_new, value, f in zip(range(done + k0 + 1, done + k1 + 1), starts.tolist(), t_ends.tolist(),
+                                         values.tolist(), rows):
+            before, state = state, rk4_step(state, t, h, problem, D, (E, f))
             state[inflow] = value
-            yield t_new, state
+            if replay:
+                if not np.isfinite(state).all():
+                    raise _blow_up(t_new, before)
+            elif k % output_every == 0 or t_new == t_final:
+                times.append(t_new)
+                states.append(state)
+    if node is not None:
+        state[node] -= np.sign(c) * jd.jumps[0]
+    if replay:  # every step's state was finite until the crossed node moved
+        raise _blow_up(t1, before)
+    return state
+
+
+def _blow_up(t: float, before: np.ndarray) -> RuntimeError:
+    return RuntimeError(f"state became non-finite at t = {t} (max |u| before failure "
+                        f"{np.max(np.abs(before)):.3e}); likely an unstable dt")
 
 
 def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: int = 1) -> EvolutionResult:
@@ -313,9 +377,10 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
     new side, by exactly J_0, which leaves kinks untouched. After every
     step the inflow node is overwritten with the exact solution
     initial(x - c t).
-    Steps, their per-segment build and the per-segment finiteness check
-    follow the module docstring. States are recorded at t = 0, every
-    output_every-th step, and t_final.
+    Every segment is planned before the first step; the step matrices and
+    forcing maps, the one loop over all steps and the per-segment
+    finiteness check follow the module docstring. States are recorded at
+    t = 0, every output_every-th step, and t_final.
 
     Stability is the caller's business: the step matrix I + E, without the
     inflow node's row and column, must keep its spectral radius within 1.
@@ -362,49 +427,43 @@ def evolve(problem: AdvectionProblem, D: DerivMatrix, dt: float, output_every: i
                                                  f"(x = {grid.nodes[j]})"))
 
     _require_operator(problem, D)
-    jd, segments, brackets = problem.jump0, _segments(problem), []
+    jd, plan = problem.jump0, []
     end = None if jd is None else jd.xi + problem.speed * problem.t_final
     # a segment's bracket fails only on a start, a crossing or an end within
     # rounding of another node: a config error, found before any step
-    for k, (t0, t1, node) in enumerate(segments):
+    for k, (t0, t1, node) in enumerate(_segments(problem)):
         try:
-            brackets.append(_bracket(problem, t0, t1 - t0))
+            bracket = _bracket(problem, t0, t1 - t0)
         except RuntimeError:
             fault = (f"discontinuity at {jd.xi} starts" if k == 0 else f"discontinuity ends at {end},"
                      if node is None else f"discontinuity crosses node {node} (x = {grid.nodes[node]})")
             raise ValueError(f"{fault} within rounding of a grid node") from None
+        nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
+        mid = None if bracket is None else 0.5 * (bracket[0] + bracket[1])
+        plan.append(_Segment(t0, t1, node, nsub, (t1 - t0) / nsub, mid))
     # within rounding of a node, the node's side at t_final is down to
     # rounding: a step's exact value there depends on it, a kink's does not
     if jd is not None and jd.jumps[0] != 0.0 and np.abs(grid.nodes - end).min() <= _rounding(grid):
         raise ValueError(f"discontinuity ends at {end}, within rounding of a grid node")
     powers = _powers(problem, D)
 
-    times = [0.0]
-    states = [state]
-    steps_done, t_final = 0, problem.t_final
+    times, states, steps_done = [0.0], [state], 0
+    group = 1 if jd is None else _segments_per_group(grid.N, jd.order)
     # an unstable dt overflows on the way to the non-finite check below,
     # which reports it; numpy's own overflow warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for (t0, t1, node), bracket in zip(segments, brackets):
-            nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
-            start = state
-            steps = lambda: _segment_states(problem, D, powers, start, t0, t1, nsub, node, bracket)
-            # a segment's last step ends exactly on t1, so t_final is always recorded
-            for t_new, state in steps():
-                steps_done += 1
-                if steps_done % output_every == 0 or t_new == t_final:
-                    times.append(t_new)
-                    states.append(state)
-            if not np.isfinite(state).all():
-                before = start
-                for t_new, state in steps():
-                    if not np.isfinite(state).all():
-                        break
-                    before = state
-                raise RuntimeError(
-                    f"state became non-finite at t = {t_new} (max |u| before failure "
-                    f"{np.max(np.abs(before)):.3e}); likely an unstable dt"
-                )
+        for g0 in range(0, len(plan), group):
+            part = plan[g0:g0 + group]
+            maps = (repeat(None) if jd is None
+                    else _forcing_maps(problem, D, powers, [s.mid for s in part], [s.h for s in part]))
+            for segment, Q in zip(part, maps):
+                start, record = state, (times, states, output_every, steps_done)
+                E = _step_matrix(powers, segment.h)
+                # a segment's last step ends exactly on t1, so t_final is always recorded
+                state = _step_segment(problem, D, segment, E, Q, start, record)
+                if not np.isfinite(state).all():
+                    _step_segment(problem, D, segment, E, Q, start, record, replay=True)
+                steps_done += segment.nsub
 
     times_arr = np.asarray(times)
     states_arr = np.asarray(states)

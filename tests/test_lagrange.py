@@ -251,6 +251,24 @@ def test_barycentric_matches_five_pass_formula_bitwise(case, monkeypatch):
         np.testing.assert_array_equal(_bits(a), _bits(b))
 
 
+@pytest.mark.parametrize("block", [1, 4, 16])
+def test_probe_blocks_keep_every_value_bitwise(monkeypatch, block):
+    # 2 blocks and a one-probe last block, probes on nodes in each: every
+    # value is the five-pass formula's over all probes at once, bit for bit
+    from jumpspec import lagrange
+
+    g = chebyshev_gauss_lobatto(-1, 1, 20)
+    w = barycentric_weights(g)
+    pts = np.random.default_rng(block).uniform(-1, 1, 2 * block + 1)
+    pts[[0, block, 2 * block]] = g.nodes[[3, 0, 17]]
+    rows = np.vstack([np.cos(3.0 * g.nodes) + g.nodes, g.nodes ** 2])
+    calls, ratio_matrix = [], lagrange._ratio_matrix
+    monkeypatch.setattr(lagrange, "_ratio_matrix", lambda w, pts: calls.append(len(pts)) or ratio_matrix(w, pts))
+    monkeypatch.setattr(lagrange, "_PROBE_BLOCK", block)
+    np.testing.assert_array_equal(_bits(interpolate(w, rows, pts)), _bits(five_pass_barycentric(w, pts, rows)))
+    assert calls == [block, block, 1]
+
+
 @pytest.mark.parametrize("grid", [chebyshev_gauss_lobatto(-1, 1, 2), chebyshev_gauss_lobatto(-1, 1, 48),
                                   chebyshev_gauss_lobatto(-2, 3, 128), equidistant(-1, 1, 30),
                                   custom(-1, 1, np.r_[-1, np.sort(np.random.default_rng(9).uniform(-1, 1, 19)), 1])],

@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import math
 import re
 import sys
@@ -34,6 +33,27 @@ def kink_problem(N=32, xi0=-0.5, c=1.0, T=1.0, corrections=True):
     u0 = lambda x: np.abs(np.asarray(x, dtype=float) - xi0)
     jump0 = JumpData(xi0, [0.0, 2.0]) if corrections else None
     return AdvectionProblem(g, c, u0, jump0, T), g
+
+
+def forbid_builds(monkeypatch):
+    """Fail the test at the first step matrix or forcing map built: no step
+    is taken without them."""
+    for name in ("_step_matrix", "_forcing_maps"):
+        monkeypatch.setattr(mol, name, lambda *a: pytest.fail("a step was taken"))
+
+
+def segment_steps(problem, D, t, dt, nsub):
+    """Step matrix E of nsub RK4 steps of size h = dt / nsub from t, and
+    forcing(k0, k1), the forcing rows of steps k0 <= k < k1 as one array
+    (a None per step without jumps), from mol's builders for this one
+    segment: its bracket from mol._bracket, its forcing map built alone."""
+    powers, h, bracket = mol._powers(problem, D), dt / nsub, mol._bracket(problem, t, dt)
+    E = mol._step_matrix(powers, h)
+    if bracket is None:
+        return E, lambda k0, k1: [None] * (k1 - k0)
+    mid = 0.5 * (bracket[0] + bracket[1])
+    Q = mol._forcing_maps(problem, D, powers, [mid], [h])[0]
+    return E, lambda k0, k1: mol._forcing_rows(problem, Q, mid, t + np.arange(k0, k1) * h, h)
 
 
 # The semi-discrete right-hand side is -c times the corrected derivative at
@@ -153,7 +173,7 @@ def test_start_within_rounding_of_a_node_is_rejected_before_any_step(monkeypatch
                             JumpData(1e-16, [0.0, 2.0]), 0.5)
     D = derivative_matrix(g, 1)
     if pinned:
-        monkeypatch.setattr(mol, "_segment_steps", lambda *a: pytest.fail("a step was taken"))
+        forbid_builds(monkeypatch)
         with pytest.raises(ValueError, match="discontinuity at 1e-16 starts within rounding of a grid node"):
             evolve(prob, D, 0.01)
     else:
@@ -172,7 +192,7 @@ def test_crossing_within_rounding_of_t_final_lands_there(monkeypatch, speed, pas
     prob = AdvectionProblem(g, speed, u0, JumpData(xi0, [1.0]), 0.1 + past)
     D = derivative_matrix(g, 1)
     if past < 1e-13:
-        monkeypatch.setattr(mol, "_segment_steps", lambda *a: pytest.fail("a step was taken"))
+        forbid_builds(monkeypatch)
         with pytest.raises(ValueError, match="discontinuity ends at .*, within rounding of a grid node"):
             evolve(prob, D, 0.01)
     else:
@@ -196,7 +216,7 @@ def near_twins_problem():
 
 def test_a_crossing_within_rounding_of_a_node_is_rejected_before_any_step(monkeypatch):
     prob, D = near_twins_problem()
-    monkeypatch.setattr(mol, "_segment_steps", lambda *a: pytest.fail("a step was taken"))
+    forbid_builds(monkeypatch)
     with pytest.raises(ValueError, match=r"discontinuity crosses node 4 \(x = 0\.2000000000000001\) "
                                          "within rounding of a grid node"):
         evolve(prob, D, 1e-3)
@@ -216,19 +236,50 @@ def test_a_segment_between_nodes_within_rounding_has_no_bracket():
 
 @pytest.mark.parametrize("corrections", [True, False])
 def test_evolve_brackets_each_segment_once_before_the_first_step(monkeypatch, corrections):
-    # every bracket, and so every bracketing fault, comes before the powers
-    # and the first segment's steps; none is asked for again
+    # every bracket, and so every bracketing fault, comes before the powers,
+    # the forcing maps and the first segment's step matrix; none is asked
+    # for again. The five segments' maps are one group, built before the
+    # first step; each segment's step matrix is built as it is reached
     calls = []
-    bracket, powers, segment_steps = mol._bracket, mol._powers, mol._segment_steps
-    monkeypatch.setattr(mol, "_bracket", lambda *a: calls.append(("bracket", *a[1:])) or bracket(*a))
-    monkeypatch.setattr(mol, "_powers", lambda *a: calls.append(("powers",)) or powers(*a))
-    monkeypatch.setattr(mol, "_segment_steps", lambda *a: calls.append(("steps",)) or segment_steps(*a))
+    real = {name: getattr(mol, name) for name in ("_bracket", "_powers", "_forcing_maps", "_step_matrix")}
+    monkeypatch.setattr(mol, "_bracket", lambda *a: calls.append(("bracket", *a[1:])) or real["_bracket"](*a))
+    monkeypatch.setattr(mol, "_powers", lambda *a: calls.append(("powers",)) or real["_powers"](*a))
+    monkeypatch.setattr(mol, "_forcing_maps", lambda *a: calls.append(("maps", len(a[3]))) or real["_forcing_maps"](*a))
+    monkeypatch.setattr(mol, "_step_matrix", lambda *a: calls.append(("steps",)) or real["_step_matrix"](*a))
     prob, g = kink_problem(N=24, xi0=-0.5, T=0.6, corrections=corrections)
     segments = mol._segments(prob)
     assert len(segments) == (5 if corrections else 1)  # four crossings, or none tracked
+    assert mol._segments_per_group(24, 1) >= 5
     evolve(prob, derivative_matrix(g, 1), 1e-3, output_every=50)
     assert calls == ([("bracket", t0, t1 - t0) for t0, t1, _ in segments] + [("powers",)]
-                     + [("steps",)] * len(segments))
+                     + ([("maps", 5)] if corrections else []) + [("steps",)] * len(segments))
+
+
+@pytest.mark.parametrize("M", [1, 3])
+def test_forcing_maps_are_built_in_groups_of_bounded_size(monkeypatch, M):
+    # a path across many nodes: each group's maps hold at most 3 (N + 1)^2
+    # entries, every segment's map is built once, in time order, and a
+    # group's maps are built before its first step, after the last step of
+    # the group before it
+    g = chebyshev_gauss_lobatto(-1, 1, 16)
+    J = [0.0, 2.0, 0.0, 0.0][: M + 1]
+    prob = AdvectionProblem(g, 1.0, lambda x: np.abs(np.asarray(x, dtype=float) + 0.9), JumpData(-0.9, J), 1.75)
+    assert len(mol._segments(prob)) == 12
+    calls, maps = [], mol._forcing_maps
+    monkeypatch.setattr(mol, "_forcing_maps", lambda *a: calls.append(("maps", a[4])) or maps(*a))
+    step_matrix = mol._step_matrix
+    monkeypatch.setattr(mol, "_step_matrix", lambda *a: calls.append(("steps", a[1])) or step_matrix(*a))
+    res = evolve(prob, derivative_matrix(g, 1, 4), 1e-3, output_every=100)
+    assert res.error_linf[-1] <= 1e-10
+    size = mol._segments_per_group(16, M)
+    assert size == 17 // (M + 1)
+    steps = [h for kind, h in calls if kind == "steps"]
+    assert len(steps) == 12
+    want = []
+    for g0 in range(0, 12, size):
+        want += [("maps", steps[g0:g0 + size])] + [("steps", h) for h in steps[g0:g0 + size]]
+    assert calls == want
+    assert all(3 * 17 * (M + 1) * len(hs) <= 3 * 17 ** 2 for kind, hs in calls if kind == "maps")
 
 
 # CGL grids on [-1, 1] by N, each with its stencil size m (None: pseudospectral)
@@ -289,8 +340,9 @@ def test_a_path_near_a_node_is_rejected_before_any_step_or_exact(run):
     prob = AdvectionProblem(g, speed, u0, jd, t_final)
     D = derivative_matrix(g, 1, PATH_GRIDS[N][0])
     built = []
-    segment_steps = mol._segment_steps
-    with mock.patch.object(mol, "_segment_steps", lambda *a: built.append(a) or segment_steps(*a)):
+    step_matrix, maps = mol._step_matrix, mol._forcing_maps
+    with mock.patch.object(mol, "_step_matrix", lambda *a: built.append(a) or step_matrix(*a)), \
+            mock.patch.object(mol, "_forcing_maps", lambda *a: built.append(a) or maps(*a)):
         try:
             res = evolve(prob, D, dt)
         except ValueError as exc:
@@ -317,7 +369,7 @@ def test_evolve_checks_its_operator_once(monkeypatch):
 ], ids=["wider", "equidistant", "second"])
 def test_an_operator_of_another_grid_or_order_is_rejected_before_any_step(monkeypatch, D, message):
     prob, g = kink_problem(N=24, xi0=0.1, c=0.5, T=0.5)
-    monkeypatch.setattr(mol, "_segment_steps", lambda *a: pytest.fail("a step was taken"))
+    forbid_builds(monkeypatch)
     message = "D must be a first-derivative matrix on the problem's grid; " + message
     with pytest.raises(ValueError, match=message):
         evolve(prob, D, 1e-3)
@@ -464,7 +516,7 @@ def test_powers_past_the_float_range_are_rejected_before_any_step(monkeypatch):
     # built from its powers; no warning leaks
     g = chebyshev_gauss_lobatto(-1, 1, 16)
     prob = AdvectionProblem(g, 1e308, lambda x: np.exp(-(np.asarray(x, dtype=float) / 0.3) ** 2), None, 5e-324)
-    monkeypatch.setattr(mol, "_segment_steps", lambda *a: pytest.fail("a step was taken"))
+    forbid_builds(monkeypatch)
     with pytest.raises(ValueError, match="speed 1e\\+308 is too large for the grid of N = 16"):
         evolve(prob, derivative_matrix(g, 1), 1e-3)
 
@@ -499,7 +551,7 @@ def test_segment_step_matches_four_stage_recursion(N, family, banded, M, seed):
     t = ((lo if c > 0 else hi) - xi0) / c + u0 * (hi - lo) / abs(c)
     dt = nsub * h
     h = dt / nsub
-    E, forcing = mol._segment_steps(prob, D, t, dt, nsub, mol._powers(prob, D), mol._bracket(prob, t, dt))
+    E, forcing = segment_steps(prob, D, t, dt, nsub)
     F = forcing(0, nsub)
     assert len(F) == nsub
     rhs = lambda tt, y: -c * corrected_derivative(D, y, JumpData(xi0 + c * tt, J))
@@ -536,7 +588,7 @@ def test_a_stage_on_a_bracketing_node_is_the_one_sided_limit(family, N, m, c, M)
     assert xi0 + c * dt == node and lo < xi0 < hi
     J = np.array([1.5, -0.7, 2.0, 0.3][: M + 1])
     prob = AdvectionProblem(g, c, np.sin, JumpData(xi0, J), dt)
-    E, forcing = mol._segment_steps(prob, D, 0.0, dt, 1, mol._powers(prob, D), mol._bracket(prob, 0.0, dt))
+    E, forcing = segment_steps(prob, D, 0.0, dt, 1)
     inside = lambda tt: JumpData(np.clip(xi0 + c * tt, np.nextafter(lo, hi), np.nextafter(hi, lo)), J)
     rhs = lambda tt, y: -c * corrected_derivative(D, y, inside(tt))
     y = np.random.default_rng(N).uniform(-1, 1, N + 1)
@@ -717,7 +769,7 @@ def test_step_matrix_from_powers_matches_the_four_stages(family, N, m, speed):
     eps = np.finfo(float).eps
     off = ~np.eye(N + 1, dtype=bool)
     for h in rk4_dt_limit(D, speed) * np.logspace(-3, 0, 7):
-        E, _ = mol._segment_steps(prob, D, 0.0, h, 1, mol._powers(prob, D), None)
+        E = mol._step_matrix(mol._powers(prob, D), h)
         diff = np.abs(E - rk4_increment(A, h, np.eye(N + 1), 0.0, 0.0, 0.0))
         Z = h * np.abs(A)
         Z2 = Z @ Z
@@ -748,8 +800,7 @@ def test_forcing_map_from_powers_matches_the_four_stages(family, N, m, speed, M)
         placed[s, :, s] = B
     eps = np.finfo(float).eps
     for h in rk4_dt_limit(D, speed) * np.logspace(-3, 0, 4):
-        _, forcing = mol._segment_steps(prob, D, 0.0, h, 1, mol._powers(prob, D), (lo, hi))
-        Q = inspect.getclosurevars(forcing).nonlocals["Q"]
+        Q = mol._forcing_maps(prob, D, mol._powers(prob, D), [0.5 * (lo + hi)], [h])[0]
         want = rk4_increment(A, h, np.zeros((N + 1, 3 * (M + 1))), *placed.reshape(3, N + 1, -1))
         Z, b = h * np.abs(A), np.abs(B)
         Zb = Z @ b
@@ -788,17 +839,16 @@ def replayed_steps(problem, D, dt):
     """(end time, state before, state after, step index in its segment,
     segment steps) of every step, taken one at a time: rk4_step with the
     segment's step matrix and forcing row, the J_0 move of a crossed node,
-    then the inflow write. A segment's end times and inflow values are
-    built all at once, its forcing rows one block of steps at a time, as
-    evolve builds them."""
+    then the inflow write. Each segment's forcing map is built alone, its
+    forcing rows one block of steps at a time, as evolve builds them; its
+    end times and inflow values all at once."""
     nodes, c = problem.grid.nodes, problem.speed
     inflow = 0 if c > 0 else problem.grid.N
     state = np.asarray(problem.initial(nodes), dtype=float)
     for t0, t1, node in mol._segments(problem):
         nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
         h = (t1 - t0) / nsub
-        E, forcing = mol._segment_steps(problem, D, t0, t1 - t0, nsub, mol._powers(problem, D),
-                                        mol._bracket(problem, t0, t1 - t0))
+        E, forcing = segment_steps(problem, D, t0, t1 - t0, nsub)
         rows = [f for k0 in range(0, nsub, mol._FORCING_BLOCK)
                 for f in forcing(k0, min(k0 + mol._FORCING_BLOCK, nsub))]
         t_ends = t0 + np.arange(1, nsub + 1) * h
@@ -859,14 +909,21 @@ def advected(case, speed=1.3, T=0.5):
     return AdvectionProblem(g, speed, u0, JumpData(xi0, J), T), derivative_matrix(g, 1, m)
 
 
-@pytest.mark.parametrize("block", [mol._FORCING_BLOCK, 7])
+# (steps per forcing block, segments per group of forcing maps or None for
+# the size derived from N and M); the derived size keeps the bare block id
+@pytest.mark.parametrize("block,group", [
+    pytest.param(block, group, id=f"{block}" if group is None else f"{block}-group{group}")
+    for group in (None, 1, 2) for block in (mol._FORCING_BLOCK, 7)])
 @pytest.mark.parametrize("speed", [1.3, -0.7])
 @pytest.mark.parametrize("case", ["cgl-kink", "equidistant-banded-kink", "cgl-step"])
-def test_corrected_evolve_is_the_step_by_step_replay_bitwise(monkeypatch, case, speed, block):
-    # evolve's loop, its blocks of end times and inflow values and its
+def test_corrected_evolve_is_the_step_by_step_replay_bitwise(monkeypatch, case, speed, block, group):
+    # evolve's loop, its blocks of end times and inflow values, its groups
+    # of forcing maps (None: the size derived from N and M) and its
     # in-place step add nothing to and reorder nothing in the arithmetic of
-    # one rk4_step after another
+    # one rk4_step after another, each segment's map built alone
     monkeypatch.setattr(mol, "_FORCING_BLOCK", block)
+    if group is not None:
+        monkeypatch.setattr(mol, "_segments_per_group", lambda N, M: group)
     prob, D = advected(case, speed)
     assert len(mol._segments(prob)) >= 4  # three crossings
     res = evolve(prob, D, 2e-3, output_every=1)
@@ -913,7 +970,7 @@ def test_non_finite_initial_profile_is_rejected_before_any_step(monkeypatch):
     # from xi0; the first of them is named, and no warning leaks
     g = chebyshev_gauss_lobatto(-1, 1, 24)
     prob = AdvectionProblem(g, 0.3, lambda x: 1.7e308 * np.abs(np.asarray(x, dtype=float) + 0.95), None, 1.0)
-    monkeypatch.setattr(mol, "_segment_steps", lambda *a: pytest.fail("a step was taken"))
+    forbid_builds(monkeypatch)
     first = int(np.flatnonzero(g.nodes + 0.95 > sys.float_info.max / 1.7e308)[0])
     with pytest.raises(ValueError, match=rf"initial profile is not finite at node {first} \(x = "):
         evolve(prob, derivative_matrix(g, 1), 1e-3)
